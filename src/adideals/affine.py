@@ -13,12 +13,15 @@ level scanning.
 The minimal element of an ideal I is the one whose inversion set is
 {m*delta - gamma : gamma in I, 1 <= m <= l(gamma, I)}; the maximal
 element of a strictly positive I uses k(gamma, I) - 1 instead.  Both
-are reconstructed from these prescribed inversion sets by peeling
-affine simple reflections.
+are built from these prescribed inversion sets by growing from the
+identity in the weak order, one affine simple reflection per inversion,
+while tracking only the images of the p+1 affine simple roots under the
+inverse of the element built so far (`element_from_inversions`).
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .rootsys import AffineRoot, Root, RootSystem
 from . import ideals as _ideals
@@ -243,7 +246,19 @@ def inversion_set(w: AffineWeylElement):
 
 
 def length(w: AffineWeylElement) -> int:
-    return len(inversion_set(w))
+    """|N(w)|, summing the runs of `inversion_set` in closed form.
+
+    A positive root mu and its negative together contribute
+    |(mu, r) + [v(mu) < 0]| affine roots; v(mu) is a root, so its sign is
+    that of its height.
+    """
+    rs = w.rs
+    levels = [rs.pair_root_coroot(a.coords, w.r) for a in rs.simple_roots()]
+    heights = [sum(col) for col in zip(*w.v.matrix)]  # heights of v(alpha_j)
+    return sum(
+        abs(sum(map(mul, root.coords, levels)) + (sum(map(mul, root.coords, heights)) < 0))
+        for root in rs.positive_roots
+    )
 
 
 def _simple_image_negative(w: AffineWeylElement, i: int) -> bool:
@@ -304,59 +319,118 @@ def element_from_word(rs: RootSystem, word) -> AffineWeylElement:
     return acc
 
 
+# The growth in `element_from_inversions` packs each vector it updates into
+# one integer whose signed base-2^64 digits are the entries, most
+# significant first.  Packing is linear, so every update is one integer
+# multiply-add, and a packed affine root (level, coords...) is positive
+# exactly when the integer is.  This needs every entry below the leading
+# one to be under 2^63 in size: such entries are root coordinates, entries
+# of v, or coordinates of r, which are bounded by a multiple of the length.
+_SHIFT = 64
+_HALF = 1 << (_SHIFT - 1)
+_MASK = (1 << _SHIFT) - 1
+
+
+def _unpack(x: int, n: int):
+    """The n lowest signed digits of x, most significant first."""
+    digits = []
+    for _ in range(n):
+        d = ((x + _HALF) & _MASK) - _HALF
+        digits.append(d)
+        x = (x - d) >> _SHIFT
+    digits.reverse()
+    return digits
+
+
+@lru_cache(maxsize=None)
+def _affine_simple_data(rs: RootSystem):
+    """The packing weights (2^(64 p), ..., 2^64, 1) and, per affine simple
+    root alpha_i (i = 0..p), the data of s_i as a 4-tuple: alpha_i packed;
+    the nonzero coordinates (k, f_k) of its finite part f; the nonzero
+    pairings (m, (alpha_m, f^vee)) with the finite simple roots; and the
+    nonzero off-diagonal entries (j, (alpha_j, alpha_i^vee)) of column i of
+    the affine Cartan matrix."""
+    p = rs.rank
+    weights = tuple(1 << (_SHIFT * (p - k)) for k in range(p + 1))
+    roots = [simple_affine_root(rs, i) for i in range(p + 1)]
+    finite = [Root(b.finite) for b in roots]
+    simples = []
+    for i, f in enumerate(finite):
+        pairs = ((m, rs.pairing(a, f)) for m, a in enumerate(rs.simple_roots()))
+        cartan = ((j, rs.pairing(g, f)) for j, g in enumerate(finite) if j != i)
+        simples.append((
+            sum(map(mul, (roots[i].level,) + f.coords, weights)),
+            tuple((k, c) for k, c in enumerate(f.coords) if c),
+            tuple((m, c) for m, c in pairs if c),
+            tuple((j, a) for j, a in cartan if a),
+        ))
+    return weights, tuple(simples)
+
+
 def element_from_inversions(rs: RootSystem, affine_roots) -> AffineWeylElement:
-    """The unique element whose inversion set is the given bi-convex set."""
-    remaining = {(b.level, b.finite) for b in affine_roots}
-    simples = [
-        (b.level, b.finite)
-        for b in (simple_affine_root(rs, i) for i in range(rs.rank + 1))
-    ]
-    refl = [affine_simple_reflection(rs, i) for i in range(rs.rank + 1)]
-    peeled = []
-    while remaining:
-        for i, s in enumerate(simples):
-            if s in remaining:
+    """The unique element whose inversion set is the given set.
+
+    Grows u from the identity in the left weak order: while N(u) falls short
+    of the set, u becomes s_i u for the first i with u^{-1}(alpha_i) positive
+    and in the set, which adds exactly that root, since
+    N(s_i u) = N(u) + {u^{-1}(alpha_i)}.  Only the p+1 images
+    beta_j = u^{-1}(alpha_j) are kept; s_i moves them by
+    beta_j -> beta_j - (alpha_j, alpha_i^vee) beta_i.  The parts of
+    u = v . t_r follow by integer row updates: s_i u = (s_i v) . t_r for
+    i >= 1, and s_0 u = (s_theta v) . t_{r + f} with f the finite part of
+    beta_0.  Raises ValueError when no step is possible before the whole
+    set is added, i.e. when the set is no inversion set.
+    """
+    weights, simples = _affine_simple_data(rs)
+    top, low = weights[0], weights[1:]
+    target = {sum(map(mul, b.finite, low), b.level * top) for b in affine_roots}
+    beta = [packed for packed, _, _, _ in simples]
+    p = rs.rank
+    v = list(low)  # the rows of the identity matrix
+    r = 0  # the finite part sits in the p lowest digits
+    for _ in range(len(target)):
+        for i, b in enumerate(beta):
+            if b > 0 and b in target:
                 break
         else:
-            raise ValueError("the given set is not bi-convex (no simple root in it)")
-        peeled.append(i)
-        s_i = refl[i]
-        translated = any(s_i.r)
-        new = set()
-        for k, mu in remaining:
-            if (k, mu) == simples[i]:
-                continue
-            t = rs.pair_root_coroot(mu, s_i.r) if translated else 0
-            new.add((k - t, s_i.v.act(mu)))
-        remaining = new
-    acc = identity_element(rs)
-    for i in peeled:
-        acc = refl[i] * acc
-    return acc
+            raise ValueError(
+                "the given set is not bi-convex (no simple reflection adds a root of it)"
+            )
+        _, support, pairs, column = simples[i]
+        if i == 0:
+            r += b
+        # v -> s_i v, where s_i(x) = x - (x, f^vee) f
+        z = 0
+        for m, c in pairs:
+            z += c * v[m]
+        for k, fk in support:
+            v[k] -= fk * z
+        for j, a in column:
+            beta[j] -= a * b
+        beta[i] = -b
+    matrix = [_unpack(row, p) for row in v]
+    return AffineWeylElement(rs, FiniteWeylElement(matrix), _unpack(r, p))
+
+
+def _layer_roots(ideal: Ideal, top):
+    """m*delta - gamma for each gamma in I and 1 <= m <= top[gamma]."""
+    rs = ideal.rs
+    out = []
+    for idx in _ideals._iter_bits(ideal.mask):
+        minus = tuple(-c for c in rs.positive_roots[idx].coords)
+        out += [AffineRoot(m, minus) for m in range(1, top[idx] + 1)]
+    return out
 
 
 def w_min(ideal: Ideal) -> AffineWeylElement:
     """The minimal element whose first layer ideal is I."""
-    rs = ideal.rs
-    lt = _ideals._l_table(ideal)
-    inv = [
-        AffineRoot(m, tuple(-c for c in rs.positive_roots[idx].coords))
-        for idx in _ideals._iter_bits(ideal.mask)
-        for m in range(1, lt[idx] + 1)
-    ]
-    return element_from_inversions(rs, inv)
+    return element_from_inversions(ideal.rs, _layer_roots(ideal, _ideals._l_table(ideal)))
 
 
 def w_max(ideal: Ideal) -> AffineWeylElement:
     """The maximal element whose first layer ideal is I (I strictly positive)."""
-    rs = ideal.rs
     kt = _ideals._k_table(ideal)  # raises for non strictly positive ideals
-    inv = [
-        AffineRoot(m, tuple(-c for c in rs.positive_roots[idx].coords))
-        for idx in _ideals._iter_bits(ideal.mask)
-        for m in range(1, kt[idx])
-    ]
-    return element_from_inversions(rs, inv)
+    return element_from_inversions(ideal.rs, _layer_roots(ideal, [k - 1 for k in kt]))
 
 
 def rootlet(w: AffineWeylElement):
@@ -450,8 +524,10 @@ def element_to_record(w: AffineWeylElement) -> dict:
 
 def element_from_record(rs: RootSystem, record: dict) -> AffineWeylElement:
     w = element_from_word(rs, record["word"])
-    if "v_matrix" in record:
-        assert w.v.matrix == tuple(tuple(row) for row in record["v_matrix"])
-    if "r_coords" in record:
-        assert w.r == tuple(record["r_coords"])
+    if "v_matrix" in record and w.v.matrix != tuple(
+        tuple(row) for row in record["v_matrix"]
+    ):
+        raise ValueError("record's v_matrix does not match its word")
+    if "r_coords" in record and w.r != tuple(record["r_coords"]):
+        raise ValueError("record's r_coords do not match its word")
     return w

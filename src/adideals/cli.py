@@ -70,7 +70,7 @@ def ideal_record(ideal: I.Ideal) -> dict:
     w = A.w_min(ideal)
     nu, level = A.rootlet(w)
     point = A.lattice_image(w)
-    y = [int(rs.bilinear(point, rs.alpha(i).coords)) for i in range(rs.rank)]
+    y = [rs.pair_root_coroot(rs.alpha(i).coords, point) for i in range(rs.rank)]
     heis = I.heisenberg_root_mask(rs)
     return {
         "generators": [list(r.coords) for r in I.generators(ideal).roots],
@@ -131,10 +131,11 @@ def cmd_enumerate(args, out) -> int:
     rs = build(args.type, args.rank)
     tokens = _parse_class(args.klass)
     expected = L.count_AD(rs).value
-    # element reconstruction per ideal costs about length^2, and lengths
-    # are bounded by the summed root heights
+    # building an element takes one step per unit of length, each touching
+    # about rank + 1 simple-root images, and lengths are bounded by the
+    # summed root heights
     height_sum = sum(r.height for r in rs.positive_roots)
-    work = expected * height_sum ** 2
+    work = expected * height_sum * (rs.rank + 1)
     if not args.force:
         if args.format == "text" and expected > MAX_TEXT_RECORDS:
             print(

@@ -5,6 +5,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from adideals import affine as A
+from adideals import ideals as I
+from adideals.rootsys import AffineRoot
 
 
 def systems_up_to(max_rank, exceptional=True):
@@ -113,6 +115,61 @@ def full_weyl_group(rs):
                     nxt.append(w)
         frontier = nxt
     return seen
+
+
+def prescribed_inversions(ideal, maximal=False):
+    """The inversion set fixed for w_min(I), or for w_max(I) if `maximal`.
+
+    {m*delta - gamma : gamma in I, 1 <= m <= l(gamma, I)}, with k(gamma, I) - 1
+    in place of l(gamma, I) for the maximal element.
+    """
+    rs = ideal.rs
+    if maximal:
+        top = [k - 1 for k in I._k_table(ideal)]
+    else:
+        top = I._l_table(ideal)
+    return [
+        AffineRoot(m, tuple(-c for c in rs.positive_roots[idx].coords))
+        for idx in I._iter_bits(ideal.mask)
+        for m in range(1, top[idx] + 1)
+    ]
+
+
+def peel_element_from_inversions(rs, affine_roots):
+    """Element with the given inversion set, by peeling simple reflections.
+
+    The construction `affine.element_from_inversions` replaced, kept as its
+    differential oracle: while the set is nonempty, take its first affine
+    simple root alpha_i, apply s_i to the rest of the set, and multiply the
+    peeled reflections together.  Costs O(length^2) root actions.
+    """
+    remaining = {(b.level, b.finite) for b in affine_roots}
+    simples = [
+        (b.level, b.finite)
+        for b in (A.simple_affine_root(rs, i) for i in range(rs.rank + 1))
+    ]
+    refl = [A.affine_simple_reflection(rs, i) for i in range(rs.rank + 1)]
+    peeled = []
+    while remaining:
+        for i, s in enumerate(simples):
+            if s in remaining:
+                break
+        else:
+            raise ValueError("the given set is not bi-convex (no simple root in it)")
+        peeled.append(i)
+        s_i = refl[i]
+        translated = any(s_i.r)
+        new = set()
+        for k, mu in remaining:
+            if (k, mu) == simples[i]:
+                continue
+            t = rs.pair_root_coroot(mu, s_i.r) if translated else 0
+            new.add((k - t, s_i.v.act(mu)))
+        remaining = new
+    acc = A.identity_element(rs)
+    for i in peeled:
+        acc = refl[i] * acc
+    return acc
 
 
 def all_words(rs, max_len):

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +10,9 @@ from adideals.rootsys import AffineRoot, Root, build
 from adideals import affine as A
 from adideals import ideals as I
 from adideals import lattice_count as L
-from helpers import all_words, systems_up_to
+from helpers import (
+    all_words, peel_element_from_inversions, prescribed_inversions, systems_up_to,
+)
 
 
 def heis(rs):
@@ -52,12 +57,13 @@ def test_inversion_set_examples():
     assert A.inversion_set(s0) == [AffineRoot(1, (-1, -1))]
 
 
-@pytest.mark.parametrize("label,rank", [("A", 2), ("C", 2)])
+@pytest.mark.parametrize("label,rank", [("A", 2), ("C", 2), ("G2", 2)])
 def test_inversion_count_is_length(label, rank):
     rs = build(label, rank)
     for word in all_words(rs, 5):
         w = A.element_from_word(rs, word)
         ell = A.length(w)
+        assert ell == len(A.inversion_set(w))
         assert ell <= len(word)
         assert len(A.reduced_word(w)) == ell
         assert A.element_from_word(rs, A.reduced_word(w)) == w
@@ -321,6 +327,44 @@ def test_element_from_inversions_rejects_non_biconvex_set():
         A.element_from_inversions(rs, bad)
 
 
+@pytest.mark.parametrize("roots", [
+    # holds the negative root -alpha_1; the peel oracle returns the identity
+    [AffineRoot(0, (1, 0)), AffineRoot(0, (-1, 0))],
+    # alpha_1 + alpha_2 is missing
+    [AffineRoot(0, (1, 0)), AffineRoot(0, (0, 1))],
+    # alpha_0 + alpha_1 = delta - alpha_2 is missing
+    [AffineRoot(1, (-1, -1)), AffineRoot(0, (1, 0))],
+], ids=["negative-root", "not-closed", "not-closed-affine"])
+def test_element_from_inversions_rejects_non_inversion_sets(roots):
+    with pytest.raises(ValueError, match="bi-convex"):
+        A.element_from_inversions(build("A", 2), roots)
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(4))
+def test_element_from_inversions_matches_peel_oracle(label, rank):
+    rs = build(label, rank)
+    for ideal in I.enumerate_ideals(rs):
+        oracle = peel_element_from_inversions(rs, prescribed_inversions(ideal))
+        assert A.w_min(ideal) == oracle
+        if I.is_strictly_positive(ideal):
+            oracle = peel_element_from_inversions(
+                rs, prescribed_inversions(ideal, maximal=True))
+            assert A.w_max(ideal) == oracle
+
+
+def test_e6_w_min_inversion_sets_and_first_layers():
+    rs = build("E6", 6)
+    seen = 0
+    for ideal in I.enumerate_ideals(rs):
+        w = A.w_min(ideal)
+        expected = {(b.level, b.finite) for b in prescribed_inversions(ideal)}
+        assert {(b.level, b.finite) for b in A.inversion_set(w)} == expected
+        assert A.length(w) == len(expected)
+        assert A.first_layer_ideal(w) == ideal
+        seen += 1
+    assert seen == 833
+
+
 def test_element_equality_is_not_word_equality():
     rs = build("A", 2)
     w1 = A.element_from_word(rs, (1, 2, 1))
@@ -343,3 +387,34 @@ def test_mul_and_inverse():
         w = A.element_from_word(rs, word)
         assert (w * w.inverse()).is_identity()
         assert (w.inverse() * w).is_identity()
+
+
+@pytest.mark.parametrize("field", ["v_matrix", "r_coords"])
+def test_element_from_record_rejects_mismatch(field):
+    rs = build("A", 2)
+    rec = A.element_to_record(A.affine_simple_reflection(rs, 0))
+    rec[field] = [[9, 9], [9, 9]] if field == "v_matrix" else [5, 5]
+    with pytest.raises(ValueError, match=field):
+        A.element_from_record(rs, rec)
+
+
+def test_element_from_record_validates_under_optimize():
+    # `python -O` strips asserts; the check must still raise
+    code = "\n".join([
+        "from adideals.rootsys import build",
+        "from adideals import affine as A",
+        "assert False, 'asserts are on'",
+        "rec = {'word': [0], 'v_matrix': [[9, 9], [9, 9]], 'r_coords': [5, 5]}",
+        "try:",
+        "    A.element_from_record(build('A', 2), rec)",
+        "except ValueError:",
+        "    raise SystemExit(0)",
+        "raise SystemExit(3)",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(A.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,8 @@ import jsonschema
 import pytest
 
 from adideals import cli
+from adideals import ideals as I
+from adideals.rootsys import build
 
 
 def run(argv, capsys):
@@ -64,6 +66,17 @@ def test_enumerate_refuses_e8_without_force(capsys):
     assert code == 2
     assert "25080" in err and "--force" in err
     assert out == ""
+
+
+def test_enumerate_classifies_e7_without_force(capsys, monkeypatch):
+    # the guard's estimate for all 4160 ideals of E7 is within budget; a stub
+    # sweep of two ideals keeps the test short
+    rs = build("E7", 7)
+    few = [I.empty_ideal(rs), I.full_ideal(rs)]
+    monkeypatch.setattr(cli.I, "enumerate_ideals", lambda rs, which="all": iter(few))
+    code, out, err = run(["enumerate", "--type", "E7", "--rank", "7"], capsys)
+    assert code == 0 and err == ""
+    assert out.endswith("# 2 record(s) for E7 class=all\n")
 
 
 def test_verify_exits_nonzero_on_mismatch(capsys, monkeypatch):

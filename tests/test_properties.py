@@ -1,0 +1,38 @@
+"""Property tests over random ideals of every type of rank <= 6.
+
+Derandomised, so every run draws the same examples.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from adideals import affine as A
+from adideals import ideals as I
+from adideals.rootsys import build
+from helpers import peel_element_from_inversions, prescribed_inversions, systems_up_to
+
+SYSTEMS = systems_up_to(6)
+
+
+@st.composite
+def ideals(draw):
+    """An ideal of a drawn system, generated by a drawn antichain."""
+    rs = build(*draw(st.sampled_from(SYSTEMS)))
+    picks = draw(st.lists(st.integers(0, rs.num_positive - 1), max_size=rs.rank))
+    kept = 0
+    for idx in picks:  # keep a root only if it is incomparable to all kept
+        if not kept & ~rs.incomparability_masks[idx]:
+            kept |= 1 << idx
+    roots = [r for i, r in enumerate(rs.positive_roots) if kept >> i & 1]
+    return I.ideal_of(I.Antichain(rs, roots))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(ideals())
+def test_w_min_properties(ideal):
+    rs = ideal.rs
+    w = A.w_min(ideal)
+    assert A.first_layer_ideal(w) == ideal
+    lt = I._l_table(ideal)
+    assert A.length(w) == sum(lt[idx] for idx in I._iter_bits(ideal.mask))
+    assert A.element_from_word(rs, A.reduced_word(w)) == w
+    assert w == peel_element_from_inversions(rs, prescribed_inversions(ideal))
