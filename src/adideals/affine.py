@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .rootsys import AffineRoot, Root, RootSystem
+from .rootsys import AffineRoot, Root, RootSystem, _invert_fraction_matrix
 from . import ideals as _ideals
 from .ideals import Antichain, Ideal, is_minimax  # noqa: F401  (re-export)
 
@@ -85,28 +85,10 @@ class FiniteWeylElement:
 
 @lru_cache(maxsize=None)
 def _int_matrix_inverse(matrix):
-    n = len(matrix)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for row in aug:
-        ints = []
-        for x in row[n:]:
-            assert x.denominator == 1, "Weyl matrix is not invertible over Z"
-            ints.append(int(x))
-        out.append(tuple(ints))
-    return tuple(out)
+    inv = _invert_fraction_matrix(matrix)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ValueError("Weyl matrix is not invertible over Z")
+    return tuple(tuple(int(x) for x in row) for row in inv)
 
 
 def identity_finite(rank: int) -> FiniteWeylElement:
@@ -313,6 +295,11 @@ def reduced_word(w: AffineWeylElement):
 
 
 def element_from_word(rs: RootSystem, word) -> AffineWeylElement:
+    """The product of the affine simple reflections s_i, i in 0..p, of the word."""
+    if not (isinstance(word, (list, tuple))
+            and all(type(i) is int and 0 <= i <= rs.rank for i in word)):
+        raise ValueError("a word is a list of affine simple indices 0..%d, not %r"
+                         % (rs.rank, word))
     acc = identity_element(rs)
     for i in word:
         acc = acc * affine_simple_reflection(rs, i)
@@ -523,11 +510,11 @@ def element_to_record(w: AffineWeylElement) -> dict:
 
 
 def element_from_record(rs: RootSystem, record: dict) -> AffineWeylElement:
-    w = element_from_word(rs, record["word"])
-    if "v_matrix" in record and w.v.matrix != tuple(
-        tuple(row) for row in record["v_matrix"]
-    ):
+    """The element of the record's word; the lists `element_to_record` writes
+    for v_matrix and r_coords, when present, must equal the word's."""
+    w = element_from_word(rs, record.get("word"))
+    if "v_matrix" in record and record["v_matrix"] != [list(row) for row in w.v.matrix]:
         raise ValueError("record's v_matrix does not match its word")
-    if "r_coords" in record and w.r != tuple(record["r_coords"]):
+    if "r_coords" in record and record["r_coords"] != list(w.r):
         raise ValueError("record's r_coords do not match its word")
     return w

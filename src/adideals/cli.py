@@ -9,7 +9,9 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+import tempfile
 
 from .rootsys import Root, build
 from . import ideals as I
@@ -58,11 +60,6 @@ IDEAL_RECORD_SCHEMA = {
 MAX_TEXT_RECORDS = 100_000
 MAX_CLASSIFY_WORK = 100_000_000
 
-_CLASS_TOKENS = {
-    "all", "strictly-positive", "abelian", "non-abelian", "minimax",
-    "heisenberg-contained", "nontrivial",
-}
-
 
 def ideal_record(ideal: I.Ideal) -> dict:
     """Full classification record of one ideal (schema ideal-record/v1)."""
@@ -71,14 +68,13 @@ def ideal_record(ideal: I.Ideal) -> dict:
     nu, level = A.rootlet(w)
     point = A.lattice_image(w)
     y = [rs.pair_root_coroot(rs.alpha(i).coords, point) for i in range(rs.rank)]
-    heis = I.heisenberg_root_mask(rs)
     return {
         "generators": [list(r.coords) for r in I.generators(ideal).roots],
         "size": ideal.size,
         "strictly_positive": I.is_strictly_positive(ideal),
         "abelian": I.is_abelian(ideal),
         "minimax": I.is_minimax(ideal),
-        "heisenberg_contained": not ideal.mask & ~heis,
+        "heisenberg_contained": I.is_heisenberg_contained(ideal),
         "rootlet": {"level": level, "root": list(nu.coords)},
         "length_min": A.length(w),
         "lattice_image": list(point),
@@ -100,31 +96,19 @@ def _record_line(rec: dict) -> str:
     )
 
 
+def _class_tokens():
+    """The --class tokens: the ideals' class names, hyphenated."""
+    return sorted(name.replace("_", "-") for name in I.CLASSES)
+
+
 def _parse_class(raw: str):
     tokens = [t.strip() for t in raw.split(",") if t.strip()]
-    bad = [t for t in tokens if t not in _CLASS_TOKENS]
+    bad = [t for t in tokens if t not in _class_tokens()]
     if bad:
         raise ValueError(
-            "unknown class %r; tokens may be %s" % (bad[0], sorted(_CLASS_TOKENS))
+            "unknown class %r; tokens may be %s" % (bad[0], _class_tokens())
         )
     return tokens or ["all"]
-
-
-def _matches(rec: dict, tokens) -> bool:
-    for t in tokens:
-        if t == "strictly-positive" and not rec["strictly_positive"]:
-            return False
-        if t == "abelian" and not rec["abelian"]:
-            return False
-        if t == "non-abelian" and rec["abelian"]:
-            return False
-        if t == "minimax" and not rec["minimax"]:
-            return False
-        if t == "heisenberg-contained" and not rec["heisenberg_contained"]:
-            return False
-        if t == "nontrivial" and rec["size"] == 0:
-            return False
-    return True
 
 
 def cmd_enumerate(args, out) -> int:
@@ -149,10 +133,8 @@ def cmd_enumerate(args, out) -> int:
                 % (expected, V.system_name(args.type, args.rank)),
                 file=sys.stderr)
             return 2
-    records = (
-        rec for rec in (ideal_record(idl) for idl in I.enumerate_ideals(rs))
-        if _matches(rec, tokens)
-    )
+    kept = I.enumerate_ideals(rs, [t.replace("-", "_") for t in tokens])
+    records = (ideal_record(idl) for idl in kept)
     if args.format == "json":
         payload = {
             "schema": IDEAL_RECORD_SCHEMA_ID,
@@ -194,6 +176,10 @@ def cmd_enumerate(args, out) -> int:
 def cmd_classify(args, out) -> int:
     rs = build(args.type, args.rank)
     gens = json.loads(args.generators)
+    if not (isinstance(gens, list) and all(
+            isinstance(g, list) and all(type(c) is int for c in g) for g in gens)):
+        raise ValueError("--generators must be a JSON list of integer lists, "
+                         "e.g. [[1,1,0],[0,1,1]]")
     antichain = I.Antichain(rs, [Root(tuple(g)) for g in gens])
     rec = ideal_record(I.ideal_of(antichain))
     if args.format == "json":
@@ -207,17 +193,7 @@ def cmd_classify(args, out) -> int:
 
 def cmd_count(args, out) -> int:
     rs = build(args.type, args.rank)
-    if args.quantity == "AD":
-        report = L.count_AD(rs)
-    elif args.quantity == "AD0":
-        report = L.count_AD0(rs)
-    elif args.quantity == "minimax":
-        report = L.count_minimax(rs)
-    else:  # heisenberg_nontrivial = #(Delta_long \ Pi)
-        n_long = rs.long_mask.bit_count()
-        n_long_simple = sum(1 for i in rs.simple_indices if rs.long_mask >> i & 1)
-        report = L.CountReport(rs.type_label, rs.rank, "heisenberg_nontrivial",
-                               2 * n_long - n_long_simple, "closed_form")
+    report = getattr(L, "count_" + args.quantity)(rs)
     if args.format == "json":
         json.dump(report.__dict__, out, indent=1, sort_keys=True)
         out.write("\n")
@@ -317,7 +293,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream classified ideal records")
     _add_system_args(p)
     p.add_argument("--class", dest="klass", default="all",
-                   help="comma-joined filters: " + ", ".join(sorted(_CLASS_TOKENS)))
+                   help="comma-joined filters: " + ", ".join(_class_tokens()))
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.add_argument("--out", default=None)
     p.add_argument("--force", action="store_true",
@@ -358,14 +334,33 @@ _HANDLERS = {
 }
 
 
+def _write_atomically(path: str, text: str) -> None:
+    """Write text to path through a temporary file renamed over it, so that
+    path holds either its old content or all of text."""
+    umask = os.umask(0)
+    os.umask(umask)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".adideals-", suffix=".tmp")
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s" % (path, exc.strerror)) from None
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except OSError as exc:
+        os.unlink(tmp)
+        raise ValueError("cannot write %s: %s" % (path, exc.strerror)) from None
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         if args.out:
             buf = io.StringIO()
             code = _HANDLERS[args.command](args, buf)
-            with open(args.out, "w") as fh:
-                fh.write(buf.getvalue())
+            _write_atomically(args.out, buf.getvalue())
         else:
             code = _HANDLERS[args.command](args, sys.stdout)
     except ValueError as exc:

@@ -103,8 +103,8 @@ def n_s_nu_zero(rs: RootSystem, nu: Root):
         r
         for s, r in enumerate(rs.positive_roots)
         if s != t
-        and rs.pairing_table[s][t] == 1
         and rs.root_order_leq(r, nu)
+        and rs.pairing(r, nu) == 1
     ]
 
 

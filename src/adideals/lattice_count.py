@@ -25,11 +25,11 @@ from .ideals import enumerate_ideals
 
 __all__ = [
     "CountReport", "d_min_contains", "d_max_contains", "d_mm_contains",
-    "coweight_point", "in_coroot_lattice", "solve_base_system",
+    "coweight_point", "solve_base_system",
     "solve_extended_system", "laurent_coefficient", "trinomial",
     "congruence_filter", "count_minimax", "count_minimax_by_enumeration",
-    "count_AD", "count_AD0", "haiman_count", "catalan", "motzkin",
-    "directed_animals", "minimax_count_D",
+    "count_AD", "count_AD0", "count_heisenberg_nontrivial", "haiman_count",
+    "catalan", "motzkin", "directed_animals", "minimax_count_D",
 ]
 
 
@@ -78,10 +78,6 @@ def coweight_point(rs: RootSystem, y):
             for j in range(rs.rank):
                 out[j] += yi * rs.coweight_basis[i][j]
     return tuple(out)
-
-
-def in_coroot_lattice(rs: RootSystem, x) -> bool:
-    return rs.in_coroot_lattice(x)
 
 
 # -- the {-1,0,1} systems ---------------------------------------------------
@@ -222,6 +218,18 @@ def count_AD0(rs: RootSystem) -> CountReport:
     h = rs.coxeter_number
     value = _integer_product(Fraction(h + e - 1, e + 1) for e in rs.exponents)
     return CountReport(rs.type_label, rs.rank, "AD0", value, "closed_form")
+
+
+def count_heisenberg_nontrivial(rs: RootSystem) -> CountReport:
+    """#nontrivial ideals inside the Heisenberg ideal = #(Delta_long \\ Pi).
+
+    Each long positive root nu gives two of them, the first layers of
+    w_nu.s_0 and s_nu.w_nu.s_0, and the two coincide when nu is simple.
+    """
+    n_long = rs.long_mask.bit_count()
+    n_long_simple = (rs.long_mask & rs.simple_mask).bit_count()
+    return CountReport(rs.type_label, rs.rank, "heisenberg_nontrivial",
+                       2 * n_long - n_long_simple, "closed_form")
 
 
 def haiman_count(rs: RootSystem, t: int) -> int:

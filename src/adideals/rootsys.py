@@ -216,8 +216,9 @@ class RootSystem:
     """Immutable Cartan/root data for one simple type.
 
     Everything is computed once at construction: the positive roots in
-    their deterministic order, the highest root, exponents, the poset
-    masks, the root-addition table, and exact coroot pairings.  Use the
+    their deterministic order, the highest root, exponents, the root
+    lengths, the poset masks and the root-addition table.  Pairings are
+    computed on demand (`pairing`, `pair_root_coroot`).  Use the
     module-level `build` (which caches) rather than the constructor.
     """
 
@@ -280,34 +281,14 @@ class RootSystem:
         ones = 1 + sum(1 for c in self.theta_coords if c == 1)
         assert self.index_of_connection == ones, "det(Cartan) != number of marks equal to 1"
 
-        self._norm2 = tuple(self.bilinear(r.coords, r.coords) for r in self.positive_roots)
+        self._norm2 = tuple(
+            Fraction(self._gram_product(r.coords, r.coords), den) for r in self.positive_roots
+        )
         assert max(self._norm2) == 2 and self._norm2[self.theta_index] == 2
         self.long_mask = 0
         for i, q in enumerate(self._norm2):
             if q == 2:
                 self.long_mask |= 1 << i
-
-        # (gamma_s, gamma_t^vee) for all positive s, t; always integral
-        rows = []
-        for t in range(n):
-            nt = self._norm2[t]
-            tc = self.positive_roots[t].coords
-            row = []
-            for j in range(rank):
-                val = 2 * self.bilinear(
-                    tuple(1 if k == j else 0 for k in range(rank)), tc
-                ) / nt
-                assert val.denominator == 1
-                row.append(int(val))
-            rows.append(tuple(row))
-        self._coroot_rows = tuple(rows)
-        self.pairing_table = tuple(
-            tuple(
-                sum(cs * rows[t][j] for j, cs in enumerate(self.positive_roots[s].coords))
-                for t in range(n)
-            )
-            for s in range(n)
-        )
 
         # addition table and two-root decompositions
         sum_index = [[-1] * n for _ in range(n)]
@@ -327,34 +308,31 @@ class RootSystem:
                     decs[k].append((i, j))
         self.decompositions = tuple(tuple(d) for d in decs)
 
-        # order masks over the deterministic index
-        up = [0] * n
-        strict_up = [0] * n
-        strict_down = [0] * n
+        # order masks from the covers gamma < gamma + alpha_i, whose
+        # transitive closure is the root order: the roots above gamma are
+        # gamma and the roots above its covers, which all have larger
+        # indices, so up masks are filled from the last index down and
+        # down masks from the first index up
+        covers = [[k for k in (sum_index[i][s] for s in self.simple_indices) if k >= 0]
+                  for i in range(n)]
+        up = [1 << i for i in range(n)]
+        for i in reversed(range(n)):
+            for k in covers[i]:
+                up[i] |= up[k]
+        down = [1 << i for i in range(n)]
         for i in range(n):
-            ci = self.positive_roots[i].coords
-            for j in range(n):
-                cj = self.positive_roots[j].coords
-                if all(b - a >= 0 for a, b in zip(ci, cj)):
-                    up[i] |= 1 << j
-                    if i != j:
-                        strict_up[i] |= 1 << j
-                        strict_down[j] |= 1 << i
+            for k in covers[i]:
+                down[k] |= down[i]
         self.up_masks = tuple(up)
-        self.strict_up_masks = tuple(strict_up)
-        self.strict_down_masks = tuple(strict_down)
+        self.strict_up_masks = tuple(m ^ 1 << i for i, m in enumerate(up))
+        self.strict_down_masks = tuple(m ^ 1 << i for i, m in enumerate(down))
         full = (1 << n) - 1
-        self.incomparability_masks = tuple(
-            full & ~(up[i] | strict_down[i] | (1 << i)) for i in range(n)
-        )
+        self.incomparability_masks = tuple(full & ~(u | d) for u, d in zip(up, down))
 
         inv_gram = _invert_fraction_matrix(gram)
         # varpi_i^vee is the i-th column of gram^{-1}
         self.coweight_basis = tuple(
             tuple(inv_gram[j][i] for j in range(rank)) for i in range(rank)
-        )
-        self.rho = tuple(
-            Fraction(sum(r.coords[j] for r in self.positive_roots), 2) for j in range(rank)
         )
 
     # -- basic queries ----------------------------------------------------
@@ -365,9 +343,6 @@ class RootSystem:
 
     def simple_roots(self):
         return [self.alpha(i) for i in range(self.rank)]
-
-    def highest_root(self) -> Root:
-        return self.theta
 
     def long_positive_roots(self):
         return [r for i, r in enumerate(self.positive_roots) if self.long_mask >> i & 1]
@@ -406,15 +381,19 @@ class RootSystem:
         assert val.denominator == 1
         return int(val)
 
-    def pair_root_coroot(self, mu, r) -> int:
-        """(mu, r) for a root-coordinate vector mu and a coroot-lattice vector r."""
+    def _gram_product(self, x, y) -> int:
+        """The integer _gram_den * (x, y), for integer vectors x and y."""
         num = 0
         gn = self._gram_num
-        for i, mi in enumerate(mu):
-            if mi:
+        for i, xi in enumerate(x):
+            if xi:
                 row = gn[i]
-                num += mi * sum(row[j] * rj for j, rj in enumerate(r) if rj)
-        q, rem = divmod(num, self._gram_den)
+                num += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
+        return num
+
+    def pair_root_coroot(self, mu, r) -> int:
+        """(mu, r) for a root-coordinate vector mu and a coroot-lattice vector r."""
+        q, rem = divmod(self._gram_product(mu, r), self._gram_den)
         assert rem == 0, "pairing with a non-coroot-lattice vector"
         return q
 

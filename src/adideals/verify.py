@@ -234,12 +234,9 @@ def suite_heisenberg():
     for label, rank in _types_up_to(5):
         rs = build(label, rank)
         name = system_name(label, rank)
-        nontrivial = [idl for idl in I.enumerate_ideals(rs, "heisenberg_contained")
-                      if idl.mask]
-        n_long = rs.long_mask.bit_count()
-        n_long_simple = sum(1 for i in rs.simple_indices if rs.long_mask >> i & 1)
+        nontrivial = list(I.enumerate_ideals(rs, ("heisenberg_contained", "nontrivial")))
         rows.append(CheckResult("heisenberg", name + " #nontrivial ideals in h",
-                                2 * n_long - n_long_simple, len(nontrivial)))
+                                L.count_heisenberg_nontrivial(rs).value, len(nontrivial)))
 
         formulas_ok = True
         for nu in rs.long_positive_roots():

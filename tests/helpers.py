@@ -177,3 +177,40 @@ def all_words(rs, max_len):
     alphabet = range(rs.rank + 1)
     for length in range(max_len + 1):
         yield from itertools.product(alphabet, repeat=length)
+
+
+def order_masks_by_coordinates(rs):
+    """(up, strict_up, strict_down, incomparability) masks of the root order.
+
+    The construction `RootSystem` replaced by the cover-built masks, kept as
+    their differential oracle: compares every pair of positive roots
+    coordinate by coordinate, O(N^2 p).
+    """
+    n = rs.num_positive
+    coords = [r.coords for r in rs.positive_roots]
+    up = [0] * n
+    strict_up = [0] * n
+    strict_down = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if all(b >= a for a, b in zip(coords[i], coords[j])):
+                up[i] |= 1 << j
+                if i != j:
+                    strict_up[i] |= 1 << j
+                    strict_down[j] |= 1 << i
+    full = (1 << n) - 1
+    incomp = [full & ~(up[i] | strict_down[i]) for i in range(n)]
+    return up, strict_up, strict_down, incomp
+
+
+def brute_pairing(rs, gamma, nu):
+    """(gamma, nu^vee) = 2 (gamma, nu) / (nu, nu) straight from the Gram matrix."""
+    val = 2 * rs.bilinear(gamma.coords, nu.coords) / rs.bilinear(nu.coords, nu.coords)
+    assert val.denominator == 1
+    return int(val)
+
+
+def heisenberg_mask_by_pairing(rs):
+    """Bitmask of the roots gamma with (gamma, theta^vee) > 0, by brute pairing."""
+    return sum(1 << i for i, r in enumerate(rs.positive_roots)
+               if brute_pairing(rs, r, rs.theta) > 0)

@@ -289,7 +289,7 @@ def test_minimax_images_exhaust_d_mm_lattice_points(label, rank):
     points = set()
     for y in L.solve_base_system(rs):
         x = L.coweight_point(rs, y)
-        if L.in_coroot_lattice(rs, x):
+        if rs.in_coroot_lattice(x):
             points.add(x)
     assert images == points
     assert len(images) == L.count_minimax(rs).value  # the map is injective
@@ -396,6 +396,29 @@ def test_element_from_record_rejects_mismatch(field):
     rec[field] = [[9, 9], [9, 9]] if field == "v_matrix" else [5, 5]
     with pytest.raises(ValueError, match=field):
         A.element_from_record(rs, rec)
+
+
+@pytest.mark.parametrize("record", [
+    {"word": [7]},
+    {"word": [-1]},
+    {"word": "x"},
+    {"word": [0.0]},
+    {"word": [True]},
+    {},
+    {"word": [0], "v_matrix": 5},
+    {"word": [0], "v_matrix": [[1, 0]]},
+    {"word": [0], "v_matrix": [[1, 0], [0, "1"]]},
+    {"word": [0], "r_coords": 5},
+    {"word": [0], "r_coords": [1, 1, 1]},
+    {"word": [0], "r_coords": [1.0, 1]},
+])
+def test_element_from_record_rejects_malformed(record):
+    rs = build("A", 2)
+    with pytest.raises(ValueError):
+        A.element_from_record(rs, record)
+    if "word" in record and len(record) == 1:
+        with pytest.raises(ValueError, match="word"):
+            A.element_from_word(rs, record["word"])
 
 
 def test_element_from_record_validates_under_optimize():

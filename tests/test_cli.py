@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import jsonschema
 import pytest
@@ -194,3 +196,83 @@ def test_out_file(tmp_path, capsys):
          "--format", "csv", "--out", str(target)], capsys)
     assert code == 0 and out == ""
     assert "G2,2,minimax,3,lattice,True" in target.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--type", "A", "--rank", "2", "--generators", "5"],
+    ["classify", "--type", "A", "--rank", "2", "--generators", "[1]"],
+    ["classify", "--type", "A", "--rank", "2", "--generators", '[["1", 0]]'],
+    ["classify", "--type", "A", "--rank", "2", "--generators", "[[true, 0]]"],
+    ["classify", "--type", "A", "--rank", "2", "--generators", "[[1, 0, 0]]"],
+    ["classify", "--type", "A", "--rank", "2", "--generators", "[[1,"],
+    ["count", "--type", "A", "--rank", "2", "--quantity", "AD",
+     "--out", "{tmp}/missing/x"],
+    ["count", "--type", "A", "--rank", "2", "--quantity", "AD", "--out", "{tmp}"],
+])
+def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.rglob("*")) == []  # no temporary file is left behind
+
+
+def test_out_file_is_written_whole_or_not_at_all(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "report.txt"
+    argv = ["count", "--type", "A", "--rank", "2", "--quantity", "AD", "--out", str(target)]
+    target.write_text("old content that is longer than the new report\n" * 10)
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and out == ""
+    report = "type=A rank=2 quantity=AD value=5 method=closed_form congruence_applied=False\n"
+    assert target.read_text() == report
+    umask = os.umask(0)
+    os.umask(umask)
+    assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def no_space(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    target.write_text("old\n")
+    monkeypatch.setattr(cli.os, "replace", no_space)
+    code, out, err = run(argv, capsys)
+    assert code == 2 and "No space left on device" in err
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+# the record flag each --class token keeps, read off an unfiltered sweep
+RECORD_CLASSES = {
+    "all": lambda rec: True,
+    "strictly-positive": lambda rec: rec["strictly_positive"],
+    "abelian": lambda rec: rec["abelian"],
+    "non-abelian": lambda rec: not rec["abelian"],
+    "minimax": lambda rec: rec["minimax"],
+    "heisenberg-contained": lambda rec: rec["heisenberg_contained"],
+    "nontrivial": lambda rec: rec["size"] > 0,
+}
+
+
+def test_class_tokens_are_the_record_classes():
+    assert cli._class_tokens() == sorted(RECORD_CLASSES)
+
+
+def _sweep(label, rank, klass, capsys):
+    code, out, _ = run(["enumerate", "--type", label, "--rank", str(rank),
+                        "--class", klass, "--format", "json"], capsys)
+    assert code == 0
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("C", 3), ("D", 4), ("G2", 2), ("F4", 4)])
+@pytest.mark.parametrize("klass", sorted(RECORD_CLASSES)
+                         + ["minimax,non-abelian", "nontrivial,heisenberg-contained"])
+def test_filter_before_build_equals_build_then_filter(label, rank, klass, capsys):
+    everything = _sweep(label, rank, "all", capsys)["records"]
+    tokens = klass.split(",")
+    expected = [rec for rec in everything
+                if all(RECORD_CLASSES[t](rec) for t in tokens)]
+    payload = _sweep(label, rank, klass, capsys)
+    assert payload["class"] == klass
+    assert payload["records"] == expected
+    assert payload["count"] == len(expected)

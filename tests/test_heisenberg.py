@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
 from adideals.rootsys import Root, build
 from adideals import affine as A
 from adideals import heisenberg as H
 from adideals import ideals as I
-from helpers import full_weyl_group, systems_up_to
+from helpers import brute_pairing, full_weyl_group, systems_up_to
 
 
 def long_positive(rs):
@@ -12,8 +14,9 @@ def long_positive(rs):
 
 
 def rho_pairing(rs, nu):
-    # (rho, nu^vee), an integer for any root nu
-    val = 2 * rs.bilinear(rs.rho, nu.coords) / rs.bilinear(nu.coords, nu.coords)
+    # (rho, nu^vee), an integer for any root nu; rho is half the sum of Delta^+
+    rho = [Fraction(sum(c), 2) for c in zip(*(r.coords for r in rs.positive_roots))]
+    val = 2 * rs.bilinear(rho, nu.coords) / rs.bilinear(nu.coords, nu.coords)
     assert val.denominator == 1
     return int(val)
 
@@ -114,6 +117,15 @@ def test_n_s_nu_zero_empty_iff_simple(label, rank):
     for nu in long_positive(rs):
         empty = not H.n_s_nu_zero(rs, nu)
         assert empty == (rs.index_of(nu) in rs.simple_indices)
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(5))
+def test_n_s_nu_zero_matches_pairing_oracle(label, rank):
+    rs = build(label, rank)
+    for nu in rs.positive_roots:
+        expected = [g for g in rs.positive_roots if g != nu
+                    and brute_pairing(rs, g, nu) == 1 and rs.root_order_leq(g, nu)]
+        assert H.n_s_nu_zero(rs, nu) == expected
 
 
 def test_heisenberg_element_theta_plus_is_s0():

@@ -107,7 +107,7 @@ def test_congruence_matches_coroot_lattice_membership(label, rank):
     rs = build(label, rank)
     for y in L.solve_extended_system(rs):
         point = L.coweight_point(rs, y[1:])
-        assert L.congruence_filter(rs, y) == L.in_coroot_lattice(rs, point)
+        assert L.congruence_filter(rs, y) == rs.in_coroot_lattice(point)
 
 
 def test_count_minimax_smoke():

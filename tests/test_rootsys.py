@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from adideals.rootsys import Root, build
-from helpers import systems_up_to
+from adideals.ideals import heisenberg_root_mask
+from helpers import heisenberg_mask_by_pairing, order_masks_by_coordinates, systems_up_to
 
 # standard exponent tables, kept as an oracle against the computed values
 EXPONENTS = {
@@ -120,6 +121,22 @@ def test_every_nonsimple_root_descends(label, rank):
         assert any(
             rs.is_positive_root((r - rs.alpha(i)).coords) for i in range(rank)
         )
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(8))
+def test_order_masks_match_coordinate_oracle(label, rank):
+    rs = build(label, rank)
+    up, strict_up, strict_down, incomp = order_masks_by_coordinates(rs)
+    assert rs.up_masks == tuple(up)
+    assert rs.strict_up_masks == tuple(strict_up)
+    assert rs.strict_down_masks == tuple(strict_down)
+    assert rs.incomparability_masks == tuple(incomp)
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(8))
+def test_heisenberg_mask_matches_pairing_oracle(label, rank):
+    rs = build(label, rank)
+    assert heisenberg_root_mask(rs) == heisenberg_mask_by_pairing(rs)
 
 
 def test_pairing_examples():
