@@ -114,7 +114,12 @@ def _parse_class(raw: str):
 def cmd_enumerate(args, out) -> int:
     rs = build(args.type, args.rank)
     tokens = _parse_class(args.klass)
-    expected = L.count_AD(rs).value
+    # an ideal is kept when it is in every listed class, so their smallest
+    # size bounds the records; none of these sizes sweeps the lattice
+    sizes = {"strictly-positive": L.count_AD0(rs).value, "abelian": 2 ** rs.rank,
+             "minimax": L.laurent_coefficient((rs.c0,) + rs.theta_coords, 1)
+             // rs.index_of_connection}
+    expected = min(sizes.get(t, L.count_AD(rs).value) for t in tokens)
     # building an element takes one step per unit of length, each touching
     # about rank + 1 simple-root images, and lengths are bounded by the
     # summed root heights

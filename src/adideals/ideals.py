@@ -14,7 +14,9 @@ The numbers attached to a root gamma of an ideal I:
 
 Both are computed by dynamic programming over two-root decompositions;
 any longer decomposition of a root can be reordered so that every
-partial sum is again a root, so binary splits lose nothing.
+partial sum is again a root, so binary splits lose nothing.  The splits
+are `RootSystem.decompositions`, found by subtracting from each root the
+roots below it; `power` reads them and `is_abelian` the partner masks.
 """
 
 from collections import namedtuple
@@ -173,35 +175,27 @@ def is_strictly_positive(ideal: Ideal) -> bool:
 
 def is_abelian(ideal: Ideal) -> bool:
     """True iff no two members (repeats allowed) sum to a root."""
-    rs = ideal.rs
-    members = list(_iter_bits(ideal.mask))
-    for a, i in enumerate(members):
-        row = rs.sum_index[i]
-        for j in members[a:]:
-            if row[j] >= 0:
-                return False
-    return True
+    partners, mask = ideal.rs.partner_masks, ideal.mask
+    return not any(partners[i] & mask for i in _iter_bits(mask))
 
 
 def power(ideal: Ideal, k: int) -> Ideal:
     """I^k, defined inductively by I^k = (I^{k-1} + I) cap Delta."""
     if k < 1:
         raise ValueError("power requires k >= 1")
-    rs = ideal.rs
-    base = list(_iter_bits(ideal.mask))
-    cur = ideal.mask
+    decs = ideal.rs.decompositions
+    base = cur = ideal.mask
     for _ in range(k - 1):
-        if not cur:
-            break
+        # I^k is an ideal inside I^{k-1}: the members of I^{k-1} that split
+        # into two members of I, one of them in I^{k-1}
         nxt = 0
-        for i in _iter_bits(cur):
-            row = rs.sum_index[i]
-            for j in base:
-                s = row[j]
-                if s >= 0:
-                    nxt |= 1 << s
+        for m in _iter_bits(cur):
+            for a, b in decs[m]:
+                if base >> a & 1 and base >> b & 1 and (cur >> a & 1 or cur >> b & 1):
+                    nxt |= 1 << m
+                    break
         cur = nxt
-    return Ideal(rs, cur)
+    return Ideal(ideal.rs, cur)
 
 
 def _l_table(ideal: Ideal):

@@ -17,9 +17,11 @@ held as bitmasks over this order.
 """
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 __all__ = ["Root", "AffineRoot", "RootSystem", "build"]
 
@@ -212,14 +214,38 @@ def _invert_fraction_matrix(m):
     return tuple(tuple(row[n:]) for row in a)
 
 
+def _decompositions(roots, index, strict_down):
+    """Per root k, the pairs (a, b), a <= b, with roots[a] + roots[b] = roots[k].
+
+    Only the roots a strictly below roots[k] and of at most half its height
+    are tried, in index order; roots are sorted by height.
+    """
+    heights = [r.height for r in roots]
+    out = []
+    for k, r in enumerate(roots):
+        c = r.coords
+        pairs = []
+        below = strict_down[k] & ((1 << bisect_right(heights, heights[k] // 2)) - 1)
+        while below:
+            low = below & -below
+            below ^= low
+            a = low.bit_length() - 1
+            b = index.get(tuple(map(sub, c, roots[a].coords)))
+            if b is not None and a <= b:
+                pairs.append((a, b))
+        out.append(tuple(pairs))
+    return tuple(out)
+
+
 class RootSystem:
     """Immutable Cartan/root data for one simple type.
 
     Everything is computed once at construction: the positive roots in
     their deterministic order, the highest root, exponents, the root
-    lengths, the poset masks and the root-addition table.  Pairings are
-    computed on demand (`pairing`, `pair_root_coroot`).  Use the
-    module-level `build` (which caches) rather than the constructor.
+    lengths, the poset masks, and the two-root decompositions with the
+    partner masks read off them.  Inner products and pairings are computed
+    on demand from one integer Gram matrix.  Use the module-level `build`
+    (which caches) rather than the constructor.
     """
 
     def __init__(self, type_label: str, rank: int):
@@ -229,20 +255,14 @@ class RootSystem:
         self.cartan = cartan
         self.lengths = lengths
 
-        gram = tuple(
-            tuple(Fraction(cartan[i][j]) * lengths[j] / 2 for j in range(rank))
-            for i in range(rank)
-        )
-        for i in range(rank):
-            for j in range(rank):
-                assert gram[i][j] == gram[j][i], "Cartan data is not symmetrisable"
-        self.gram = gram
-        den = 1
-        for row in gram:
-            for x in row:
-                den = den * x.denominator // math.gcd(den, x.denominator)
+        # the integer Gram matrix _gram_den * (alpha_i, alpha_j), with
+        # (alpha_i, alpha_j) = a[i][j] |alpha_j|^2 / 2
+        entries = [[Fraction(cartan[i][j]) * lengths[j] / 2 for j in range(rank)]
+                   for i in range(rank)]
+        den = math.lcm(*(x.denominator for row in entries for x in row))
         self._gram_den = den
-        self._gram_num = tuple(tuple(int(x * den) for x in row) for row in gram)
+        self._gram_num = tuple(tuple(int(x * den) for x in row) for row in entries)
+        assert self._gram_num == tuple(zip(*self._gram_num)), "Cartan data is not symmetrisable"
 
         coords_list = _positive_root_coords(cartan, rank)
         coords_list.sort(key=lambda c: (sum(c), c))
@@ -253,9 +273,7 @@ class RootSystem:
         self.simple_indices = tuple(
             self._index[tuple(1 if k == i else 0 for k in range(rank))] for i in range(rank)
         )
-        self.simple_mask = 0
-        for i in self.simple_indices:
-            self.simple_mask |= 1 << i
+        self.simple_mask = sum(1 << i for i in self.simple_indices)
 
         heights = [r.height for r in self.positive_roots]
         hmax = heights[-1]
@@ -281,40 +299,20 @@ class RootSystem:
         ones = 1 + sum(1 for c in self.theta_coords if c == 1)
         assert self.index_of_connection == ones, "det(Cartan) != number of marks equal to 1"
 
-        self._norm2 = tuple(
-            Fraction(self._gram_product(r.coords, r.coords), den) for r in self.positive_roots
-        )
-        assert max(self._norm2) == 2 and self._norm2[self.theta_index] == 2
-        self.long_mask = 0
-        for i, q in enumerate(self._norm2):
-            if q == 2:
-                self.long_mask |= 1 << i
-
-        # addition table and two-root decompositions
-        sum_index = [[-1] * n for _ in range(n)]
-        for i in range(n):
-            ci = self.positive_roots[i].coords
-            for j in range(i, n):
-                cj = self.positive_roots[j].coords
-                k = self._index.get(tuple(x + y for x, y in zip(ci, cj)), -1)
-                sum_index[i][j] = k
-                sum_index[j][i] = k
-        self.sum_index = tuple(tuple(row) for row in sum_index)
-        decs = [[] for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                k = sum_index[i][j]
-                if k >= 0:
-                    decs[k].append((i, j))
-        self.decompositions = tuple(tuple(d) for d in decs)
+        norms = [self._gram_product(r.coords, r.coords) for r in self.positive_roots]
+        assert max(norms) == norms[self.theta_index] == 2 * den
+        self.long_mask = sum(1 << i for i, q in enumerate(norms) if q == 2 * den)
 
         # order masks from the covers gamma < gamma + alpha_i, whose
         # transitive closure is the root order: the roots above gamma are
         # gamma and the roots above its covers, which all have larger
         # indices, so up masks are filled from the last index down and
         # down masks from the first index up
-        covers = [[k for k in (sum_index[i][s] for s in self.simple_indices) if k >= 0]
-                  for i in range(n)]
+        covers = []
+        for r in self.positive_roots:
+            c = r.coords
+            ups = (self._index.get(c[:s] + (c[s] + 1,) + c[s + 1:]) for s in range(rank))
+            covers.append([k for k in ups if k is not None])
         up = [1 << i for i in range(n)]
         for i in reversed(range(n)):
             for k in covers[i]:
@@ -329,11 +327,19 @@ class RootSystem:
         full = (1 << n) - 1
         self.incomparability_masks = tuple(full & ~(u | d) for u, d in zip(up, down))
 
-        inv_gram = _invert_fraction_matrix(gram)
-        # varpi_i^vee is the i-th column of gram^{-1}
-        self.coweight_basis = tuple(
-            tuple(inv_gram[j][i] for j in range(rank)) for i in range(rank)
-        )
+        self.decompositions = _decompositions(
+            self.positive_roots, self._index, self.strict_down_masks)
+        # bit j of partner_masks[i] is set iff gamma_i + gamma_j is a root
+        partners = [0] * n
+        for pairs in self.decompositions:
+            for a, b in pairs:
+                partners[a] |= 1 << b
+                partners[b] |= 1 << a
+        self.partner_masks = tuple(partners)
+
+        # varpi_i^vee is the i-th column of gram^{-1} = den * _gram_num^{-1}
+        inv = _invert_fraction_matrix(self._gram_num)
+        self.coweight_basis = tuple(tuple(den * x for x in col) for col in zip(*inv))
 
     # -- basic queries ----------------------------------------------------
 
@@ -366,23 +372,8 @@ class RootSystem:
 
     # -- exact arithmetic --------------------------------------------------
 
-    def bilinear(self, x, y) -> Fraction:
-        """Invariant inner product of two coordinate vectors."""
-        g = self.gram
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                total += xi * sum(g[i][j] * yj for j, yj in enumerate(y) if yj)
-        return total
-
-    def pairing(self, gamma: Root, nu: Root) -> int:
-        """(gamma, nu^vee); an integer for any two roots."""
-        val = 2 * self.bilinear(gamma.coords, nu.coords) / self.bilinear(nu.coords, nu.coords)
-        assert val.denominator == 1
-        return int(val)
-
-    def _gram_product(self, x, y) -> int:
-        """The integer _gram_den * (x, y), for integer vectors x and y."""
+    def _gram_product(self, x, y):
+        """_gram_den * (x, y); an integer for integer vectors x and y."""
         num = 0
         gn = self._gram_num
         for i, xi in enumerate(x):
@@ -390,6 +381,17 @@ class RootSystem:
                 row = gn[i]
                 num += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
         return num
+
+    def bilinear(self, x, y) -> Fraction:
+        """Invariant inner product of two rational coordinate vectors."""
+        return Fraction(self._gram_product(x, y), self._gram_den)
+
+    def pairing(self, gamma: Root, nu: Root) -> int:
+        """(gamma, nu^vee); an integer for any two roots."""
+        q, rem = divmod(2 * self._gram_product(gamma.coords, nu.coords),
+                        self._gram_product(nu.coords, nu.coords))
+        assert rem == 0
+        return q
 
     def pair_root_coroot(self, mu, r) -> int:
         """(mu, r) for a root-coordinate vector mu and a coroot-lattice vector r."""
@@ -420,7 +422,7 @@ class RootSystem:
             tag = "long" if self.long_mask >> i & 1 else "short"
             lines.append(
                 "%3d  [%s]  height=%d  norm2=%s  %s"
-                % (i, ",".join(map(str, r.coords)), r.height, self._norm2[i], tag)
+                % (i, ",".join(map(str, r.coords)), r.height, self.norm2(r), tag)
             )
         return "\n".join(lines)
 

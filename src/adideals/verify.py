@@ -89,11 +89,7 @@ def format_y(w) -> str:
     """The coweight coordinates of v(r): y_i = (v(r), alpha_i)."""
     rs = w.rs
     point = A.lattice_image(w)
-    ys = []
-    for i in range(rs.rank):
-        val = rs.bilinear(point, rs.alpha(i).coords)
-        assert val.denominator == 1
-        ys.append(int(val))
+    ys = [rs.pair_root_coroot(rs.alpha(i).coords, point) for i in range(rs.rank)]
     return "(%s)" % ",".join(map(str, ys))
 
 

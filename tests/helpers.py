@@ -203,11 +203,74 @@ def order_masks_by_coordinates(rs):
     return up, strict_up, strict_down, incomp
 
 
+@lru_cache(maxsize=None)
+def fraction_gram(rs):
+    """The Gram matrix (alpha_i, alpha_j) = a[i][j] |alpha_j|^2 / 2 as Fractions.
+
+    The matrix `RootSystem` replaced by its integer Gram matrix, kept as the
+    oracle for `bilinear`, `pairing`, `norm2` and `coweight_basis`.
+    """
+    p = rs.rank
+    return tuple(tuple(Fraction(rs.cartan[i][j]) * rs.lengths[j] / 2 for j in range(p))
+                 for i in range(p))
+
+
+def brute_bilinear(rs, x, y):
+    """(x, y) summed term by term over the Fraction Gram matrix."""
+    g = fraction_gram(rs)
+    return sum((Fraction(xi) * g[i][j] * yj for i, xi in enumerate(x)
+                for j, yj in enumerate(y)), Fraction(0))
+
+
 def brute_pairing(rs, gamma, nu):
     """(gamma, nu^vee) = 2 (gamma, nu) / (nu, nu) straight from the Gram matrix."""
-    val = 2 * rs.bilinear(gamma.coords, nu.coords) / rs.bilinear(nu.coords, nu.coords)
+    val = 2 * brute_bilinear(rs, gamma.coords, nu.coords) / brute_bilinear(
+        rs, nu.coords, nu.coords)
     assert val.denominator == 1
     return int(val)
+
+
+def decompositions_by_pairs(rs):
+    """(decompositions, partner masks) by adding every pair of positive roots.
+
+    The dense N x N addition `RootSystem` replaced by its sparse
+    decompositions, kept as their oracle; O(N^2 p).  decompositions[k] lists
+    the pairs (i, j), i <= j, with gamma_i + gamma_j = gamma_k in
+    lexicographic order; bit j of partners[i] is set iff gamma_i + gamma_j
+    is a root.
+    """
+    n = rs.num_positive
+    coords = [r.coords for r in rs.positive_roots]
+    index = {c: i for i, c in enumerate(coords)}
+    decs = [[] for _ in range(n)]
+    partners = [0] * n
+    for i in range(n):
+        for j in range(i, n):
+            k = index.get(tuple(x + y for x, y in zip(coords[i], coords[j])))
+            if k is not None:
+                decs[k].append((i, j))
+                partners[i] |= 1 << j
+                partners[j] |= 1 << i
+    return [tuple(d) for d in decs], partners
+
+
+def brute_is_abelian(ideal):
+    """No two members (repeats allowed) sum to a root, pair by pair."""
+    rs = ideal.rs
+    members = [r.coords for r in ideal.members()]
+    return not any(rs.is_positive_root(tuple(x + y for x, y in zip(a, b)))
+                   for a in members for b in members)
+
+
+def brute_power_mask(ideal, k):
+    """Mask of I^k = (I^{k-1} + I) cap Delta, adding members pair by pair."""
+    rs = ideal.rs
+    base = [r.coords for r in ideal.members()]
+    cur = set(base)
+    for _ in range(k - 1):
+        cur = {tuple(x + y for x, y in zip(a, b)) for a in cur for b in base}
+        cur = {c for c in cur if rs.is_positive_root(c)}
+    return sum(1 << rs._index[c] for c in cur)
 
 
 def heisenberg_mask_by_pairing(rs):

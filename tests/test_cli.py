@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import time
 
 import jsonschema
 import pytest
@@ -79,6 +80,32 @@ def test_enumerate_classifies_e7_without_force(capsys, monkeypatch):
     code, out, err = run(["enumerate", "--type", "E7", "--rank", "7"], capsys)
     assert code == 0 and err == ""
     assert out.endswith("# 2 record(s) for E7 class=all\n")
+
+
+def test_enumerate_classifies_e8_minimax_without_force(capsys, monkeypatch):
+    # the guard bounds the work by the 834 minimax ideals, not all 25080
+    rs = build("E8", 8)
+    few = [I.empty_ideal(rs)]
+    monkeypatch.setattr(cli.I, "enumerate_ideals", lambda rs, which="all": iter(few))
+    code, out, err = run(
+        ["enumerate", "--type", "E8", "--rank", "8", "--class", "minimax"], capsys)
+    assert code == 0 and err == ""
+    assert out.endswith("# 1 record(s) for E8 class=minimax\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_refuses_a20_minimax_without_sweeping(fmt, capsys, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the guard swept the lattice")
+
+    monkeypatch.setattr(cli.L, "solve_extended_system", no_sweep)
+    monkeypatch.setattr(cli.I, "enumerate_ideals", no_sweep)
+    start = time.perf_counter()
+    code, out, err = run(["enumerate", "--type", "A", "--rank", "20", "--class",
+                          "minimax", "--format", fmt], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "50852019" in err and "--force" in err
 
 
 def test_verify_exits_nonzero_on_mismatch(capsys, monkeypatch):

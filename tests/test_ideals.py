@@ -3,7 +3,7 @@ import pytest
 from adideals.rootsys import Root, build
 from adideals import ideals as I
 from adideals.lattice_count import count_AD, count_AD0
-from helpers import brute_k, brute_l, systems_up_to
+from helpers import brute_is_abelian, brute_k, brute_l, brute_power_mask, systems_up_to
 
 
 def heis(rs):
@@ -106,6 +106,15 @@ def test_powers_track_l_values(label, rank):
             prev = pk
             if not pk.mask:
                 break
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(5))  # includes G2 and F4
+def test_abelian_and_powers_match_member_pairs(label, rank):
+    rs = build(label, rank)
+    for ideal in I.enumerate_ideals(rs):
+        assert I.is_abelian(ideal) == brute_is_abelian(ideal)
+        assert I.power(ideal, 2).mask == brute_power_mask(ideal, 2)
+        assert I.power(ideal, 3).mask == brute_power_mask(ideal, 3)
 
 
 def test_xi_examples():

@@ -1,10 +1,15 @@
 import itertools
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from adideals.rootsys import Root, build
+from adideals.rootsys import Root, RootSystem, build
 from adideals.ideals import heisenberg_root_mask
-from helpers import heisenberg_mask_by_pairing, order_masks_by_coordinates, systems_up_to
+from helpers import (
+    _invert, brute_bilinear, brute_pairing, decompositions_by_pairs, fraction_gram,
+    heisenberg_mask_by_pairing, order_masks_by_coordinates, systems_up_to,
+)
 
 # standard exponent tables, kept as an oracle against the computed values
 EXPONENTS = {
@@ -137,6 +142,44 @@ def test_order_masks_match_coordinate_oracle(label, rank):
 def test_heisenberg_mask_matches_pairing_oracle(label, rank):
     rs = build(label, rank)
     assert heisenberg_root_mask(rs) == heisenberg_mask_by_pairing(rs)
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(8))
+def test_decompositions_match_pair_addition_oracle(label, rank):
+    rs = build(label, rank)
+    decs, partners = decompositions_by_pairs(rs)
+    assert rs.decompositions == tuple(decs)
+    assert rs.partner_masks == tuple(partners)
+
+
+def test_build_memory_stays_sparse():
+    # the dense N x N addition table alone peaked at about 12.8 MB on A40
+    tracemalloc.start()
+    try:
+        RootSystem("A", 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(8))
+def test_inner_products_match_fraction_gram_oracle(label, rank):
+    rs = build(label, rank)
+    points = [r.coords for r in rs.positive_roots[::7]] + [
+        tuple(Fraction(i - j, 1 + i + j) for j in range(rank)) for i in range(3)
+    ]
+    for x, y in itertools.product(points, repeat=2):
+        assert rs.bilinear(x, y) == brute_bilinear(rs, x, y)
+    for gamma, nu in itertools.product(rs.positive_roots[::5], repeat=2):
+        assert rs.pairing(gamma, nu) == brute_pairing(rs, gamma, nu)
+    for i, r in enumerate(rs.positive_roots):
+        norm2 = brute_bilinear(rs, r.coords, r.coords)
+        assert rs.norm2(r) == norm2
+        assert (rs.long_mask >> i & 1) == (norm2 == 2)
+    inv = _invert(fraction_gram(rs))
+    assert rs.coweight_basis == tuple(
+        tuple(inv[j][i] for j in range(rank)) for i in range(rank))
 
 
 def test_pairing_examples():
