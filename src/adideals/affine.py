@@ -10,26 +10,27 @@ and the affine-linear action on V is w * x = v(x + r).  Inversion sets
 are computed in closed form from (mu, r) and the sign of v(mu), with no
 level scanning.
 
+One kernel, `_grow`, grows u from the identity by left multiplications
+u -> s_i u along a given word or one inversion at a time, so the same
+loop serves inversion sets, words, reduced words, products and inverses.
+
 The minimal element of an ideal I is the one whose inversion set is
 {m*delta - gamma : gamma in I, 1 <= m <= l(gamma, I)}; the maximal
 element of a strictly positive I uses k(gamma, I) - 1 instead.  Both
-are built from these prescribed inversion sets by growing from the
-identity in the weak order, one affine simple reflection per inversion,
-while tracking only the images of the p+1 affine simple roots under the
-inverse of the element built so far (`element_from_inversions`).
+are grown from these prescribed inversion sets.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .rootsys import AffineRoot, Root, RootSystem, _invert_fraction_matrix
+from .rootsys import AffineRoot, Root, RootSystem
 from . import ideals as _ideals
 from .ideals import Antichain, Ideal, is_minimax  # noqa: F401  (re-export)
 
 __all__ = [
-    "FiniteWeylElement", "AffineWeylElement", "identity_finite",
-    "simple_reflection", "reflection", "finite_inversions", "finite_length",
+    "FiniteWeylElement", "AffineWeylElement", "identity_finite", "reflection",
+    "finite_inversions", "finite_length",
     "identity_element", "finite_element", "translation",
     "affine_simple_reflection", "simple_affine_root",
     "act_affine_root", "act_point", "inversion_set", "length",
@@ -55,19 +56,6 @@ class FiniteWeylElement:
             sum(row[j] * vec[j] for j in range(len(vec)) if vec[j]) for row in self.matrix
         )
 
-    def __mul__(self, other: "FiniteWeylElement") -> "FiniteWeylElement":
-        a, b = self.matrix, other.matrix
-        n = len(a)
-        return FiniteWeylElement(
-            tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                for i in range(n)
-            )
-        )
-
-    def inverse(self) -> "FiniteWeylElement":
-        return FiniteWeylElement(_int_matrix_inverse(self.matrix))
-
     def is_identity(self) -> bool:
         return all(
             x == (i == j) for i, row in enumerate(self.matrix) for j, x in enumerate(row)
@@ -83,25 +71,8 @@ class FiniteWeylElement:
         return "FiniteWeylElement(%r)" % (self.matrix,)
 
 
-@lru_cache(maxsize=None)
-def _int_matrix_inverse(matrix):
-    inv = _invert_fraction_matrix(matrix)
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise ValueError("Weyl matrix is not invertible over Z")
-    return tuple(tuple(int(x) for x in row) for row in inv)
-
-
 def identity_finite(rank: int) -> FiniteWeylElement:
     return FiniteWeylElement(tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)))
-
-
-def simple_reflection(rs: RootSystem, i: int) -> FiniteWeylElement:
-    """s_i sends alpha_j to alpha_j - (alpha_j, alpha_i^vee) alpha_i."""
-    n = rs.rank
-    rows = [[int(r == c) for c in range(n)] for r in range(n)]
-    for c in range(n):
-        rows[i][c] -= rs.cartan[c][i]
-    return FiniteWeylElement(rows)
 
 
 def reflection(rs: RootSystem, root: Root) -> FiniteWeylElement:
@@ -138,17 +109,13 @@ class AffineWeylElement:
         self.r = tuple(r)
 
     def __mul__(self, other: "AffineWeylElement") -> "AffineWeylElement":
-        assert self.rs is other.rs
-        v2inv = other.v.inverse()
-        moved = v2inv.act(self.r)
-        return AffineWeylElement(
-            self.rs, self.v * other.v, tuple(a + b for a, b in zip(moved, other.r))
-        )
+        if self.rs is not other.rs:
+            raise ValueError("cannot multiply elements of %r and %r" % (self.rs, other.rs))
+        return _grow(self.rs, (reduced_word(self) + reduced_word(other))[::-1])[0]
 
     def inverse(self) -> "AffineWeylElement":
-        return AffineWeylElement(
-            self.rs, self.v.inverse(), tuple(-x for x in self.v.act(self.r))
-        )
+        # s_{a_k} ... s_{a_1} for the reduced word a_1 ... a_k of self
+        return _grow(self.rs, reduced_word(self))[0]
 
     def is_identity(self) -> bool:
         return self.v.is_identity() and not any(self.r)
@@ -194,7 +161,7 @@ def affine_simple_reflection(rs: RootSystem, i: int) -> AffineWeylElement:
         return AffineWeylElement(
             rs, reflection(rs, rs.theta), tuple(-c for c in rs.theta_coords)
         )
-    return finite_element(rs, simple_reflection(rs, i - 1))
+    return finite_element(rs, reflection(rs, rs.alpha(i - 1)))
 
 
 def act_affine_root(w: AffineWeylElement, beta: AffineRoot) -> AffineRoot:
@@ -243,13 +210,10 @@ def length(w: AffineWeylElement) -> int:
     )
 
 
-def _simple_image_negative(w: AffineWeylElement, i: int) -> bool:
-    return not act_affine_root(w, simple_affine_root(w.rs, i)).is_positive()
-
-
 def is_dominant(w: AffineWeylElement) -> bool:
     """w(alpha) > 0 for every finite simple root alpha."""
-    return not any(_simple_image_negative(w, i) for i in range(1, w.rs.rank + 1))
+    return all(act_affine_root(w, simple_affine_root(w.rs, i)).is_positive()
+               for i in range(1, w.rs.rank + 1))
 
 
 def _inverse_simple_levels(w: AffineWeylElement):
@@ -278,20 +242,10 @@ def is_minimax_element(w: AffineWeylElement) -> bool:
 
 
 def reduced_word(w: AffineWeylElement):
-    """A reduced word for w; the lowest available simple index is peeled first."""
-    rs = w.rs
-    refl = [affine_simple_reflection(rs, i) for i in range(rs.rank + 1)]
-    peeled = []
-    cur = w
-    while not cur.is_identity():
-        for i in range(rs.rank + 1):
-            if _simple_image_negative(cur, i):
-                break
-        else:  # pragma: no cover - impossible for a genuine group element
-            raise RuntimeError("no descent found")
-        cur = cur * refl[i]
-        peeled.append(i)
-    return list(reversed(peeled))
+    """A reduced word for w: the steps of the growth of N(w), reversed.  A
+    step may add u^{-1}(alpha_i) iff i is a right descent of w u^{-1}, so the
+    lowest right descent is peeled first."""
+    return _grow(w.rs, target=inversion_set(w))[1][::-1]
 
 
 def element_from_word(rs: RootSystem, word) -> AffineWeylElement:
@@ -300,19 +254,16 @@ def element_from_word(rs: RootSystem, word) -> AffineWeylElement:
             and all(type(i) is int and 0 <= i <= rs.rank for i in word)):
         raise ValueError("a word is a list of affine simple indices 0..%d, not %r"
                          % (rs.rank, word))
-    acc = identity_element(rs)
-    for i in word:
-        acc = acc * affine_simple_reflection(rs, i)
-    return acc
+    return _grow(rs, word[::-1])[0]
 
 
-# The growth in `element_from_inversions` packs each vector it updates into
-# one integer whose signed base-2^64 digits are the entries, most
-# significant first.  Packing is linear, so every update is one integer
-# multiply-add, and a packed affine root (level, coords...) is positive
-# exactly when the integer is.  This needs every entry below the leading
-# one to be under 2^63 in size: such entries are root coordinates, entries
-# of v, or coordinates of r, which are bounded by a multiple of the length.
+# `_grow` packs each vector it updates into one integer whose signed
+# base-2^64 digits are the entries, most significant first.  Packing is
+# linear, so every update is one integer multiply-add, and a packed affine
+# root (level, coords...) is positive exactly when the integer is.  This
+# needs every entry below the leading one to be under 2^63 in size: such
+# entries are root coordinates, entries of v, or coordinates of r, which
+# are bounded by a multiple of the number of steps.
 _SHIFT = 64
 _HALF = 1 << (_SHIFT - 1)
 _MASK = (1 << _SHIFT) - 1
@@ -354,35 +305,44 @@ def _affine_simple_data(rs: RootSystem):
     return weights, tuple(simples)
 
 
-def element_from_inversions(rs: RootSystem, affine_roots) -> AffineWeylElement:
-    """The unique element whose inversion set is the given set.
+def _grow(rs: RootSystem, word=(), target=None):
+    """(u, steps): u = s_{i_k} ... s_{i_1} grown from the identity by left
+    multiplications u -> s_i u, where steps = [i_1, ..., i_k].
 
-    Grows u from the identity in the left weak order: while N(u) falls short
-    of the set, u becomes s_i u for the first i with u^{-1}(alpha_i) positive
-    and in the set, which adds exactly that root, since
-    N(s_i u) = N(u) + {u^{-1}(alpha_i)}.  Only the p+1 images
+    Without a target the steps are the given word.  With a target, a set of
+    positive affine roots, each step takes the first i with u^{-1}(alpha_i)
+    positive and in the target, which adds exactly that root, since then
+    N(s_i u) = N(u) + {u^{-1}(alpha_i)}; the growth stops once the whole
+    target is added, and raises ValueError when no step is possible before,
+    i.e. when the target is no inversion set.  Only the p+1 images
     beta_j = u^{-1}(alpha_j) are kept; s_i moves them by
-    beta_j -> beta_j - (alpha_j, alpha_i^vee) beta_i.  The parts of
-    u = v . t_r follow by integer row updates: s_i u = (s_i v) . t_r for
-    i >= 1, and s_0 u = (s_theta v) . t_{r + f} with f the finite part of
-    beta_0.  Raises ValueError when no step is possible before the whole
-    set is added, i.e. when the set is no inversion set.
+    beta_j -> beta_j - (alpha_j, alpha_i^vee) beta_i, whatever the length of
+    u.  The parts of u = v . t_r follow by integer row updates:
+    s_i u = (s_i v) . t_r for i >= 1, and s_0 u = (s_theta v) . t_{r + f}
+    with f the finite part of beta_0.
     """
     weights, simples = _affine_simple_data(rs)
-    top, low = weights[0], weights[1:]
-    target = {sum(map(mul, b.finite, low), b.level * top) for b in affine_roots}
+    if target is not None:
+        top, low = weights[0], weights[1:]
+        target = {sum(map(mul, b.finite, low), b.level * top) for b in target}
     beta = [packed for packed, _, _, _ in simples]
     p = rs.rank
-    v = list(low)  # the rows of the identity matrix
+    v = list(weights[1:])  # the rows of the identity matrix
     r = 0  # the finite part sits in the p lowest digits
-    for _ in range(len(target)):
-        for i, b in enumerate(beta):
-            if b > 0 and b in target:
-                break
+    steps = []
+    for n in range(len(word) if target is None else len(target)):
+        if target is None:
+            i = word[n]
+            b = beta[i]
         else:
-            raise ValueError(
-                "the given set is not bi-convex (no simple reflection adds a root of it)"
-            )
+            for i, b in enumerate(beta):
+                if b > 0 and b in target:
+                    break
+            else:
+                raise ValueError(
+                    "the given set is not bi-convex (no simple reflection adds a root of it)"
+                )
+        steps.append(i)
         _, support, pairs, column = simples[i]
         if i == 0:
             r += b
@@ -396,7 +356,13 @@ def element_from_inversions(rs: RootSystem, affine_roots) -> AffineWeylElement:
             beta[j] -= a * b
         beta[i] = -b
     matrix = [_unpack(row, p) for row in v]
-    return AffineWeylElement(rs, FiniteWeylElement(matrix), _unpack(r, p))
+    return AffineWeylElement(rs, FiniteWeylElement(matrix), _unpack(r, p)), steps
+
+
+def element_from_inversions(rs: RootSystem, affine_roots) -> AffineWeylElement:
+    """The unique element whose inversion set is the given set; raises
+    ValueError when the set is no inversion set."""
+    return _grow(rs, target=affine_roots)[0]
 
 
 def _layer_roots(ideal: Ideal, top):
@@ -495,9 +461,7 @@ def alcove_barycenter(rs: RootSystem):
 
 def alcove_image_barycenter(w: AffineWeylElement):
     """Barycenter of w^{-1} * A, computed as w^{-1} * barycenter(A)."""
-    b = alcove_barycenter(w.rs)
-    moved = w.v.inverse().act(b)
-    return tuple(x - rx for x, rx in zip(moved, w.r))
+    return act_point(w.inverse(), alcove_barycenter(w.rs))
 
 
 def element_to_record(w: AffineWeylElement) -> dict:

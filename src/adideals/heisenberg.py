@@ -19,12 +19,10 @@ from .affine import (
     AffineWeylElement,
     FiniteWeylElement,
     affine_simple_reflection,
-    finite_element,
+    element_from_word,
     finite_inversions,
-    identity_finite,
     length,
     reflection,
-    simple_reflection,
 )
 
 __all__ = [
@@ -58,36 +56,35 @@ def _require_long_positive(rs: RootSystem, nu: Root) -> int:
     return idx
 
 
-def w_nu(rs: RootSystem, nu: Root) -> FiniteWeylElement:
-    """The shortest Weyl element taking theta to nu (nu long positive).
-
-    Found as a shortest path from theta to nu in the graph on long
-    roots whose edges are the simple reflections; composing the
-    reflections along any such path yields the unique shortest element.
-    """
+def _w_nu_word(rs: RootSystem, nu: Root):
+    """A reduced word (affine indices 1..p) of w_nu, from a shortest path
+    from theta to nu in the graph on long roots whose edges are the simple
+    reflections; any such path composes to the unique shortest element."""
     _require_long_positive(rs, nu)
     start, target = rs.theta_coords, nu.coords
-    refl = [simple_reflection(rs, i) for i in range(rs.rank)]
+    cartan = rs.cartan
     prev = {start: None}
     queue = deque([start])
     while queue and target not in prev:
         cur = queue.popleft()
         for i in range(rs.rank):
-            nxt = refl[i].act(cur)
+            # s_i(x) = x - (x, alpha_i^vee) alpha_i
+            c = sum(x * cartan[k][i] for k, x in enumerate(cur) if x)
+            nxt = cur[:i] + (cur[i] - c,) + cur[i + 1:]
             if nxt not in prev:
                 prev[nxt] = (cur, i)
                 queue.append(nxt)
-    steps = []
+    word = []  # the last reflection applied to theta comes first
     cur = target
     while prev[cur] is not None:
         cur, i = prev[cur]
-        steps.append(i)
-    steps.reverse()  # reflections applied to theta in this order
-    v = identity_finite(rs.rank)
-    for i in steps:
-        v = refl[i] * v
-    assert v.act(start) == target
-    return v
+        word.append(i + 1)
+    return word
+
+
+def w_nu(rs: RootSystem, nu: Root) -> FiniteWeylElement:
+    """The shortest Weyl element taking theta to nu (nu long positive)."""
+    return element_from_word(rs, _w_nu_word(rs, nu)).v
 
 
 def s_nu(rs: RootSystem, nu: Root) -> FiniteWeylElement:
@@ -113,10 +110,10 @@ def heisenberg_element(rs: RootSystem, d: HeisenbergElementDescriptor) -> Affine
     _require_long_positive(rs, d.nu)
     if d.sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    v = w_nu(rs, d.nu)
-    if d.sign == -1:
-        v = s_nu(rs, d.nu) * v
-    return finite_element(rs, v) * affine_simple_reflection(rs, 0)
+    if d.sign == 1:
+        return element_from_word(rs, _w_nu_word(rs, d.nu) + [0])
+    # s_nu w_nu = w_nu s_theta, and s_0 = s_theta t_{-theta^vee} with theta^vee = theta
+    return AffineWeylElement(rs, w_nu(rs, d.nu), tuple(-c for c in rs.theta_coords))
 
 
 def heisenberg_ideal_formula(rs: RootSystem, d: HeisenbergElementDescriptor) -> Ideal:
@@ -131,13 +128,14 @@ def heisenberg_ideal_formula(rs: RootSystem, d: HeisenbergElementDescriptor) -> 
         raise ValueError("sign must be +1 or -1")
     if d.sign == -1 and idx in rs.simple_indices:
         raise ValueError("the sign -1 formula needs a non-simple root")
-    wv = w_nu(rs, d.nu)
+    word = _w_nu_word(rs, d.nu)
+    wv = element_from_word(rs, word).v
     theta = rs.theta
     members = {theta.coords}
     for gamma in finite_inversions(rs, wv):
         members.add((theta - gamma).coords)
     if d.sign == -1:
-        wv_inv = wv.inverse()
+        wv_inv = element_from_word(rs, word[::-1]).v
         for gamma in n_s_nu_zero(rs, d.nu):
             members.add(tuple(t - c for t, c in zip(theta.coords, wv_inv.act(gamma.coords))))
     mask = 0
@@ -157,4 +155,13 @@ def descriptor_to_record(d: HeisenbergElementDescriptor) -> dict:
 
 
 def descriptor_from_record(record: dict) -> HeisenbergElementDescriptor:
-    return HeisenbergElementDescriptor(Root(tuple(record["nu"])), record["sign"])
+    """The descriptor `descriptor_to_record` wrote; ValueError if malformed."""
+    if not isinstance(record, dict) or not {"nu", "sign"} <= record.keys():
+        raise ValueError("a descriptor record is a dict with keys nu and sign, not %r"
+                         % (record,))
+    nu, sign = record["nu"], record["sign"]
+    if not (isinstance(nu, list) and all(type(c) is int for c in nu)):
+        raise ValueError("a descriptor record's nu is a list of integers, not %r" % (nu,))
+    if type(sign) is not int or sign not in (1, -1):
+        raise ValueError("a descriptor record's sign is 1 or -1, not %r" % (sign,))
+    return HeisenbergElementDescriptor(Root(tuple(nu)), sign)

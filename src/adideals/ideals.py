@@ -368,7 +368,19 @@ def ideal_to_record(ideal: Ideal) -> dict:
 
 
 def ideal_from_record(record: dict, rs: RootSystem = None) -> Ideal:
+    """The ideal `ideal_to_record` wrote, in `rs` if given; ValueError if malformed."""
+    keys = {"generators"} if rs is not None else {"type", "rank", "generators"}
+    if not isinstance(record, dict) or not keys <= record.keys():
+        raise ValueError("an ideal record is a dict with keys %s, not %r"
+                         % (", ".join(sorted(keys)), record))
+    gens = record["generators"]
+    if not (isinstance(gens, list) and all(
+            isinstance(g, list) and all(type(c) is int for c in g) for g in gens)):
+        raise ValueError("an ideal record's generators are a list of integer lists, "
+                         "not %r" % (gens,))
     if rs is None:
+        if type(record["rank"]) is not int:
+            raise ValueError("an ideal record's rank is an integer, not %r"
+                             % (record["rank"],))
         rs = build(record["type"], record["rank"])
-    roots = [Root(tuple(c)) for c in record["generators"]]
-    return ideal_of(Antichain(rs, roots))
+    return ideal_of(Antichain(rs, [Root(tuple(c)) for c in gens]))

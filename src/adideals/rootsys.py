@@ -21,6 +21,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import sub
 
 __all__ = ["Root", "AffineRoot", "RootSystem", "build"]
@@ -244,7 +245,8 @@ class RootSystem:
     their deterministic order, the highest root, exponents, the root
     lengths, the poset masks, and the two-root decompositions with the
     partner masks read off them.  Inner products and pairings are computed
-    on demand from one integer Gram matrix.  Use the module-level `build`
+    on demand from one integer Gram matrix, and the fundamental coweights
+    on first use.  Use the module-level `build`
     (which caches) rather than the constructor.
     """
 
@@ -337,9 +339,12 @@ class RootSystem:
                 partners[b] |= 1 << a
         self.partner_masks = tuple(partners)
 
-        # varpi_i^vee is the i-th column of gram^{-1} = den * _gram_num^{-1}
+    @cached_property
+    def coweight_basis(self):
+        """The fundamental coweights varpi_i^vee in root coordinates."""
+        # varpi_i^vee is the i-th column of gram^{-1} = _gram_den * _gram_num^{-1}
         inv = _invert_fraction_matrix(self._gram_num)
-        self.coweight_basis = tuple(tuple(den * x for x in col) for col in zip(*inv))
+        return tuple(tuple(self._gram_den * x for x in col) for col in zip(*inv))
 
     # -- basic queries ----------------------------------------------------
 
@@ -390,13 +395,15 @@ class RootSystem:
         """(gamma, nu^vee); an integer for any two roots."""
         q, rem = divmod(2 * self._gram_product(gamma.coords, nu.coords),
                         self._gram_product(nu.coords, nu.coords))
-        assert rem == 0
+        if rem:
+            raise ValueError("(%r, %r^vee) is not an integer; are both roots?" % (gamma, nu))
         return q
 
     def pair_root_coroot(self, mu, r) -> int:
         """(mu, r) for a root-coordinate vector mu and a coroot-lattice vector r."""
         q, rem = divmod(self._gram_product(mu, r), self._gram_den)
-        assert rem == 0, "pairing with a non-coroot-lattice vector"
+        if rem:
+            raise ValueError("%r is not in the coroot lattice of %s" % (tuple(r), self))
         return q
 
     def norm2(self, root: Root) -> Fraction:

@@ -102,19 +102,81 @@ def _invert(matrix):
 
 def full_weyl_group(rs):
     """All finite Weyl elements, by closure over the simple reflections."""
-    gens = [A.simple_reflection(rs, i) for i in range(rs.rank)]
+    gens = [A.reflection(rs, rs.alpha(i)) for i in range(rs.rank)]
     seen = {A.identity_finite(rs.rank)}
     frontier = list(seen)
     while frontier:
         nxt = []
         for v in frontier:
             for s in gens:
-                w = s * v
+                w = matrix_product(s, v)
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
         frontier = nxt
     return seen
+
+
+# The matrix path that `affine._grow` replaced for words, products and
+# inverses, kept as their differential oracle: finite parts multiply as
+# integer matrices and invert by `_invert`, a Fraction Gauss-Jordan.
+
+def matrix_product(a, b):
+    """The finite Weyl element a b, by the integer matrix product."""
+    n = len(a.matrix)
+    return A.FiniteWeylElement(
+        tuple(tuple(sum(a.matrix[i][k] * b.matrix[k][j] for k in range(n))
+                    for j in range(n)) for i in range(n)))
+
+
+@lru_cache(maxsize=None)
+def _int_inverse(matrix):
+    inv = _invert(matrix)
+    assert all(x.denominator == 1 for row in inv for x in row)
+    return tuple(tuple(int(x) for x in row) for row in inv)
+
+
+def matrix_inverse(v):
+    """v^{-1} for a finite Weyl element v."""
+    return A.FiniteWeylElement(_int_inverse(v.matrix))
+
+
+def affine_product(w1, w2):
+    """w1 w2 = (v1 v2) . t_{v2^{-1}(r1) + r2} for w_k = v_k . t_{r_k}."""
+    moved = matrix_inverse(w2.v).act(w1.r)
+    return A.AffineWeylElement(w1.rs, matrix_product(w1.v, w2.v),
+                               tuple(a + b for a, b in zip(moved, w2.r)))
+
+
+def affine_inverse(w):
+    """w^{-1} = v^{-1} . t_{-v(r)} for w = v . t_r."""
+    return A.AffineWeylElement(w.rs, matrix_inverse(w.v), tuple(-x for x in w.v.act(w.r)))
+
+
+def matrix_element_from_word(rs, word):
+    """The product of the word's affine simple reflections, left to right."""
+    acc = A.identity_element(rs)
+    for i in word:
+        acc = affine_product(acc, A.affine_simple_reflection(rs, i))
+    return acc
+
+
+def peel_reduced_word(w):
+    """A reduced word for w, peeling the lowest right descent first.
+
+    While w is not the identity, take the lowest i with w(alpha_i) negative
+    and replace w by w s_i; the word is the peeled indices reversed.
+    """
+    rs = w.rs
+    refl = [A.affine_simple_reflection(rs, i) for i in range(rs.rank + 1)]
+    simples = [A.simple_affine_root(rs, i) for i in range(rs.rank + 1)]
+    peeled = []
+    while not w.is_identity():
+        i = next(i for i, a in enumerate(simples)
+                 if not A.act_affine_root(w, a).is_positive())
+        w = affine_product(w, refl[i])
+        peeled.append(i)
+    return peeled[::-1]
 
 
 def prescribed_inversions(ideal, maximal=False):
@@ -168,7 +230,7 @@ def peel_element_from_inversions(rs, affine_roots):
         remaining = new
     acc = A.identity_element(rs)
     for i in peeled:
-        acc = refl[i] * acc
+        acc = affine_product(refl[i], acc)
     return acc
 
 

@@ -11,7 +11,8 @@ from adideals import affine as A
 from adideals import ideals as I
 from adideals import lattice_count as L
 from helpers import (
-    all_words, peel_element_from_inversions, prescribed_inversions, systems_up_to,
+    affine_inverse, affine_product, all_words, matrix_element_from_word, matrix_inverse,
+    peel_element_from_inversions, peel_reduced_word, prescribed_inversions, systems_up_to,
 )
 
 
@@ -38,7 +39,7 @@ def test_simple_root_images_match_closed_form(label, rank):
     for word in all_words(rs, 4):
         w = A.element_from_word(rs, word)
         winv = w.inverse()
-        vinv = w.v.inverse()
+        vinv = matrix_inverse(w.v)
         vr = w.v.act(w.r)
         for i in range(1, rs.rank + 1):
             img = A.act_affine_root(winv, A.simple_affine_root(rs, i))
@@ -361,8 +362,31 @@ def test_e6_w_min_inversion_sets_and_first_layers():
         assert {(b.level, b.finite) for b in A.inversion_set(w)} == expected
         assert A.length(w) == len(expected)
         assert A.first_layer_ideal(w) == ideal
+        assert A.reduced_word(w) == peel_reduced_word(w)
         seen += 1
     assert seen == 833
+
+
+@pytest.mark.parametrize("label,rank,max_len", [
+    ("A", 2, 5), ("B", 2, 5), ("C", 2, 5), ("G2", 2, 5),
+    ("A", 3, 4), ("B", 3, 4), ("C", 3, 4), ("D", 4, 3),
+])
+def test_element_from_word_matches_matrix_oracle(label, rank, max_len):
+    # every word, reduced or not
+    rs = build(label, rank)
+    for word in all_words(rs, max_len):
+        assert A.element_from_word(rs, word) == matrix_element_from_word(rs, word)
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(4))
+def test_reduced_word_matches_peel_oracle(label, rank):
+    rs = build(label, rank)
+    for ideal in I.enumerate_ideals(rs):
+        w = A.w_min(ideal)
+        assert A.reduced_word(w) == peel_reduced_word(w)
+        if I.is_strictly_positive(ideal):
+            w = A.w_max(ideal)
+            assert A.reduced_word(w) == peel_reduced_word(w)
 
 
 def test_element_equality_is_not_word_equality():
@@ -385,8 +409,37 @@ def test_mul_and_inverse():
     rs = build("B", 2)
     for word in all_words(rs, 4):
         w = A.element_from_word(rs, word)
+        assert w.inverse() == affine_inverse(w)
         assert (w * w.inverse()).is_identity()
         assert (w.inverse() * w).is_identity()
+
+
+@pytest.mark.parametrize("label,rank", [("B", 2), ("G2", 2), ("A", 3)])
+def test_product_matches_matrix_oracle(label, rank):
+    rs = build(label, rank)
+    elements = [A.element_from_word(rs, word) for word in all_words(rs, 3)]
+    elements.append(A.translation(rs, tuple(-c for c in rs.theta_coords)))
+    for w1 in elements:
+        for w2 in elements:
+            assert w1 * w2 == affine_product(w1, w2)
+
+
+def test_product_across_root_systems_is_rejected():
+    w1 = A.affine_simple_reflection(build("A", 2), 0)
+    w2 = A.affine_simple_reflection(build("B", 2), 0)
+    with pytest.raises(ValueError, match="multiply"):
+        w1 * w2
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("C", 3), ("G2", 2)])
+def test_alcove_image_barycenter_matches_matrix_oracle(label, rank):
+    # w^{-1} * x = v^{-1}(x) - r for w = v . t_r
+    rs = build(label, rank)
+    b = A.alcove_barycenter(rs)
+    for ideal in I.enumerate_ideals(rs):
+        w = A.w_min(ideal)
+        moved = matrix_inverse(w.v).act(b)
+        assert A.alcove_image_barycenter(w) == tuple(x - rx for x, rx in zip(moved, w.r))
 
 
 @pytest.mark.parametrize("field", ["v_matrix", "r_coords"])
@@ -422,17 +475,20 @@ def test_element_from_record_rejects_malformed(record):
 
 
 def test_element_from_record_validates_under_optimize():
-    # `python -O` strips asserts; the check must still raise
+    # `python -O` strips asserts; the checks must still raise
     code = "\n".join([
         "from adideals.rootsys import build",
         "from adideals import affine as A",
         "assert False, 'asserts are on'",
         "rec = {'word': [0], 'v_matrix': [[9, 9], [9, 9]], 'r_coords': [5, 5]}",
-        "try:",
-        "    A.element_from_record(build('A', 2), rec)",
-        "except ValueError:",
-        "    raise SystemExit(0)",
-        "raise SystemExit(3)",
+        "calls = [lambda: A.element_from_record(build('A', 2), rec),",
+        "         lambda: A.length(A.translation(build('G2', 2), (1, 0)))]",
+        "for n, call in enumerate(calls):",
+        "    try:",
+        "        call()",
+        "    except ValueError:",
+        "        continue",
+        "    raise SystemExit(10 + n)",
     ])
     src = os.path.dirname(os.path.dirname(os.path.abspath(A.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

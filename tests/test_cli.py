@@ -1,6 +1,8 @@
 import errno
 import json
 import os
+import subprocess
+import sys
 import time
 
 import jsonschema
@@ -201,6 +203,22 @@ def test_verify_suite_passes(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert all(r["ok"] for r in payload["results"])
+
+
+def test_verify_under_optimize_matches_in_process_run(capsys):
+    # `python -O` strips asserts; the suites must pass and print the same
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for suite in ("heisenberg", "f4table"):
+        argv = ["verify", "--suite", suite]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "adideals.cli"] + argv,
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+            timeout=300,
+        )
+        code, out, _ = run(argv, capsys)
+        assert proc.returncode == code == 0, proc.stderr
+        assert proc.stdout == out
 
 
 def test_tables(capsys):

@@ -6,7 +6,10 @@ from adideals.rootsys import Root, build
 from adideals import affine as A
 from adideals import heisenberg as H
 from adideals import ideals as I
-from helpers import brute_pairing, full_weyl_group, systems_up_to
+from helpers import (
+    affine_product, brute_pairing, full_weyl_group, matrix_inverse, matrix_product,
+    systems_up_to,
+)
 
 
 def long_positive(rs):
@@ -67,7 +70,7 @@ def test_w_nu_length_and_inversions(label, rank):
         assert v.act(rs.theta_coords) == nu.coords
         expected_len = rho_pairing(rs, rs.theta) - rho_pairing(rs, nu)
         assert A.finite_length(rs, v) == expected_len
-        inv = {r.coords for r in A.finite_inversions(rs, v.inverse())}
+        inv = {r.coords for r in A.finite_inversions(rs, matrix_inverse(v))}
         charac = {r.coords for r in rs.positive_roots if rs.pairing(r, nu) == -1}
         assert inv == charac
 
@@ -87,7 +90,7 @@ def test_s_nu_length_formula(label, rank):
         zero_part = {r.coords for r in H.n_s_nu_zero(rs, nu)}
         assert inv == zero_part | {nu.coords}
         # s_nu w_nu is a reduced product
-        both = s * H.w_nu(rs, nu)
+        both = matrix_product(s, H.w_nu(rs, nu))
         assert A.finite_length(rs, both) == (
             rho_pairing(rs, rs.theta) + rho_pairing(rs, nu) - 1
         )
@@ -138,10 +141,16 @@ def test_heisenberg_element_theta_plus_is_s0():
 @pytest.mark.parametrize("label,rank", systems_up_to(4))
 def test_heisenberg_element_classification(label, rank):
     rs = build(label, rank)
+    s0 = A.affine_simple_reflection(rs, 0)
     for nu in long_positive(rs):
         nu_simple = rs.index_of(nu) in rs.simple_indices
         plus = H.heisenberg_element(rs, H.HeisenbergElementDescriptor(nu, 1))
         minus = H.heisenberg_element(rs, H.HeisenbergElementDescriptor(nu, -1))
+        # w_nu s_0 and s_nu w_nu s_0 as matrix products
+        v = H.w_nu(rs, nu)
+        assert plus == affine_product(A.finite_element(rs, v), s0)
+        assert minus == affine_product(
+            A.finite_element(rs, matrix_product(H.s_nu(rs, nu), v)), s0)
 
         assert A.is_dominant(plus) and A.is_dominant(minus)
         assert A.rootlet(plus) == (nu, 1)
@@ -253,7 +262,7 @@ def test_every_dominant_vs0_comes_from_a_long_root(label, rank):
         image = v.act(rs.theta_coords)
         if any(c < 0 for c in image):
             nu = Root(tuple(-c for c in image))
-            assert v == H.s_nu(rs, nu) * H.w_nu(rs, nu)
+            assert v == matrix_product(H.s_nu(rs, nu), H.w_nu(rs, nu))
         else:
             nu = Root(image)
             assert v == H.w_nu(rs, nu)
@@ -288,3 +297,21 @@ def test_descriptor_serialization():
     rec = H.descriptor_to_record(d)
     assert rec == {"nu": [1, 1, 1], "sign": -1}
     assert H.descriptor_from_record(rec) == d
+
+
+@pytest.mark.parametrize("record", [
+    {},
+    {"sign": 1},
+    {"nu": [1, 1]},
+    {"nu": 5, "sign": 1},
+    {"nu": "11", "sign": 1},
+    {"nu": [1.0, 1], "sign": 1},
+    {"nu": [1, 1], "sign": 3},
+    {"nu": [1, 1], "sign": 0},
+    {"nu": [1, 1], "sign": True},
+    {"nu": [1, 1], "sign": "1"},
+    [1, 1],
+])
+def test_descriptor_from_record_rejects_malformed(record):
+    with pytest.raises(ValueError):
+        H.descriptor_from_record(record)

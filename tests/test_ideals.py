@@ -235,3 +235,24 @@ def test_serialization_round_trip():
         assert rec["type"] == "C" and rec["rank"] == 3
         assert I.ideal_from_record(rec) == ideal
         assert I.ideal_from_record(rec, rs) == ideal
+
+
+@pytest.mark.parametrize("record", [
+    {},
+    {"type": "C", "rank": 3},
+    {"type": "C", "generators": []},
+    {"rank": 3, "generators": []},
+    {"type": "C", "rank": 3, "generators": 5},
+    {"type": "C", "rank": 3, "generators": [5]},
+    {"type": "C", "rank": 3, "generators": [[1.0, 0, 0]]},
+    {"type": "C", "rank": 3, "generators": [[[1], 0, 0]]},
+    {"type": "C", "rank": "3", "generators": []},
+    {"type": "Z", "rank": 3, "generators": []},
+    [["C", 3]],
+])
+def test_ideal_from_record_rejects_malformed(record):
+    with pytest.raises(ValueError):
+        I.ideal_from_record(record)
+    if isinstance(record, dict) and "generators" not in record:
+        with pytest.raises(ValueError, match="generators"):
+            I.ideal_from_record(record, build("C", 3))

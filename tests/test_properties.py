@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from adideals import affine as A
 from adideals import ideals as I
 from adideals.rootsys import build
-from helpers import peel_element_from_inversions, prescribed_inversions, systems_up_to
+from helpers import (
+    affine_inverse, peel_element_from_inversions, prescribed_inversions, systems_up_to,
+)
 
 SYSTEMS = systems_up_to(6)
 
@@ -36,3 +38,6 @@ def test_w_min_properties(ideal):
     assert A.length(w) == sum(lt[idx] for idx in I._iter_bits(ideal.mask))
     assert A.element_from_word(rs, A.reduced_word(w)) == w
     assert w == peel_element_from_inversions(rs, prescribed_inversions(ideal))
+    winv = w.inverse()
+    assert winv == affine_inverse(w)
+    assert (w * winv).is_identity()

@@ -182,6 +182,13 @@ def test_inner_products_match_fraction_gram_oracle(label, rank):
         tuple(inv[j][i] for j in range(rank)) for i in range(rank))
 
 
+def test_coweight_basis_is_computed_on_first_use():
+    rs = RootSystem("B", 3)  # a fresh build, not the cached one
+    assert "coweight_basis" not in rs.__dict__
+    basis = rs.coweight_basis
+    assert rs.__dict__["coweight_basis"] is basis
+
+
 def test_pairing_examples():
     a2 = build("A", 2)
     assert a2.pairing(a2.theta, a2.theta) == 2
