@@ -1,8 +1,8 @@
 """Command line surface: enumerate, classify, count, verify, tables.
 
 Exit codes: 0 on success, 1 on a verification mismatch, 2 on usage
-errors (including refused oversized dumps).  Output is deterministic:
-identical invocations produce identical bytes.
+errors (including refused oversized dumps and lattice sweeps).  Output
+is deterministic: identical invocations produce identical bytes.
 """
 
 import argparse
@@ -59,6 +59,8 @@ IDEAL_RECORD_SCHEMA = {
 # refuse unguarded dumps beyond these budgets
 MAX_TEXT_RECORDS = 100_000
 MAX_CLASSIFY_WORK = 100_000_000
+# count_minimax sweeps all of {-1,0,1}^(rank+1): up to rank 12
+MAX_COUNT_SWEEP = 3 ** 13
 
 
 def ideal_record(ideal: I.Ideal) -> dict:
@@ -198,6 +200,12 @@ def cmd_classify(args, out) -> int:
 
 def cmd_count(args, out) -> int:
     rs = build(args.type, args.rank)
+    points = 3 ** (rs.rank + 1)
+    if args.quantity == "minimax" and points > MAX_COUNT_SWEEP and not args.force:
+        print("refusing to sweep %d lattice points to count the minimax ideals "
+              "of %s; pass --force to insist"
+              % (points, V.system_name(args.type, args.rank)), file=sys.stderr)
+        return 2
     report = getattr(L, "count_" + args.quantity)(rs)
     if args.format == "json":
         json.dump(report.__dict__, out, indent=1, sort_keys=True)
@@ -317,6 +325,8 @@ def make_parser() -> argparse.ArgumentParser:
                    choices=["AD", "AD0", "minimax", "heisenberg_nontrivial"])
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.add_argument("--out", default=None)
+    p.add_argument("--force", action="store_true",
+                   help="allow a minimax count above rank 12")
 
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("--suite", default="all", choices=("all",) + V.SUITE_NAMES)

@@ -56,6 +56,12 @@ def _require_long_positive(rs: RootSystem, nu: Root) -> int:
     return idx
 
 
+def _require_sign(sign) -> None:
+    # a bool or a float equal to 1 is not a sign
+    if type(sign) is not int or sign not in (1, -1):
+        raise ValueError("sign must be 1 or -1, not %r" % (sign,))
+
+
 def _w_nu_word(rs: RootSystem, nu: Root):
     """A reduced word (affine indices 1..p) of w_nu, from a shortest path
     from theta to nu in the graph on long roots whose edges are the simple
@@ -108,8 +114,7 @@ def n_s_nu_zero(rs: RootSystem, nu: Root):
 def heisenberg_element(rs: RootSystem, d: HeisenbergElementDescriptor) -> AffineWeylElement:
     """w_nu.s_0 for sign +1, s_nu.w_nu.s_0 for sign -1."""
     _require_long_positive(rs, d.nu)
-    if d.sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    _require_sign(d.sign)
     if d.sign == 1:
         return element_from_word(rs, _w_nu_word(rs, d.nu) + [0])
     # s_nu w_nu = w_nu s_theta, and s_0 = s_theta t_{-theta^vee} with theta^vee = theta
@@ -124,8 +129,7 @@ def heisenberg_ideal_formula(rs: RootSystem, d: HeisenbergElementDescriptor) -> 
     simple (for simple nu the sign +1 formula already applies).
     """
     idx = _require_long_positive(rs, d.nu)
-    if d.sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    _require_sign(d.sign)
     if d.sign == -1 and idx in rs.simple_indices:
         raise ValueError("the sign -1 formula needs a non-simple root")
     word = _w_nu_word(rs, d.nu)
@@ -162,6 +166,5 @@ def descriptor_from_record(record: dict) -> HeisenbergElementDescriptor:
     nu, sign = record["nu"], record["sign"]
     if not (isinstance(nu, list) and all(type(c) is int for c in nu)):
         raise ValueError("a descriptor record's nu is a list of integers, not %r" % (nu,))
-    if type(sign) is not int or sign not in (1, -1):
-        raise ValueError("a descriptor record's sign is 1 or -1, not %r" % (sign,))
+    _require_sign(sign)
     return HeisenbergElementDescriptor(Root(tuple(nu)), sign)

@@ -17,6 +17,13 @@ any longer decomposition of a root can be reordered so that every
 partial sum is again a root, so binary splits lose nothing.  The splits
 are `RootSystem.decompositions`, found by subtracting from each root the
 roots below it; `power` reads them and `is_abelian` the partner masks.
+
+Each split of a root has both parts at lower root indices, so both
+programs fill in root-index order.  `is_minimax` runs them together in
+one pass over the members and returns at the first member where
+k - 1 != l.  The full tables, `_l_table` and `_k_table`, are kept: `w_min`
+and `w_max` read them, and they are the oracle the fused test is checked
+against.
 """
 
 from collections import namedtuple
@@ -240,12 +247,35 @@ def k_value(gamma: Root, ideal: Ideal) -> int:
 
 
 def is_minimax(ideal: Ideal) -> bool:
-    """Strictly positive with k(gamma,I) - 1 = l(gamma,I) for every member."""
-    if ideal.mask & ideal.rs.simple_mask:
+    """Strictly positive with k(gamma,I) - 1 = l(gamma,I) for every member.
+
+    One pass over the members in root-index order fills both dynamic
+    programs of `_l_table` and `_k_table` and stops at the first member
+    where they disagree.
+    """
+    rs, mask = ideal.rs, ideal.mask
+    if mask & rs.simple_mask:
         return False
-    lt = _l_table(ideal)
-    kt = _k_table(ideal)
-    return all(kt[m] - 1 == lt[m] for m in _iter_bits(ideal.mask))
+    decs = rs.decompositions
+    n = rs.num_positive
+    # k is 1 off I; l is -n off I, so a split with a non-member part sums to
+    # less than 1 (every l-value is below n) and never beats the default 1
+    k = [1] * n
+    l = [-n] * n
+    for m in _iter_bits(mask):
+        kb, lb = n, 1
+        for a, b in decs[m]:
+            s = k[a] + k[b]
+            if s < kb:
+                kb = s
+            s = l[a] + l[b]
+            if s > lb:
+                lb = s
+        if kb - 1 != lb:
+            return False
+        k[m] = kb
+        l[m] = lb
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -379,8 +409,5 @@ def ideal_from_record(record: dict, rs: RootSystem = None) -> Ideal:
         raise ValueError("an ideal record's generators are a list of integer lists, "
                          "not %r" % (gens,))
     if rs is None:
-        if type(record["rank"]) is not int:
-            raise ValueError("an ideal record's rank is an integer, not %r"
-                             % (record["rank"],))
         rs = build(record["type"], record["rank"])
     return ideal_of(Antichain(rs, [Root(tuple(c)) for c in gens]))

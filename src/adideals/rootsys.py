@@ -442,6 +442,12 @@ _CACHE: dict = {}
 
 def build(type_label: str, rank: int) -> RootSystem:
     """Construct (and cache) the root system of the given simple type."""
+    # checked before the cache, where True would find the key ("A", 1) and
+    # an unhashable label would raise TypeError
+    if type(type_label) is not str:
+        raise ValueError("type must be a str, not %r" % (type_label,))
+    if type(rank) is not int:
+        raise ValueError("rank must be an int, not %r" % (rank,))
     key = (type_label, rank)
     if key not in _CACHE:
         _CACHE[key] = RootSystem(type_label, rank)

@@ -60,6 +60,15 @@ def brute_k(ideal, gamma):
     return extreme_parts(outside, gamma.coords, min)
 
 
+def two_table_is_minimax(ideal):
+    """Minimax by the full l- and k-tables compared on every member: the
+    oracle for the fused, early-exit `is_minimax`."""
+    if not I.is_strictly_positive(ideal):
+        return False
+    lt, kt = I._l_table(ideal), I._k_table(ideal)
+    return all(kt[m] - 1 == lt[m] for m in I._iter_bits(ideal.mask))
+
+
 def coroot_points_in_dilated_alcove(rs, t):
     """Count Q^vee points x with (x, alpha) >= 0 for all simple alpha and
     (x, theta) <= t, by direct sweep over coroot coordinates."""

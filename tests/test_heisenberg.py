@@ -315,3 +315,16 @@ def test_descriptor_serialization():
 def test_descriptor_from_record_rejects_malformed(record):
     with pytest.raises(ValueError):
         H.descriptor_from_record(record)
+
+
+@pytest.mark.parametrize("sign", [True, 1.0, 0])
+def test_every_reader_of_a_sign_rejects_non_int_signs(sign):
+    # True and 1.0 compare equal to 1, so the check is on the type too
+    rs = build("A", 3)
+    d = H.HeisenbergElementDescriptor(rs.theta, sign)
+    with pytest.raises(ValueError, match="sign must be 1 or -1"):
+        H.heisenberg_element(rs, d)
+    with pytest.raises(ValueError, match="sign must be 1 or -1"):
+        H.heisenberg_ideal_formula(rs, d)
+    with pytest.raises(ValueError, match="sign must be 1 or -1"):
+        H.descriptor_from_record({"nu": [1, 1, 1], "sign": sign})

@@ -3,7 +3,10 @@ import pytest
 from adideals.rootsys import Root, build
 from adideals import ideals as I
 from adideals.lattice_count import count_AD, count_AD0
-from helpers import brute_is_abelian, brute_k, brute_l, brute_power_mask, systems_up_to
+from helpers import (
+    brute_is_abelian, brute_k, brute_l, brute_power_mask, systems_up_to,
+    two_table_is_minimax,
+)
 
 
 def heis(rs):
@@ -173,6 +176,21 @@ def test_l_at_most_k_minus_one(label, rank):
         lt, kt = I._l_table(ideal), I._k_table(ideal)
         for m in I._iter_bits(ideal.mask):
             assert lt[m] <= kt[m] - 1
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(6))
+def test_is_minimax_matches_two_table_oracle(label, rank):
+    rs = build(label, rank)
+    for ideal in I.enumerate_ideals(rs):
+        assert I.is_minimax(ideal) == two_table_is_minimax(ideal)
+
+
+def test_e8_minimax_enumeration_matches_two_table_filter():
+    rs = build("E8", 8)
+    fast = [ideal.mask for ideal in I.enumerate_ideals(rs, "minimax")]
+    slow = [ideal.mask for ideal in I.enumerate_ideals(rs) if two_table_is_minimax(ideal)]
+    assert len(fast) == 834
+    assert fast == slow
 
 
 @pytest.mark.parametrize("label,rank", systems_up_to(4))

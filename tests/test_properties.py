@@ -1,4 +1,5 @@
-"""Property tests over random ideals of every type of rank <= 6.
+"""Property tests over random ideals of every type of rank <= 6, and of
+E7 and E8 for the minimax test.
 
 Derandomised, so every run draws the same examples.
 """
@@ -10,16 +11,21 @@ from adideals import ideals as I
 from adideals.rootsys import build
 from helpers import (
     affine_inverse, peel_element_from_inversions, prescribed_inversions, systems_up_to,
+    two_table_is_minimax,
 )
 
 SYSTEMS = systems_up_to(6)
+LARGE_SYSTEMS = [("E7", 7), ("E8", 8)]
 
 
 @st.composite
-def ideals(draw):
-    """An ideal of a drawn system, generated by a drawn antichain."""
-    rs = build(*draw(st.sampled_from(SYSTEMS)))
-    picks = draw(st.lists(st.integers(0, rs.num_positive - 1), max_size=rs.rank))
+def ideals(draw, systems=SYSTEMS, strictly_positive=False):
+    """An ideal of a drawn system, generated by a drawn antichain (of
+    non-simple roots if `strictly_positive`)."""
+    rs = build(*draw(st.sampled_from(systems)))
+    # roots are sorted by height, so the simple roots come first
+    lowest = rs.rank if strictly_positive else 0
+    picks = draw(st.lists(st.integers(lowest, rs.num_positive - 1), max_size=rs.rank))
     kept = 0
     for idx in picks:  # keep a root only if it is incomparable to all kept
         if not kept & ~rs.incomparability_masks[idx]:
@@ -41,3 +47,9 @@ def test_w_min_properties(ideal):
     winv = w.inverse()
     assert winv == affine_inverse(w)
     assert (w * winv).is_identity()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.one_of(ideals(LARGE_SYSTEMS), ideals(LARGE_SYSTEMS, strictly_positive=True)))
+def test_is_minimax_matches_two_table_oracle_on_e7_e8(ideal):
+    assert I.is_minimax(ideal) == two_table_is_minimax(ideal)

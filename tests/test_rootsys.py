@@ -83,6 +83,18 @@ def test_unknown_type_rejected():
         build("H3", 3)
 
 
+@pytest.mark.parametrize("rank", ["3", 2.0, True])
+def test_non_int_rank_rejected(rank):
+    # True would otherwise find the cached A1
+    with pytest.raises(ValueError, match="rank must be an int"):
+        build("A", rank)
+
+
+def test_unhashable_type_rejected():
+    with pytest.raises(ValueError, match="type must be a str"):
+        build(["A"], 3)
+
+
 def test_low_rank_coincidences_are_distinct_labels():
     b2, c2 = build("B", 2), build("C", 2)
     assert b2.theta_coords == (1, 2)
