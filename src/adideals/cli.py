@@ -1,8 +1,8 @@
 """Command line surface: enumerate, classify, count, verify, tables.
 
 Exit codes: 0 on success, 1 on a verification mismatch, 2 on usage
-errors (including refused oversized dumps and lattice sweeps).  Output
-is deterministic: identical invocations produce identical bytes.
+errors (including refused oversized dumps).  Output is deterministic:
+identical invocations produce identical bytes.
 """
 
 import argparse
@@ -59,8 +59,6 @@ IDEAL_RECORD_SCHEMA = {
 # refuse unguarded dumps beyond these budgets
 MAX_TEXT_RECORDS = 100_000
 MAX_CLASSIFY_WORK = 100_000_000
-# count_minimax sweeps all of {-1,0,1}^(rank+1): up to rank 12
-MAX_COUNT_SWEEP = 3 ** 13
 
 
 def ideal_record(ideal: I.Ideal) -> dict:
@@ -117,10 +115,10 @@ def cmd_enumerate(args, out) -> int:
     rs = build(args.type, args.rank)
     tokens = _parse_class(args.klass)
     # an ideal is kept when it is in every listed class, so their smallest
-    # size bounds the records; none of these sizes sweeps the lattice
-    sizes = {"strictly-positive": L.count_AD0(rs).value, "abelian": 2 ** rs.rank,
-             "minimax": L.laurent_coefficient((rs.c0,) + rs.theta_coords, 1)
-             // rs.index_of_connection}
+    # size bounds the records
+    sizes = {"strictly-positive": L.count_AD0(rs).value, "abelian": 2 ** rs.rank}
+    if "minimax" in tokens:
+        sizes["minimax"] = L.count_minimax(rs).value
     expected = min(sizes.get(t, L.count_AD(rs).value) for t in tokens)
     # building an element takes one step per unit of length, each touching
     # about rank + 1 simple-root images, and lengths are bounded by the
@@ -199,14 +197,7 @@ def cmd_classify(args, out) -> int:
 
 
 def cmd_count(args, out) -> int:
-    rs = build(args.type, args.rank)
-    points = 3 ** (rs.rank + 1)
-    if args.quantity == "minimax" and points > MAX_COUNT_SWEEP and not args.force:
-        print("refusing to sweep %d lattice points to count the minimax ideals "
-              "of %s; pass --force to insist"
-              % (points, V.system_name(args.type, args.rank)), file=sys.stderr)
-        return 2
-    report = getattr(L, "count_" + args.quantity)(rs)
+    report = getattr(L, "count_" + args.quantity)(build(args.type, args.rank))
     if args.format == "json":
         json.dump(report.__dict__, out, indent=1, sort_keys=True)
         out.write("\n")
@@ -325,8 +316,6 @@ def make_parser() -> argparse.ArgumentParser:
                    choices=["AD", "AD0", "minimax", "heisenberg_nontrivial"])
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.add_argument("--out", default=None)
-    p.add_argument("--force", action="store_true",
-                   help="allow a minimax count above rank 12")
 
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("--suite", default="all", choices=("all",) + V.SUITE_NAMES)

@@ -9,10 +9,12 @@ with c_0 = 1, whose solution count is the coefficient of x in
 prod_i (x^-c_i + 1 + x^c_i).  Dividing by the index of connection f, or
 keeping only the solutions passing the per-type congruence that cuts
 the coroot lattice out of the coweight lattice, gives the minimax
-count; the two routes are computed independently and must agree.
+count; the two routes are computed independently and must agree.  Both
+run on one dynamic program over the factors of that product, the
+second with the congruence residues carried in its state.
 
-All arithmetic here is exact: integer sweeps over {-1,0,1}^(p+1),
-rational products with a final integrality assertion.
+All arithmetic here is exact: integer dynamic programs, rational
+products with a final integrality assertion.
 """
 
 import itertools
@@ -27,7 +29,8 @@ __all__ = [
     "CountReport", "d_min_contains", "d_max_contains", "d_mm_contains",
     "coweight_point", "solve_base_system",
     "solve_extended_system", "laurent_coefficient", "trinomial",
-    "congruence_filter", "count_minimax", "count_minimax_by_enumeration",
+    "CONGRUENCES", "congruence_filter", "count_minimax",
+    "count_minimax_by_enumeration",
     "count_AD", "count_AD0", "count_heisenberg_nontrivial", "haiman_count",
     "catalan", "motzkin", "directed_animals", "minimax_count_D",
 ]
@@ -104,16 +107,24 @@ def solve_extended_system(rs: RootSystem):
     return out
 
 
-def laurent_coefficient(cs, k: int) -> int:
-    """Coefficient of x^k in prod_i (x^-c_i + 1 + x^c_i)."""
-    poly = {0: 1}
-    for c in cs:
+def laurent_coefficient(cs, k: int, forms=()) -> int:
+    """Coefficient of x^k in prod_i (x^-c_i + 1 + x^c_i).
+
+    Given forms, (weights, modulus) pairs with one weight per factor, count
+    only the terms x^(sum c_i y_i) with every sum w_i y_i = 0 mod modulus.
+    """
+    zero = (0,) * len(forms)
+    poly = {(0, zero): 1}
+    for i, c in enumerate(cs):
+        steps = [(d * c, tuple(d * w[i] for w, _ in forms)) for d in (-1, 0, 1)]
         nxt = {}
-        for e, v in poly.items():
-            for d in (-c, 0, c):
-                nxt[e + d] = nxt.get(e + d, 0) + v
+        for (e, res), v in poly.items():
+            for de, dr in steps:
+                key = (e + de, tuple((r + s) % m
+                                     for r, s, (_, m) in zip(res, dr, forms)))
+                nxt[key] = nxt.get(key, 0) + v
         poly = nxt
-    return poly.get(k, 0)
+    return poly.get((k, zero), 0)
 
 
 def trinomial(k: int, n: int) -> int:
@@ -133,35 +144,32 @@ def trinomial(k: int, n: int) -> int:
 # -- the coroot-lattice congruences, per type -------------------------------
 
 
+# the congruences that cut the coroot lattice out of the coweight lattice,
+# per type and rank, in the Vinberg-Onishchik numbering of the simple
+# roots: each (weights, modulus) form over y_1..y_p must vanish modulo its
+# modulus.  E8, F4 and G2 have none: there the two lattices coincide.
+CONGRUENCES = {
+    "A": lambda p: [(tuple(range(p, 0, -1)), p + 1)],
+    "B": lambda p: [(tuple((i + 1) % 2 for i in range(p)), 2)],
+    "C": lambda p: [((0,) * (p - 1) + (1,), 2)],
+    "D": lambda p: (
+        [((0,) * (p - 2) + (1, 1), 2), (tuple((i + 1) % 2 for i in range(p)), 2)]
+        if p % 2 == 0
+        else [(tuple(2 * ((i + 1) % 2) for i in range(p - 2)) + (1, -1), 4)]),
+    "E6": lambda p: [((1, -1, 0, 1, -1, 0), 3)],
+    "E7": lambda p: [((1, 0, 1, 0, 0, 0, 1), 2)],
+    **dict.fromkeys(("E8", "F4", "G2"), lambda p: []),
+}
+
+
 def congruence_filter(rs: RootSystem, y) -> bool:
     """Whether the coweight point of an extended solution lies in Q^vee.
 
     y is an extended solution (y_0, y_1, .., y_p); only y_1..y_p enter,
-    since y_0 is the auxiliary variable.  The conditions are stated in
-    the Vinberg-Onishchik numbering of the simple roots.
+    since y_0 is the auxiliary variable.
     """
-    t = rs.type_label
-    p = rs.rank
-    ys = y[1:]
-    if t == "A":
-        return sum((p - i) * ys[i] for i in range(p)) % (p + 1) == 0
-    if t == "C":
-        return ys[p - 1] % 2 == 0
-    if t == "B":
-        return sum(ys[i] for i in range(0, p, 2)) % 2 == 0
-    if t == "D":
-        if p % 2 == 0:
-            return (
-                (ys[p - 2] + ys[p - 1]) % 2 == 0
-                and sum(ys[i] for i in range(0, p - 1, 2)) % 2 == 0
-            )
-        return (2 * sum(ys[i] for i in range(0, p - 2, 2)) + ys[p - 2] - ys[p - 1]) % 4 == 0
-    if t == "E6":
-        return (ys[0] - ys[1] + ys[3] - ys[4]) % 3 == 0
-    if t == "E7":
-        return (ys[0] + ys[2] + ys[6]) % 2 == 0
-    # E8, F4, G2: the coweight and coroot lattices coincide
-    return True
+    return all(sum(w * v for w, v in zip(weights, y[1:])) % m == 0
+               for weights, m in CONGRUENCES[rs.type_label](rs.rank))
 
 
 # -- counting ----------------------------------------------------------------
@@ -173,18 +181,20 @@ def count_minimax(rs: RootSystem) -> CountReport:
     (a) the extended-system solution count divided by the index of
     connection (divisibility is asserted, not assumed); (b) the number
     of solutions passing the coroot-lattice congruence.  The two must
-    agree or the implementation is broken.
+    agree or the implementation is broken.  Both are read off
+    `laurent_coefficient`, (b) with the congruence forms (y_0 weighs 0).
     """
-    ext = solve_extended_system(rs)
+    cs = (rs.c0,) + rs.theta_coords
     f = rs.index_of_connection
-    total = len(ext)
+    total = laurent_coefficient(cs, 1)
     quot, rem = divmod(total, f)
     if rem:
         raise ArithmeticError(
             "index of connection %d does not divide the solution count %d for %s%d"
             % (f, total, rs.type_label, rs.rank)
         )
-    filtered = sum(1 for y in ext if congruence_filter(rs, y))
+    forms = [((0,) + w, m) for w, m in CONGRUENCES[rs.type_label](rs.rank)]
+    filtered = laurent_coefficient(cs, 1, forms)
     if filtered != quot:
         raise ArithmeticError(
             "congruence count %d != quotient count %d for %s%d"

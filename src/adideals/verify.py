@@ -322,9 +322,6 @@ def suite_bijections():
     return rows
 
 
-SUITE_NAMES = ("motzkin", "animals", "soD", "exceptional", "f4table", "formulas",
-               "bijections", "heisenberg")
-
 _SUITES = {
     "motzkin": suite_motzkin,
     "animals": suite_animals,
@@ -335,6 +332,7 @@ _SUITES = {
     "bijections": suite_bijections,
     "heisenberg": suite_heisenberg,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str):

@@ -50,6 +50,10 @@ def test_laurent_examples():
     assert L.laurent_coefficient((1, 1, 1), 1) == 6
     assert L.laurent_coefficient((1,), 0) == 1
     assert L.laurent_coefficient((1, 2, 3, 4, 5, 6, 4, 2, 3), 1) == 834
+    # the x^1 terms of (x^-1 + 1 + x)^2 are y = (1, 0) and (0, 1); a form
+    # (weights, modulus) keeps those with sum w_i y_i = 0 mod the modulus
+    assert L.laurent_coefficient((1, 1), 1, [((1, 0), 2)]) == 1
+    assert L.laurent_coefficient((1, 1), 1, [((1, 1), 3)]) == 0
 
 
 @pytest.mark.parametrize("label,rank", systems_up_to(8))
@@ -108,6 +112,40 @@ def test_congruence_matches_coroot_lattice_membership(label, rank):
     for y in L.solve_extended_system(rs):
         point = L.coweight_point(rs, y[1:])
         assert L.congruence_filter(rs, y) == rs.in_coroot_lattice(point)
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(8))
+def test_count_minimax_never_sweeps(label, rank, monkeypatch):
+    # the value the sweep oracle gives, then the count with the sweep barred
+    rs = build(label, rank)
+    oracle = sum(1 for y in L.solve_extended_system(rs) if L.congruence_filter(rs, y))
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("count_minimax swept the lattice")
+
+    monkeypatch.setattr(L, "solve_extended_system", no_sweep)
+    monkeypatch.setattr(L.itertools, "product", no_sweep)
+    assert L.count_minimax(rs).value == oracle
+
+
+@pytest.mark.parametrize("n", range(12, 26))
+def test_count_minimax_high_ranks_match_closed_forms(n):
+    assert L.count_minimax(build("A", n)).value == L.motzkin(n)
+    assert L.count_minimax(build("B", n)).value == L.directed_animals(n)
+    assert L.count_minimax(build("C", n)).value == L.directed_animals(n)
+    assert L.count_minimax(build("D", n)).value == L.minimax_count_D(n)
+
+
+@pytest.mark.parametrize("label,rank,wrong", [
+    ("A", 4, []),
+    ("E6", 6, [((1, 0, 0, 0, 0, 0), 3)]),
+    ("D", 6, [((0, 0, 0, 0, 1, 1), 2)]),
+])
+def test_count_minimax_catches_a_wrong_congruence(label, rank, wrong, monkeypatch):
+    # route (b) reads the congruence table and route (a) does not
+    monkeypatch.setitem(L.CONGRUENCES, label, lambda p: wrong)
+    with pytest.raises(ArithmeticError, match="congruence count"):
+        L.count_minimax(build(label, rank))
 
 
 def test_count_minimax_smoke():
