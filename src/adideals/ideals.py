@@ -18,12 +18,17 @@ partial sum is again a root, so binary splits lose nothing.  The splits
 are `RootSystem.decompositions`, found by subtracting from each root the
 roots below it; `power` reads them and `is_abelian` the partner masks.
 
-Each split of a root has both parts at lower root indices, so both
-programs fill in root-index order.  `is_minimax` runs them together in
-one pass over the members and returns at the first member where
-k - 1 != l.  The full tables, `_l_table` and `_k_table`, are kept: `w_min`
-and `w_max` read them, and they are the oracle the fused test is checked
-against.
+Each split of a root has both parts at lower root indices, so k fills
+in root-index order.  So does l, and on an ideal whose members below m
+all have l = k - 1, l(m) is read off the k-values of the member-member
+splits of m.  `_first_minimax_failure` therefore scans the members in
+index order with the k-table alone and stops at the first member where
+k - 1 != l.  `is_minimax` is that scan from the lowest root, and
+`enumerate_ideals` runs it inside its walk, where a child shares its
+parent's k-values below the generator it adds and a failure prunes the
+children that cannot mend it.  The full tables, `_l_table` and
+`_k_table`, are kept: `w_min` and `w_max` read them, and they are the
+oracle the scan is checked against.
 """
 
 from collections import namedtuple
@@ -246,36 +251,47 @@ def k_value(gamma: Root, ideal: Ideal) -> int:
     return _k_table(ideal)[ideal.rs.index_of(gamma)]
 
 
+def _first_minimax_failure(decs, k, mask, start):
+    """The first member at index >= start where k - 1 != l, or -1 if none.
+
+    k holds the k-values of the roots below start and 1 at and above it;
+    the scan fills in the members it passes.  Every member it has passed,
+    or that lies below start, satisfies l = k - 1, and a split has both
+    parts in the ideal iff both k-values exceed 1 (k is 1 off the ideal,
+    at least 2 on a strictly positive one), so l needs no table of its own:
+    l(m) = max(1, k[a] + k[b] - 2 over the member-member splits (a, b)).
+    """
+    rest = mask >> start << start
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        m = low.bit_length() - 1
+        # k(m) = kmin, the least k[a] + k[b]; l(m) = top - 2, where top is
+        # the largest k[a] + k[b] over member-member splits, or 3 if larger
+        kmin, top = len(k), 3
+        for a, b in decs[m]:
+            ka, kb = k[a], k[b]
+            s = ka + kb
+            if s < kmin:
+                kmin = s
+            if s > top and ka > 1 and kb > 1:
+                top = s
+        if kmin + 1 != top:
+            return m
+        k[m] = kmin
+    return -1
+
+
 def is_minimax(ideal: Ideal) -> bool:
     """Strictly positive with k(gamma,I) - 1 = l(gamma,I) for every member.
 
-    One pass over the members in root-index order fills both dynamic
-    programs of `_l_table` and `_k_table` and stops at the first member
-    where they disagree.
+    One pass over the members in root-index order fills the k-table and
+    stops at the first member where k - 1 and l disagree.
     """
     rs, mask = ideal.rs, ideal.mask
     if mask & rs.simple_mask:
         return False
-    decs = rs.decompositions
-    n = rs.num_positive
-    # k is 1 off I; l is -n off I, so a split with a non-member part sums to
-    # less than 1 (every l-value is below n) and never beats the default 1
-    k = [1] * n
-    l = [-n] * n
-    for m in _iter_bits(mask):
-        kb, lb = n, 1
-        for a, b in decs[m]:
-            s = k[a] + k[b]
-            if s < kb:
-                kb = s
-            s = l[a] + l[b]
-            if s > lb:
-                lb = s
-        if kb - 1 != lb:
-            return False
-        k[m] = kb
-        l[m] = lb
-    return True
+    return _first_minimax_failure(rs.decompositions, [1] * rs.num_positive, mask, 0) < 0
 
 
 @lru_cache(maxsize=None)
@@ -297,28 +313,12 @@ def is_heisenberg_contained(ideal: Ideal) -> bool:
     return not ideal.mask & ~heisenberg_root_mask(ideal.rs)
 
 
-def _ideal_masks(rs: RootSystem):
-    """The mask of every ideal, depth-first over its antichain of generators."""
-    incomp = rs.incomparability_masks
-    up = rs.up_masks
-    full = (1 << rs.num_positive) - 1
-
-    def rec(mask, cand):
-        yield mask
-        rest = cand
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            i = low.bit_length() - 1
-            yield from rec(mask | up[i], rest & incomp[i])
-
-    yield from rec(0, full)
-
-
-# class name -> predicate on an Ideal.  The tests that read only the mask
-# come first, so a filtered sweep runs them before the l/k tables.  Each
-# predicate looks its module function up when called, so a wrapper put on
-# that function (a profiler, a counter) sees every call.
+# class name -> predicate on an Ideal.  `enumerate_ideals` calls the
+# abelian, nontrivial and non-abelian predicates through this table, so a
+# wrapper put on `is_abelian` (a profiler, a counter) sees those calls.  It
+# never calls the others: the minimax test runs inside its walk, and the
+# strictly positive and Heisenberg-contained classes only narrow the
+# generators it tries.
 CLASSES = {
     "all": None,
     "strictly_positive": lambda ideal: is_strictly_positive(ideal),
@@ -336,24 +336,69 @@ def enumerate_ideals(rs: RootSystem, which="all"):
     `which` is a name from `CLASSES` or a collection of them; an ideal is
     kept when it is in every named class.  The order is depth-first over
     antichains sorted by generator index, so identical calls always
-    produce the identical stream.
+    produce the identical stream, and asking for classes only drops
+    ideals from the unfiltered stream.
+
+    The walk skips the subtrees that hold no kept ideal.  A child adds a
+    generator j, and with it only roots at index >= j.  Strictly positive
+    and Heisenberg-contained ideals are those inside a fixed ideal, so
+    only its roots are tried as generators.  Every ideal above a
+    non-abelian one is non-abelian, so when abelian is asked for, a
+    non-abelian node ends its subtree.  For minimax, k and l of a root
+    read only the roots below it: a child inherits its parent's k-values
+    below j and scans from j, and if the node fails first at member f, so
+    does every descendant that adds no generator below f, so only the
+    children that can add one are entered.
     """
     names = {which} if isinstance(which, str) else set(which)
     unknown = sorted(names - CLASSES.keys())
     if unknown:
         raise ValueError("unknown filter %r; expected one of %s"
                          % (unknown[0], tuple(CLASSES)))
-    preds = [pred for name, pred in CLASSES.items() if name in names and pred]
-    for mask in _ideal_masks(rs):
+    n = rs.num_positive
+    up, incomp, below = rs.up_masks, rs.incomparability_masks, rs.strict_down_masks
+    cand = (1 << n) - 1
+    if names & {"strictly_positive", "minimax"}:
+        cand &= ~rs.simple_mask
+    if "heisenberg_contained" in names:
+        cand &= heisenberg_root_mask(rs)
+    cut = CLASSES["abelian"] if "abelian" in names else None
+    keep = [CLASSES[name] for name in ("nontrivial", "non_abelian") if name in names]
+    minimax = "minimax" in names
+    decs = rs.decompositions if minimax else None
+    ones = [1] * n
+
+    # depth-first with an explicit stack: a node's children are pushed
+    # highest generator first, so they pop in generator-index order
+    stack = [(0, cand, ones[:], 0)]
+    push = stack.append
+    while stack:
+        mask, cand, k, start = stack.pop()
         # a union of up-sets is upward closed, so the check in Ideal is skipped
         ideal = object.__new__(Ideal)
         ideal.rs = rs
         ideal.mask = mask
-        for pred in preds:
-            if not pred(ideal):
-                break
-        else:
-            yield ideal
+        if cut and not cut(ideal):
+            continue
+        f = _first_minimax_failure(decs, k, mask, start) if minimax else -1
+        if f < 0:
+            for pred in keep:
+                if not pred(ideal):
+                    break
+            else:
+                yield ideal
+        # a subtree fails at f unless it adds a generator below f; with no
+        # failure, every child meets -1
+        rescue = below[f] if f >= 0 else -1
+        higher = 0
+        while cand:
+            j = cand.bit_length() - 1
+            bit = 1 << j
+            cand ^= bit
+            sub = higher & incomp[j]
+            higher |= bit
+            if rescue & (bit | sub):
+                push((mask | up[j], sub, k[:j] + ones[j:] if minimax else None, j))
 
 
 ShiConstraint = namedtuple("ShiConstraint", "root relation bound")

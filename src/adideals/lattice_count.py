@@ -114,15 +114,27 @@ def laurent_coefficient(cs, k: int, forms=()) -> int:
     only the terms x^(sum c_i y_i) with every sum w_i y_i = 0 mod modulus.
     """
     zero = (0,) * len(forms)
+    mods = [m for _, m in forms]
+    # reach[i]: the most the factors from i on can still move the exponent,
+    # so a state further than that from k is dropped
+    reach = list(itertools.accumulate(reversed([abs(c) for c in cs]), initial=0))[::-1]
     poly = {(0, zero): 1}
     for i, c in enumerate(cs):
-        steps = [(d * c, tuple(d * w[i] for w, _ in forms)) for d in (-1, 0, 1)]
+        weights = [w[i] for w, _ in forms]
+        # the residue step of y_i = -1 and +1, once per residue vector
+        ress = {res for _, res in poly}
+        steps = [(d * c, {r: tuple((x + d * w) % m for x, w, m in zip(r, weights, mods))
+                          for r in ress})
+                 for d in (-1, 1)]
+        lo, hi = k - reach[i + 1], k + reach[i + 1]
         nxt = {}
         for (e, res), v in poly.items():
-            for de, dr in steps:
-                key = (e + de, tuple((r + s) % m
-                                     for r, s, (_, m) in zip(res, dr, forms)))
-                nxt[key] = nxt.get(key, 0) + v
+            if lo <= e <= hi:
+                nxt[e, res] = nxt.get((e, res), 0) + v
+            for de, moved in steps:
+                if lo <= e + de <= hi:
+                    key = (e + de, moved[res])
+                    nxt[key] = nxt.get(key, 0) + v
         poly = nxt
     return poly.get((k, zero), 0)
 

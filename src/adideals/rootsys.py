@@ -241,12 +241,12 @@ def _decompositions(roots, index, strict_down):
 class RootSystem:
     """Immutable Cartan/root data for one simple type.
 
-    Everything is computed once at construction: the positive roots in
-    their deterministic order, the highest root, exponents, the root
-    lengths, the poset masks, and the two-root decompositions with the
-    partner masks read off them.  Inner products and pairings are computed
-    on demand from one integer Gram matrix, and the fundamental coweights
-    on first use.  Use the module-level `build`
+    Computed once at construction: the positive roots in their
+    deterministic order, the highest root, exponents, the root lengths and
+    the poset masks.  The two-root decompositions, the partner masks read
+    off them and the fundamental coweights are computed on first use, since
+    counting reads none of them.  Inner products and pairings are computed
+    on demand from one integer Gram matrix.  Use the module-level `build`
     (which caches) rather than the constructor.
     """
 
@@ -329,15 +329,20 @@ class RootSystem:
         full = (1 << n) - 1
         self.incomparability_masks = tuple(full & ~(u | d) for u, d in zip(up, down))
 
-        self.decompositions = _decompositions(
-            self.positive_roots, self._index, self.strict_down_masks)
-        # bit j of partner_masks[i] is set iff gamma_i + gamma_j is a root
-        partners = [0] * n
+    @cached_property
+    def decompositions(self):
+        """Per root k, the pairs (a, b), a <= b, of root indices summing to it."""
+        return _decompositions(self.positive_roots, self._index, self.strict_down_masks)
+
+    @cached_property
+    def partner_masks(self):
+        """Bit j of partner_masks[i] is set iff gamma_i + gamma_j is a root."""
+        partners = [0] * self.num_positive
         for pairs in self.decompositions:
             for a, b in pairs:
                 partners[a] |= 1 << b
                 partners[b] |= 1 << a
-        self.partner_masks = tuple(partners)
+        return tuple(partners)
 
     @cached_property
     def coweight_basis(self):

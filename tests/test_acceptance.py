@@ -58,7 +58,7 @@ def test_criterion_3_type_D():
         reversed_form = 2 * L.directed_animals(n - 1) + L.directed_animals(n - 2)
         assert reversed_form != value
     run_rows("soD")
-    report(3, "D_n minimax = 9,23,61,166,459 with enumeration at n=4,5")
+    report(3, "D_n minimax = 9,23,61,166,459 with enumeration at n=4..8")
 
 
 def test_criterion_4_exceptional():

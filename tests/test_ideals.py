@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 
 from adideals.rootsys import Root, build
@@ -191,6 +193,37 @@ def test_e8_minimax_enumeration_matches_two_table_filter():
     slow = [ideal.mask for ideal in I.enumerate_ideals(rs) if two_table_is_minimax(ideal)]
     assert len(fast) == 834
     assert fast == slow
+
+
+# the oracle of each class: the two-table minimax test, else the class's own
+# predicate on an ideal of the unpruned walk
+ORACLES = {
+    "minimax": two_table_is_minimax,
+    "abelian": I.is_abelian,
+    "non_abelian": lambda ideal: not I.is_abelian(ideal),
+    "strictly_positive": I.is_strictly_positive,
+    "heisenberg_contained": I.is_heisenberg_contained,
+    "nontrivial": lambda ideal: ideal.mask != 0,
+}
+PRUNED_CLASSES = [
+    ("minimax",), ("abelian",), ("strictly_positive",), ("heisenberg_contained",),
+    ("minimax", "non_abelian"), ("minimax", "abelian"),
+    ("heisenberg_contained", "nontrivial"), ("abelian", "heisenberg_contained"),
+]
+
+
+@lru_cache(maxsize=None)
+def unpruned_ideals(label, rank):
+    return list(I.enumerate_ideals(build(label, rank)))
+
+
+@pytest.mark.parametrize("classes", PRUNED_CLASSES, ids=",".join)
+@pytest.mark.parametrize("label,rank", systems_up_to(6) + [("E7", 7)])
+def test_pruned_walk_matches_filtered_unpruned_walk(label, rank, classes):
+    pruned = [ideal.mask for ideal in I.enumerate_ideals(build(label, rank), classes)]
+    filtered = [ideal.mask for ideal in unpruned_ideals(label, rank)
+                if all(ORACLES[name](ideal) for name in classes)]
+    assert pruned == filtered
 
 
 @pytest.mark.parametrize("label,rank", systems_up_to(4))
