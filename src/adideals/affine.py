@@ -375,9 +375,12 @@ def _layer_roots(ideal: Ideal, top):
     return out
 
 
-def w_min(ideal: Ideal) -> AffineWeylElement:
-    """The minimal element whose first layer ideal is I."""
-    return element_from_inversions(ideal.rs, _layer_roots(ideal, _ideals._l_table(ideal)))
+def w_min(ideal: Ideal, l_table=None) -> AffineWeylElement:
+    """The minimal element whose first layer ideal is I; `l_table`, if given,
+    is `ideals._l_table(ideal)`, already computed."""
+    if l_table is None:
+        l_table = _ideals._l_table(ideal)
+    return element_from_inversions(ideal.rs, _layer_roots(ideal, l_table))
 
 
 def w_max(ideal: Ideal) -> AffineWeylElement:

@@ -3,10 +3,15 @@
 Exit codes: 0 on success, 1 on a verification mismatch, 2 on usage
 errors (including refused oversized dumps).  Output is deterministic:
 identical invocations produce identical bytes.
+
+`main` builds the argument parser on its first call and reuses it for the
+rest of the process: `parse_args` leaves the parser unchanged, and help
+text is formatted when printed.  `make_parser` still builds a fresh one.
 """
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -64,7 +69,8 @@ MAX_CLASSIFY_WORK = 100_000_000
 def ideal_record(ideal: I.Ideal) -> dict:
     """Full classification record of one ideal (schema ideal-record/v1)."""
     rs = ideal.rs
-    w = A.w_min(ideal)
+    lt = I._l_table(ideal)
+    w = A.w_min(ideal, lt)
     nu, level = A.rootlet(w)
     point = A.lattice_image(w)
     y = [rs.pair_root_coroot(rs.alpha(i).coords, point) for i in range(rs.rank)]
@@ -76,7 +82,9 @@ def ideal_record(ideal: I.Ideal) -> dict:
         "minimax": I.is_minimax(ideal),
         "heisenberg_contained": I.is_heisenberg_contained(ideal),
         "rootlet": {"level": level, "root": list(nu.coords)},
-        "length_min": A.length(w),
+        # l(gamma, I) >= 1 on the members and None off them; w_min has
+        # m*delta - gamma as an inversion for each 1 <= m <= l(gamma, I)
+        "length_min": sum(filter(None, lt)),
         "lattice_image": list(point),
         "y": y,
     }
@@ -329,6 +337,11 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first `main` call, not at import; a functools cache, so that
+# clearing the package's caches makes the next call build it afresh
+_parser = functools.cache(make_parser)
+
+
 _HANDLERS = {
     "enumerate": cmd_enumerate,
     "classify": cmd_classify,
@@ -359,7 +372,7 @@ def _write_atomically(path: str, text: str) -> None:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.out:
             buf = io.StringIO()

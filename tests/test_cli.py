@@ -1,3 +1,4 @@
+import argparse
 import errno
 import json
 import os
@@ -8,9 +9,11 @@ import time
 import jsonschema
 import pytest
 
+from adideals import affine as A
 from adideals import cli
 from adideals import ideals as I
 from adideals.rootsys import build
+from helpers import systems_up_to
 
 
 def run(argv, capsys):
@@ -361,3 +364,102 @@ def test_filter_before_build_equals_build_then_filter(label, rank, klass, capsys
     assert payload["class"] == klass
     assert payload["records"] == expected
     assert payload["count"] == len(expected)
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(5) + [("E6", 6)])
+def test_length_min_is_the_length_of_w_min(label, rank):
+    # ideal_record reads length_min off the l-table; affine.length is the oracle
+    for ideal in I.enumerate_ideals(build(label, rank)):
+        assert cli.ideal_record(ideal)["length_min"] == A.length(A.w_min(ideal))
+
+
+def _outcomes(argvs, capsys):
+    """(exit code, stdout, stderr) of each `cli.main` call, usage errors included."""
+    out = []
+    for argv in argvs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+def test_main_builds_one_parser_tree_for_many_calls(capsys, monkeypatch):
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.make_parser()
+    tree = len(made)
+    assert tree == 1 + len(cli._HANDLERS)  # the top level and one per subcommand
+    made.clear()
+    cli._parser.cache_clear()
+    argvs = [["count", "--type", "A", "--rank", "3", "--quantity", q]
+             for q in ("AD", "AD0", "minimax")]
+    assert [code for code, _, _ in _outcomes(argvs, capsys)] == [0, 0, 0]
+    assert len(made) == tree
+    assert cli._parser.cache_info().misses == 1
+
+
+# usage errors (exit 2 from argparse), a ValueError (exit 2 from main) and
+# valid calls, interleaved
+MIXED_CALLS = [
+    ["count", "--type", "A", "--rank", "x", "--quantity", "AD"],
+    ["count", "--type", "B", "--rank", "3", "--quantity", "minimax", "--format", "json"],
+    ["bogus"],
+    ["enumerate", "--type", "A", "--rank", "2", "--format", "csv"],
+    ["count", "--type", "G2", "--rank", "2", "--quantity", "AD", "--class", "all"],
+    [],
+    ["count", "--type", "D", "--rank", "3", "--quantity", "AD"],
+    ["classify", "--type", "A", "--rank", "2", "--generators", "[[1,1]]"],
+    ["enumerate", "--type", "C", "--rank", "3", "--class", "minimax"],
+    ["tables", "--which", "sequences"],
+]
+
+
+def test_cached_parser_after_usage_errors_matches_fresh_parsers(capsys, monkeypatch):
+    cli._parser.cache_clear()
+    cached = _outcomes(MIXED_CALLS, capsys)
+    assert [code for code, _, _ in cached] == [2, 0, 2, 0, 2, 2, 2, 0, 0, 0]
+    monkeypatch.setattr(cli, "_parser", cli.make_parser)  # a fresh parser per call
+    assert _outcomes(MIXED_CALLS, capsys) == cached
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["count", "--help"], ["enumerate", "-h"]])
+def test_help_of_the_cached_parser_matches_a_fresh_one(argv, capsys, monkeypatch):
+    # help is formatted when printed, so a parser built at one width prints
+    # at the width of the moment
+    monkeypatch.setenv("COLUMNS", "200")
+    cli._parser.cache_clear()
+    assert cli._parser().format_help() == cli.make_parser().format_help()
+    wide = _outcomes([argv], capsys)
+    monkeypatch.setenv("COLUMNS", "50")
+    cached = _outcomes([argv], capsys)
+    assert cached != wide
+    assert cached[0][0] == 0 and cached[0][1].startswith("usage: adideals")
+    monkeypatch.setattr(cli, "_parser", cli.make_parser)
+    assert _outcomes([argv], capsys) == cached
+
+
+def test_parser_cache_is_lazy_and_cleared_with_the_package_caches():
+    # not built at import: the cold start of a process pays nothing for it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from adideals import cli; print(cli._parser.cache_info().currsize)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout == "0\n", proc.stderr
+    # emptying every cache_clear-able name of the module drops the parser too
+    cli._parser()
+    for value in list(vars(cli).values()):
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+    assert cli._parser.cache_info().currsize == 0

@@ -4,6 +4,8 @@ E7 and E8 for the minimax test.
 Derandomised, so every run draws the same examples.
 """
 
+import json
+
 from hypothesis import given, settings, strategies as st
 
 from adideals import affine as A
@@ -47,6 +49,22 @@ def test_w_min_properties(ideal):
     winv = w.inverse()
     assert winv == affine_inverse(w)
     assert (w * winv).is_identity()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(ideals())
+def test_ideal_round_trips(ideal):
+    assert I.ideal_of(I.generators(ideal)) == ideal
+    record = json.loads(json.dumps(I.ideal_to_record(ideal)))
+    assert I.ideal_from_record(record) == ideal
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(ideals())
+def test_element_record_round_trip(ideal):
+    w = A.w_min(ideal)
+    record = json.loads(json.dumps(A.element_to_record(w)))
+    assert A.element_from_record(ideal.rs, record) == w
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)

@@ -1,9 +1,14 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import adideals
 from adideals.rootsys import Root, RootSystem, build
 from adideals.ideals import heisenberg_root_mask
 from helpers import (
@@ -93,6 +98,48 @@ def test_non_int_rank_rejected(rank):
 def test_unhashable_type_rejected():
     with pytest.raises(ValueError, match="type must be a str"):
         build(["A"], 3)
+
+
+# every (type, rank) that `adideals --type/--rank` accepts, wide of each
+# type's valid ranks
+CLI_PAIRS = ([(label, rank) for label in "ABCD" for rank in range(-2, 13)]
+             + [(label, rank) for label in ("E6", "E7", "E8", "F4", "G2")
+                for rank in range(5, 10)])
+
+
+def _build_outcome(label, rank):
+    try:
+        build(label, rank)
+    except ValueError:
+        return "ValueError"
+    return "built"
+
+
+def test_no_cli_reachable_system_trips_an_assert():
+    # an AssertionError would escape _build_outcome and fail the test
+    outcomes = {pair: _build_outcome(*pair) for pair in CLI_PAIRS}
+    assert outcomes[("A", 12)] == outcomes[("D", 4)] == outcomes[("E7", 7)] == "built"
+    assert outcomes[("A", 0)] == outcomes[("D", 3)] == outcomes[("F4", 5)] == "ValueError"
+    # `python -O` strips asserts; the rejected pairs must still be rejected
+    rejected = sorted(pair for pair, outcome in outcomes.items() if outcome == "ValueError")
+    code = "\n".join([
+        "import json, sys",
+        "from adideals.rootsys import build",
+        "assert False, 'asserts are on'",
+        "for label, rank in json.loads(sys.argv[1]):",
+        "    try:",
+        "        build(label, rank)",
+        "    except ValueError:",
+        "        continue",
+        "    raise SystemExit('%s%d was built' % (label, rank))",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(adideals.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code, json.dumps(rejected)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_low_rank_coincidences_are_distinct_labels():
