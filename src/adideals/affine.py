@@ -6,13 +6,15 @@ coroot lattice.  The linear action on affine roots is
 
     w(k*delta + mu) = (k - (mu, r))*delta + v(mu),
 
-and the affine-linear action on V is w * x = v(x + r).  Inversion sets
-are computed in closed form from (mu, r) and the sign of v(mu), with no
-level scanning.
+and the affine-linear action on V is w * x = v(x + r).  Inversion sets,
+lengths, dominance and first layers are read off one shift per positive
+root mu, s(mu) = (mu, r) + [v(mu) < 0], with no level scanning.
 
 One kernel, `_grow`, grows u from the identity by left multiplications
 u -> s_i u along a given word or one inversion at a time, so the same
-loop serves inversion sets, words, reduced words, products and inverses.
+loop serves words, inversion sets, products and inverses.  Reduced words
+are peeled off the images w(alpha_j) of the affine simple roots, moved by
+the same Cartan-column step.
 
 The minimal element of an ideal I is the one whose inversion set is
 {m*delta - gamma : gamma in I, 1 <= m <= l(gamma, I)}; the maximal
@@ -37,7 +39,7 @@ __all__ = [
     "is_dominant", "is_minimal", "is_maximal", "is_minimax_element",
     "is_minimax", "reduced_word", "element_from_word",
     "element_from_inversions", "w_min", "w_max", "rootlet",
-    "first_layer_ideal", "generators_via_w", "xi_via_w", "lattice_image",
+    "first_layer_ideal", "generators_via_w", "xi_via_w", "lattice_image", "y_coordinates",
     "alcove_barycenter", "alcove_image_barycenter",
     "element_to_record", "element_from_record",
 ]
@@ -52,9 +54,7 @@ class FiniteWeylElement:
         self.matrix = tuple(tuple(row) for row in matrix)
 
     def act(self, vec):
-        return tuple(
-            sum(row[j] * vec[j] for j in range(len(vec)) if vec[j]) for row in self.matrix
-        )
+        return tuple(sum(map(mul, row, vec)) for row in self.matrix)
 
     def is_identity(self) -> bool:
         return all(
@@ -85,13 +85,9 @@ def reflection(rs: RootSystem, root: Root) -> FiniteWeylElement:
     return FiniteWeylElement(rows)
 
 
-def _coords_negative(coords) -> bool:
-    return any(c < 0 for c in coords)
-
-
 def finite_inversions(rs: RootSystem, v: FiniteWeylElement):
     """Positive roots sent to negative roots by v."""
-    return [r for r in rs.positive_roots if _coords_negative(v.act(r.coords))]
+    return [mu for mu, s in zip(rs.positive_roots, _shifts(finite_element(rs, v))) if s]
 
 
 def finite_length(rs: RootSystem, v: FiniteWeylElement) -> int:
@@ -111,11 +107,11 @@ class AffineWeylElement:
     def __mul__(self, other: "AffineWeylElement") -> "AffineWeylElement":
         if self.rs is not other.rs:
             raise ValueError("cannot multiply elements of %r and %r" % (self.rs, other.rs))
-        return _grow(self.rs, (reduced_word(self) + reduced_word(other))[::-1])[0]
+        return _grow(self.rs, (reduced_word(self) + reduced_word(other))[::-1])
 
     def inverse(self) -> "AffineWeylElement":
         # s_{a_k} ... s_{a_1} for the reduced word a_1 ... a_k of self
-        return _grow(self.rs, reduced_word(self))[0]
+        return _grow(self.rs, reduced_word(self))
 
     def is_identity(self) -> bool:
         return self.v.is_identity() and not any(self.r)
@@ -175,55 +171,55 @@ def act_point(w: AffineWeylElement, x):
     return w.v.act(shifted)
 
 
-def inversion_set(w: AffineWeylElement):
-    """N(w) = positive affine roots sent negative; exact, no level scan.
+def _shifts(w: AffineWeylElement, roots=None):
+    """s(mu) = (mu, r) + [v(mu) < 0] for each of the given roots, by default
+    every positive root in root order.
 
-    For mu a finite root, w(k*delta + mu) is negative exactly for
-    k < (mu, r), plus k = (mu, r) when v(mu) < 0, so each mu
-    contributes a closed run of levels.
+    w(k*delta + mu) = (k - (mu, r))*delta + v(mu) is negative exactly for
+    k < s(mu), and w(k*delta - mu) exactly for k < 1 - s(mu), so N(w) holds
+    the levels 0..s-1 of mu when s > 0 and 1..-s of -mu when s < 0.  The
+    root v(mu) has the sign of its height, so s is read off the (alpha_j, r)
+    and the heights of v(alpha_j) alone.
     """
     rs = w.rs
-    out = []
-    for root in rs.positive_roots:
-        for mu, lo in ((root.coords, 0), (tuple(-c for c in root.coords), 1)):
-            t = rs.pair_root_coroot(mu, w.r) if any(w.r) else 0
-            hi = t if _coords_negative(w.v.act(mu)) else t - 1
-            for k in range(lo, hi + 1):
-                out.append(AffineRoot(k, mu))
+    levels = [rs.pair_root_coroot(a.coords, w.r) for a in rs.simple_roots()]
+    heights = [sum(col) for col in zip(*w.v.matrix)]
+    return [sum(map(mul, mu.coords, levels)) + (sum(map(mul, mu.coords, heights)) < 0)
+            for mu in (rs.positive_roots if roots is None else roots)]
+
+
+def inversion_set(w: AffineWeylElement):
+    """N(w) = positive affine roots sent negative, read off `_shifts`."""
+    out = [AffineRoot(k, mu.coords) if s > 0 else AffineRoot(k, tuple(-c for c in mu.coords))
+           for mu, s in zip(w.rs.positive_roots, _shifts(w))
+           for k in (range(s) if s > 0 else range(1, 1 - s))]
     out.sort(key=lambda b: (b.level, b.finite))
     return out
 
 
 def length(w: AffineWeylElement) -> int:
-    """|N(w)|, summing the runs of `inversion_set` in closed form.
-
-    A positive root mu and its negative together contribute
-    |(mu, r) + [v(mu) < 0]| affine roots; v(mu) is a root, so its sign is
-    that of its height.
-    """
-    rs = w.rs
-    levels = [rs.pair_root_coroot(a.coords, w.r) for a in rs.simple_roots()]
-    heights = [sum(col) for col in zip(*w.v.matrix)]  # heights of v(alpha_j)
-    return sum(
-        abs(sum(map(mul, root.coords, levels)) + (sum(map(mul, root.coords, heights)) < 0))
-        for root in rs.positive_roots
-    )
+    """|N(w)| = the sum of |s(mu)| over the positive roots."""
+    return sum(map(abs, _shifts(w)))
 
 
 def is_dominant(w: AffineWeylElement) -> bool:
-    """w(alpha) > 0 for every finite simple root alpha."""
-    return all(act_affine_root(w, simple_affine_root(w.rs, i)).is_positive()
-               for i in range(1, w.rs.rank + 1))
+    """w(alpha) > 0 for every finite simple root alpha, i.e. s(alpha) <= 0."""
+    return all(s <= 0 for s in _shifts(w, w.rs.simple_roots()))
+
+
+def y_coordinates(w: AffineWeylElement):
+    """y_i = (alpha_i, v(r)) for i = 1..p: the coweight coordinates of
+    `lattice_image(w)`, and the delta-coefficients of w^{-1}(alpha_i)."""
+    rs = w.rs
+    point = w.v.act(w.r)
+    return [rs.pair_root_coroot(a.coords, point) for a in rs.simple_roots()]
 
 
 def _inverse_simple_levels(w: AffineWeylElement):
-    """delta-coefficients of w^{-1}(alpha_i) for i = 0..p."""
-    rs = w.rs
-    vr = w.v.act(w.r)
-    levels = [1 - rs.pair_root_coroot(rs.theta_coords, vr)]
-    for i in range(rs.rank):
-        levels.append(rs.pair_root_coroot(rs.alpha(i).coords, vr))
-    return levels
+    """delta-coefficients of w^{-1}(alpha_i) for i = 0..p; that of
+    w^{-1}(alpha_0) = w^{-1}(delta - theta) is 1 - sum theta_i y_i."""
+    y = y_coordinates(w)
+    return [1 - sum(map(mul, w.rs.theta_coords, y))] + y
 
 
 def is_minimal(w: AffineWeylElement) -> bool:
@@ -235,17 +231,35 @@ def is_maximal(w: AffineWeylElement) -> bool:
 
 
 def is_minimax_element(w: AffineWeylElement) -> bool:
-    if not is_dominant(w):
-        return False
-    levels = _inverse_simple_levels(w)
-    return min(levels) >= -1 and max(levels) <= 1
+    return is_minimal(w) and max(_inverse_simple_levels(w)) <= 1
 
 
 def reduced_word(w: AffineWeylElement):
-    """A reduced word for w: the steps of the growth of N(w), reversed.  A
-    step may add u^{-1}(alpha_i) iff i is a right descent of w u^{-1}, so the
-    lowest right descent is peeled first."""
-    return _grow(w.rs, target=inversion_set(w))[1][::-1]
+    """A reduced word for w, peeling the lowest right descent first: while
+    some w(alpha_i) is negative, take the lowest such i and replace w by
+    w s_i; the word is the peeled indices reversed.
+
+    Only the p+1 images beta_j = w(alpha_j), packed as in `_grow`, are
+    kept; s_i moves them by `_grow`'s step, since w s_i(alpha_j) =
+    beta_j - (alpha_j, alpha_i^vee) beta_i.  Each peel shortens w by one,
+    and only the identity has no negative image, so this takes length(w)
+    steps.
+    """
+    rs = w.rs
+    weights, simples = _affine_simple_data(rs)
+    beta = [sum(map(mul, (b.level,) + b.finite, weights))
+            for b in (act_affine_root(w, simple_affine_root(rs, j)) for j in range(rs.rank + 1))]
+    peeled = []
+    while True:
+        for i, b in enumerate(beta):
+            if b < 0:
+                break
+        else:
+            return peeled[::-1]
+        peeled.append(i)
+        for j, a in simples[i][3]:
+            beta[j] -= a * b
+        beta[i] = -b
 
 
 def element_from_word(rs: RootSystem, word) -> AffineWeylElement:
@@ -254,16 +268,16 @@ def element_from_word(rs: RootSystem, word) -> AffineWeylElement:
             and all(type(i) is int and 0 <= i <= rs.rank for i in word)):
         raise ValueError("a word is a list of affine simple indices 0..%d, not %r"
                          % (rs.rank, word))
-    return _grow(rs, word[::-1])[0]
+    return _grow(rs, word[::-1])
 
 
-# `_grow` packs each vector it updates into one integer whose signed
-# base-2^64 digits are the entries, most significant first.  Packing is
-# linear, so every update is one integer multiply-add, and a packed affine
-# root (level, coords...) is positive exactly when the integer is.  This
-# needs every entry below the leading one to be under 2^63 in size: such
-# entries are root coordinates, entries of v, or coordinates of r, which
-# are bounded by a multiple of the number of steps.
+# `_grow` and `reduced_word` pack each vector they update into one integer
+# whose signed base-2^64 digits are the entries, most significant first.
+# Packing is linear, so every update is one integer multiply-add, and a
+# packed affine root (level, coords...) is positive exactly when the integer
+# is.  This needs every entry below the leading one to be under 2^63 in
+# size: such entries are root coordinates, entries of v, or coordinates of
+# r, which are bounded by a multiple of the number of steps.
 _SHIFT = 64
 _HALF = 1 << (_SHIFT - 1)
 _MASK = (1 << _SHIFT) - 1
@@ -306,8 +320,8 @@ def _affine_simple_data(rs: RootSystem):
 
 
 def _grow(rs: RootSystem, word=(), target=None):
-    """(u, steps): u = s_{i_k} ... s_{i_1} grown from the identity by left
-    multiplications u -> s_i u, where steps = [i_1, ..., i_k].
+    """u = s_{i_k} ... s_{i_1}, grown from the identity by the left
+    multiplications u -> s_i u of its steps i_1, ..., i_k.
 
     Without a target the steps are the given word.  With a target, a set of
     positive affine roots, each step takes the first i with u^{-1}(alpha_i)
@@ -319,7 +333,8 @@ def _grow(rs: RootSystem, word=(), target=None):
     beta_j -> beta_j - (alpha_j, alpha_i^vee) beta_i, whatever the length of
     u.  The parts of u = v . t_r follow by integer row updates:
     s_i u = (s_i v) . t_r for i >= 1, and s_0 u = (s_theta v) . t_{r + f}
-    with f the finite part of beta_0.
+    with f the finite part of beta_0.  `reduced_word` peels words off
+    w(alpha_j) with the same step.
     """
     weights, simples = _affine_simple_data(rs)
     if target is not None:
@@ -329,7 +344,6 @@ def _grow(rs: RootSystem, word=(), target=None):
     p = rs.rank
     v = list(weights[1:])  # the rows of the identity matrix
     r = 0  # the finite part sits in the p lowest digits
-    steps = []
     for n in range(len(word) if target is None else len(target)):
         if target is None:
             i = word[n]
@@ -342,7 +356,6 @@ def _grow(rs: RootSystem, word=(), target=None):
                 raise ValueError(
                     "the given set is not bi-convex (no simple reflection adds a root of it)"
                 )
-        steps.append(i)
         _, support, pairs, column = simples[i]
         if i == 0:
             r += b
@@ -356,13 +369,13 @@ def _grow(rs: RootSystem, word=(), target=None):
             beta[j] -= a * b
         beta[i] = -b
     matrix = [_unpack(row, p) for row in v]
-    return AffineWeylElement(rs, FiniteWeylElement(matrix), _unpack(r, p)), steps
+    return AffineWeylElement(rs, FiniteWeylElement(matrix), _unpack(r, p))
 
 
 def element_from_inversions(rs: RootSystem, affine_roots) -> AffineWeylElement:
     """The unique element whose inversion set is the given set; raises
     ValueError when the set is no inversion set."""
-    return _grow(rs, target=affine_roots)[0]
+    return _grow(rs, target=affine_roots)
 
 
 def _layer_roots(ideal: Ideal, top):
@@ -391,60 +404,38 @@ def w_max(ideal: Ideal) -> AffineWeylElement:
 
 def rootlet(w: AffineWeylElement):
     """The pair (nu, m) with w(alpha_0) = -m*delta + nu; nu is a long root."""
-    rs = w.rs
-    theta = rs.theta_coords
-    m = -1 - (rs.pair_root_coroot(theta, w.r) if any(w.r) else 0)
-    nu = Root(tuple(-c for c in w.v.act(theta)))
-    return nu, m
+    image = act_affine_root(w, simple_affine_root(w.rs, 0))
+    return Root(image.finite), -image.level
 
 
 def first_layer_ideal(w: AffineWeylElement) -> Ideal:
-    """{mu in Delta^+ : delta - mu in N(w)}; w must be dominant."""
+    """{mu in Delta^+ : delta - mu in N(w)} = {mu : s(mu) <= -1}; w must be
+    dominant."""
     if not is_dominant(w):
         raise ValueError("first layer ideal is defined for dominant elements only")
-    rs = w.rs
-    translated = any(w.r)
-    mask = 0
-    for idx, root in enumerate(rs.positive_roots):
-        t = rs.pair_root_coroot(root.coords, w.r) if translated else 0
-        lvl = 1 + t
-        if lvl < 0 or (lvl == 0 and not _coords_negative(w.v.act(root.coords))):
-            mask |= 1 << idx
-    return Ideal(rs, mask)
+    return Ideal(w.rs, sum(1 << idx for idx, s in enumerate(_shifts(w)) if s <= -1))
 
 
-def _image_of_delta_minus(w, root):
-    return act_affine_root(w, AffineRoot(1, tuple(-c for c in root.coords)))
+def _roots_sent_to(w: AffineWeylElement, targets) -> Antichain:
+    """The positive roots gamma with w(delta - gamma) in targets."""
+    return Antichain(w.rs, [
+        gamma for gamma in w.rs.positive_roots
+        if act_affine_root(w, AffineRoot(1, tuple(-c for c in gamma.coords))) in targets
+    ])
 
 
 def generators_via_w(w: AffineWeylElement) -> Antichain:
     """Generators of I_w read off from w: roots with w(delta - gamma) in -Pi^."""
-    rs = w.rs
     if not is_minimal(w):
         raise ValueError("generators_via_w requires a minimal element")
-    neg_simples = {(-b.level, tuple(-c for c in b.finite))
-                   for b in (simple_affine_root(rs, i) for i in range(rs.rank + 1))}
-    gens = []
-    for root in rs.positive_roots:
-        img = _image_of_delta_minus(w, root)
-        if (img.level, img.finite) in neg_simples:
-            gens.append(root)
-    return Antichain(rs, gens)
+    return _roots_sent_to(w, {-simple_affine_root(w.rs, i) for i in range(w.rs.rank + 1)})
 
 
 def xi_via_w(w: AffineWeylElement) -> Antichain:
     """Xi(I_w) read off from w: roots with w(delta - gamma) in Pi^."""
-    rs = w.rs
     if not is_maximal(w):
         raise ValueError("xi_via_w requires a maximal element")
-    simples = {(b.level, b.finite)
-               for b in (simple_affine_root(rs, i) for i in range(rs.rank + 1))}
-    outs = []
-    for root in rs.positive_roots:
-        img = _image_of_delta_minus(w, root)
-        if (img.level, img.finite) in simples:
-            outs.append(root)
-    return Antichain(rs, outs)
+    return _roots_sent_to(w, {simple_affine_root(w.rs, i) for i in range(w.rs.rank + 1)})
 
 
 def lattice_image(w: AffineWeylElement):

@@ -1,8 +1,8 @@
 """Command line surface: enumerate, classify, count, verify, tables.
 
 Exit codes: 0 on success, 1 on a verification mismatch, 2 on usage
-errors (including refused oversized dumps).  Output is deterministic:
-identical invocations produce identical bytes.
+errors (including refused oversized dumps) and on a closed stdout.
+Output is deterministic: identical invocations produce identical bytes.
 
 `main` builds the argument parser on its first call and reuses it for the
 rest of the process: `parse_args` leaves the parser unchanged, and help
@@ -68,12 +68,9 @@ MAX_CLASSIFY_WORK = 100_000_000
 
 def ideal_record(ideal: I.Ideal) -> dict:
     """Full classification record of one ideal (schema ideal-record/v1)."""
-    rs = ideal.rs
     lt = I._l_table(ideal)
     w = A.w_min(ideal, lt)
     nu, level = A.rootlet(w)
-    point = A.lattice_image(w)
-    y = [rs.pair_root_coroot(rs.alpha(i).coords, point) for i in range(rs.rank)]
     return {
         "generators": [list(r.coords) for r in I.generators(ideal).roots],
         "size": ideal.size,
@@ -85,8 +82,8 @@ def ideal_record(ideal: I.Ideal) -> dict:
         # l(gamma, I) >= 1 on the members and None off them; w_min has
         # m*delta - gamma as an inversion for each 1 <= m <= l(gamma, I)
         "length_min": sum(filter(None, lt)),
-        "lattice_image": list(point),
-        "y": y,
+        "lattice_image": list(A.lattice_image(w)),
+        "y": A.y_coordinates(w),
     }
 
 
@@ -188,7 +185,10 @@ def cmd_enumerate(args, out) -> int:
 
 def cmd_classify(args, out) -> int:
     rs = build(args.type, args.rank)
-    gens = json.loads(args.generators)
+    try:
+        gens = json.loads(args.generators)
+    except RecursionError:
+        raise ValueError("--generators is nested too deeply") from None
     if not (isinstance(gens, list) and all(
             isinstance(g, list) and all(type(c) is int for c in g) for g in gens)):
         raise ValueError("--generators must be a JSON list of integer lists, "
@@ -378,10 +378,17 @@ def main(argv=None) -> int:
             buf = io.StringIO()
             code = _HANDLERS[args.command](args, buf)
             _write_atomically(args.out, buf.getvalue())
+        elif sys.stdout is None:
+            raise ValueError("standard output is closed")
         else:
             code = _HANDLERS[args.command](args, sys.stdout)
+            sys.stdout.flush()
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     return code
 

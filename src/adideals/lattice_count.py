@@ -257,11 +257,13 @@ def count_heisenberg_nontrivial(rs: RootSystem) -> CountReport:
 def haiman_count(rs: RootSystem, t: int) -> int:
     """Coroot-lattice points in the t-dilated closed fundamental alcove.
 
-    Valid whenever gcd(t, h) = 1 (which also makes t coprime to every
-    mark of theta); the formula is prod (t + e_i) / (1 + e_i).  For t
-    sharing a factor with h the product need not even be an integer, so
-    such t are rejected.
+    Valid whenever t >= 1 and gcd(t, h) = 1 (which also makes t coprime
+    to every mark of theta); the formula is prod (t + e_i) / (1 + e_i).
+    Other t are rejected: for t < 0 the dilated alcove is empty, and for t
+    sharing a factor with h the product need not even be an integer.
     """
+    if t < 1:
+        raise ValueError("t = %d is not a positive dilation" % t)
     if math.gcd(t, rs.coxeter_number) != 1:
         raise ValueError(
             "t = %d shares a factor with the Coxeter number %d"

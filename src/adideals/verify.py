@@ -87,10 +87,7 @@ def format_rootlet_action(w) -> str:
 
 def format_y(w) -> str:
     """The coweight coordinates of v(r): y_i = (v(r), alpha_i)."""
-    rs = w.rs
-    point = A.lattice_image(w)
-    ys = [rs.pair_root_coroot(rs.alpha(i).coords, point) for i in range(rs.rank)]
-    return "(%s)" % ",".join(map(str, ys))
+    return "(%s)" % ",".join(map(str, A.y_coordinates(w)))
 
 
 def minimax_table_rows(rs):

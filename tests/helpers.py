@@ -188,6 +188,28 @@ def peel_reduced_word(w):
     return peeled[::-1]
 
 
+def level_scan_inversions(w):
+    """N(w) by scanning levels: every positive k*delta + mu and k*delta - mu
+    (mu > 0) that `act_affine_root` sends negative, sorted as `inversion_set`.
+
+    w(delta) = delta, so w(k*delta + nu) = k*delta + w(nu); the scan of a
+    finite root nu stops at the first k where the image's level is positive,
+    after which every image is positive.
+    """
+    out = []
+    for mu in w.rs.positive_roots:
+        for nu, k in ((mu.coords, 0), (tuple(-c for c in mu.coords), 1)):
+            while True:
+                image = A.act_affine_root(w, AffineRoot(k, nu))
+                if image.level > 0:
+                    break
+                if not image.is_positive():
+                    out.append(AffineRoot(k, nu))
+                k += 1
+    out.sort(key=lambda b: (b.level, b.finite))
+    return out
+
+
 def prescribed_inversions(ideal, maximal=False):
     """The inversion set fixed for w_min(I), or for w_max(I) if `maximal`.
 

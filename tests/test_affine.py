@@ -389,6 +389,20 @@ def test_reduced_word_matches_peel_oracle(label, rank):
             assert A.reduced_word(w) == peel_reduced_word(w)
 
 
+def test_words_products_inverses_and_records_build_no_inversion_set(monkeypatch):
+    rs = build("E6", 6)
+    ideal = I.ideal_of(I.Antichain(rs, [rs.positive_roots[20]]))
+    w, s0 = A.w_min(ideal), A.affine_simple_reflection(rs, 0)
+    expected = (A.reduced_word(w), w.inverse(), w * s0, A.element_to_record(w))
+
+    def no_inversion_set(*args, **kwargs):
+        raise AssertionError("an inversion set was built")
+
+    monkeypatch.setattr(A, "inversion_set", no_inversion_set)
+    assert (A.reduced_word(w), w.inverse(), w * s0, A.element_to_record(w)) == expected
+    assert expected[0] == peel_reduced_word(w)
+
+
 def test_element_equality_is_not_word_equality():
     rs = build("A", 2)
     w1 = A.element_from_word(rs, (1, 2, 1))

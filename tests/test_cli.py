@@ -296,6 +296,8 @@ def test_out_file(tmp_path, capsys):
     ["count", "--type", "A", "--rank", "2", "--quantity", "AD",
      "--out", "{tmp}/missing/x"],
     ["count", "--type", "A", "--rank", "2", "--quantity", "AD", "--out", "{tmp}"],
+    # json.loads raises RecursionError on deep nesting
+    ["classify", "--type", "A", "--rank", "2", "--generators", "[" * 100000],
 ])
 def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -304,6 +306,39 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     assert list(tmp_path.rglob("*")) == []  # no temporary file is left behind
+
+
+def _cli_process(argv, **kwargs):
+    """`python -m adideals.cli argv` in a subprocess, with stderr captured."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "adideals.cli"] + argv, env=dict(os.environ, PYTHONPATH=path),
+        stderr=subprocess.PIPE, text=True, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [
+    # small enough to stay buffered until main flushes it
+    ["enumerate", "--type", "A", "--rank", "3"],
+    # large enough to fail in the middle of the dump
+    ["enumerate", "--type", "E6", "--rank", "6", "--format", "json"],
+])
+def test_closed_pipe_exits_2_without_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = _cli_process(argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    proc = _cli_process(["count", "--type", "A", "--rank", "2", "--quantity", "AD"],
+                        preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: standard output is closed\n"
 
 
 def test_out_file_is_written_whole_or_not_at_all(tmp_path, capsys, monkeypatch):

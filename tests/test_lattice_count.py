@@ -187,6 +187,16 @@ def test_haiman_against_brute_force(label, rank):
         assert L.haiman_count(rs, t) == coroot_points_in_dilated_alcove(rs, t)
 
 
+@pytest.mark.parametrize("label,rank,t", [("A", 4, -6), ("E8", 8, -31), ("A", 2, -4)])
+def test_haiman_rejects_negative_dilations(label, rank, t):
+    # the t-dilated alcove of a negative t holds no point, while the
+    # product formula gives 1 on these examples
+    rs = build(label, rank)
+    assert coroot_points_in_dilated_alcove(rs, t) == 0
+    with pytest.raises(ValueError, match="positive dilation"):
+        L.haiman_count(rs, t)
+
+
 def test_haiman_specialisations_match_ideal_counts():
     # h+1 and h-1 are always coprime to h, so both dilations count
     for label, rank in systems_up_to(4):

@@ -1,5 +1,6 @@
 """Property tests over random ideals of every type of rank <= 6, and of
-E7 and E8 for the minimax test.
+E7 and E8 for the minimax test; and over random affine Weyl elements of
+every type of rank <= 4 (G2 and F4 included) for their inversion data.
 
 Derandomised, so every run draws the same examples.
 """
@@ -9,11 +10,12 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from adideals import affine as A
+from adideals import heisenberg as H
 from adideals import ideals as I
-from adideals.rootsys import build
+from adideals.rootsys import Root, build
 from helpers import (
-    affine_inverse, peel_element_from_inversions, prescribed_inversions, systems_up_to,
-    two_table_is_minimax,
+    affine_inverse, affine_product, level_scan_inversions, peel_element_from_inversions,
+    peel_reduced_word, prescribed_inversions, systems_up_to, two_table_is_minimax,
 )
 
 SYSTEMS = systems_up_to(6)
@@ -71,3 +73,52 @@ def test_element_record_round_trip(ideal):
 @given(st.one_of(ideals(LARGE_SYSTEMS), ideals(LARGE_SYSTEMS, strictly_positive=True)))
 def test_is_minimax_matches_two_table_oracle_on_e7_e8(ideal):
     assert I.is_minimax(ideal) == two_table_is_minimax(ideal)
+
+
+def _elements_of(rs):
+    """Elements of drawn words, coroot translations, sign -1 Heisenberg
+    elements, and products of two of these."""
+    words = st.lists(st.integers(0, rs.rank), max_size=12).map(
+        lambda word: A.element_from_word(rs, word))
+    # alpha_j^vee = (2 / |alpha_j|^2) alpha_j in root coordinates
+    steps = [int(2 / x) for x in rs.lengths]
+    translations = st.lists(st.integers(-2, 2), min_size=rs.rank, max_size=rs.rank).map(
+        lambda n: A.translation(rs, [a * b for a, b in zip(steps, n)]))
+    heisenberg = st.sampled_from(rs.long_positive_roots()).map(
+        lambda nu: H.heisenberg_element(rs, H.HeisenbergElementDescriptor(nu, -1)))
+    single = st.one_of(words, translations, heisenberg)
+    return st.one_of(single, st.tuples(single, single).map(lambda pair: pair[0] * pair[1]))
+
+
+@st.composite
+def elements(draw, systems=systems_up_to(4)):
+    return draw(_elements_of(build(*draw(st.sampled_from(systems)))))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(elements())
+def test_inversion_data_matches_level_scan(w):
+    rs = w.rs
+    scan = level_scan_inversions(w)
+    assert A.inversion_set(w) == scan
+    assert A.length(w) == len(scan)
+    simples = [A.simple_affine_root(rs, i) for i in range(rs.rank + 1)]
+    dominant = all(A.act_affine_root(w, a).is_positive() for a in simples[1:])
+    assert A.is_dominant(w) == dominant
+    if dominant:
+        # mu is in the first layer iff delta - mu is an inversion
+        first = sum(1 << rs.index_of(-Root(b.finite)) for b in scan
+                    if b.level == 1 and not Root(b.finite).is_positive())
+        assert A.first_layer_ideal(w).mask == first
+    winv = affine_inverse(w)
+    assert A._inverse_simple_levels(w) == [A.act_affine_root(winv, a).level for a in simples]
+    assert A.reduced_word(w) == peel_reduced_word(w)
+    assert w.inverse() == winv
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_products_of_drawn_elements_match_matrix_product(data):
+    rs = build(*data.draw(st.sampled_from(systems_up_to(4))))
+    w1, w2 = data.draw(_elements_of(rs)), data.draw(_elements_of(rs))
+    assert w1 * w2 == affine_product(w1, w2)
