@@ -207,18 +207,16 @@ def is_dominant(w: AffineWeylElement) -> bool:
     return all(s <= 0 for s in _shifts(w, w.rs.simple_roots()))
 
 
-def y_coordinates(w: AffineWeylElement):
-    """y_i = (alpha_i, v(r)) for i = 1..p: the coweight coordinates of
-    `lattice_image(w)`, and the delta-coefficients of w^{-1}(alpha_i)."""
-    rs = w.rs
-    point = w.v.act(w.r)
+def y_coordinates(rs: RootSystem, point):
+    """y_i = (alpha_i, x) for i = 1..p, the coweight coordinates of x; at x =
+    `lattice_image(w)` they are the delta-coefficients of w^{-1}(alpha_i)."""
     return [rs.pair_root_coroot(a.coords, point) for a in rs.simple_roots()]
 
 
 def _inverse_simple_levels(w: AffineWeylElement):
     """delta-coefficients of w^{-1}(alpha_i) for i = 0..p; that of
     w^{-1}(alpha_0) = w^{-1}(delta - theta) is 1 - sum theta_i y_i."""
-    y = y_coordinates(w)
+    y = y_coordinates(w.rs, lattice_image(w))
     return [1 - sum(map(mul, w.rs.theta_coords, y))] + y
 
 
@@ -231,7 +229,7 @@ def is_maximal(w: AffineWeylElement) -> bool:
 
 
 def is_minimax_element(w: AffineWeylElement) -> bool:
-    return is_minimal(w) and max(_inverse_simple_levels(w)) <= 1
+    return is_dominant(w) and all(-1 <= k <= 1 for k in _inverse_simple_levels(w))
 
 
 def reduced_word(w: AffineWeylElement):

@@ -71,6 +71,7 @@ def ideal_record(ideal: I.Ideal) -> dict:
     lt = I._l_table(ideal)
     w = A.w_min(ideal, lt)
     nu, level = A.rootlet(w)
+    point = A.lattice_image(w)
     return {
         "generators": [list(r.coords) for r in I.generators(ideal).roots],
         "size": ideal.size,
@@ -82,8 +83,8 @@ def ideal_record(ideal: I.Ideal) -> dict:
         # l(gamma, I) >= 1 on the members and None off them; w_min has
         # m*delta - gamma as an inversion for each 1 <= m <= l(gamma, I)
         "length_min": sum(filter(None, lt)),
-        "lattice_image": list(A.lattice_image(w)),
-        "y": A.y_coordinates(w),
+        "lattice_image": list(point),
+        "y": A.y_coordinates(ideal.rs, point),
     }
 
 
@@ -372,6 +373,8 @@ def _write_atomically(path: str, text: str) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code.  If stdout's reader has gone, fd 1
+    stays on devnull for the rest of the process, to silence the exit flush."""
     args = _parser().parse_args(argv)
     try:
         if args.out:
@@ -387,8 +390,9 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # the reader is gone; send what is still buffered to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
     return code
 

@@ -87,7 +87,7 @@ def format_rootlet_action(w) -> str:
 
 def format_y(w) -> str:
     """The coweight coordinates of v(r): y_i = (v(r), alpha_i)."""
-    return "(%s)" % ",".join(map(str, A.y_coordinates(w)))
+    return "(%s)" % ",".join(map(str, A.y_coordinates(w.rs, A.lattice_image(w))))
 
 
 def minimax_table_rows(rs):

@@ -308,13 +308,18 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
     assert list(tmp_path.rglob("*")) == []  # no temporary file is left behind
 
 
-def _cli_process(argv, **kwargs):
-    """`python -m adideals.cli argv` in a subprocess, with stderr captured."""
+def _python(args, **kwargs):
+    """`python args` in a subprocess that imports this adideals, with stderr captured."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "adideals.cli"] + argv, env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable] + args, env=dict(os.environ, PYTHONPATH=path),
         stderr=subprocess.PIPE, text=True, timeout=120, **kwargs)
+
+
+def _cli_process(argv, **kwargs):
+    """`python -m adideals.cli argv` in a subprocess, with stderr captured."""
+    return _python(["-m", "adideals.cli"] + argv, **kwargs)
 
 
 @pytest.mark.parametrize("argv", [
@@ -332,6 +337,36 @@ def test_closed_pipe_exits_2_without_traceback(argv):
         os.close(write_end)
     assert proc.returncode == 2
     assert proc.stderr == ""
+
+
+# calls main in-process on a fresh broken pipe each time; the lowest free
+# descriptor must not move, so no call leaves a descriptor open
+_REPEATED_BROKEN_PIPES = """
+import json, os, sys
+from adideals import cli
+
+def lowest_free_fd():
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.close(fd)
+    return fd
+
+before = lowest_free_fd()
+codes = []
+for _ in range(3):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    os.dup2(write_end, sys.stdout.fileno())
+    os.close(write_end)
+    codes.append(cli.main(["enumerate", "--type", "E6", "--rank", "6", "--format", "json"]))
+print(json.dumps([codes, before, lowest_free_fd()]), file=sys.stderr)
+"""
+
+
+def test_broken_pipe_leaks_no_descriptor():
+    proc = _python(["-c", _REPEATED_BROKEN_PIPES], stdout=subprocess.DEVNULL)
+    assert proc.returncode == 0
+    codes, before, after = json.loads(proc.stderr)
+    assert codes == [2, 2, 2] and after == before
 
 
 def test_closed_stdout_exits_2_without_traceback():
