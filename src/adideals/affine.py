@@ -94,15 +94,39 @@ def finite_length(rs: RootSystem, v: FiniteWeylElement) -> int:
     return len(finite_inversions(rs, v))
 
 
+def _in_weyl_group(rs: RootSystem, v) -> bool:
+    """Whether v is in W: while some v(alpha_i) has negative height, replace v by
+    v s_i for the lowest such i; v is in W iff this ends at 1 within |Delta^+| steps."""
+    if not (isinstance(v, FiniteWeylElement)
+            and [[type(x) for x in row] for row in v.matrix] == [[int] * rs.rank] * rs.rank):
+        return False
+    cols = [list(col) for col in zip(*v.matrix)]  # cols[i] = v(alpha_i)
+    for _ in range(rs.num_positive + 1):
+        i = next((i for i, col in enumerate(cols) if sum(col) < 0), None)
+        if i is None:
+            return FiniteWeylElement(cols).is_identity()
+        # v s_i(alpha_j) = v(alpha_j) - (alpha_j, alpha_i^vee) v(alpha_i)
+        ci = cols[i]
+        cols = [[x - row[i] * y for x, y in zip(col, ci)] if row[i] else col
+                for col, row in zip(cols, rs.cartan)]
+    return False
+
+
 class AffineWeylElement:
-    """w = v . t_r with v finite and r a coroot-lattice vector."""
+    """w = v . t_r with v in W and r in the coroot lattice, else ValueError."""
 
     __slots__ = ("rs", "v", "r")
 
     def __init__(self, rs: RootSystem, v: FiniteWeylElement, r):
+        r = tuple(r)
+        if not (len(r) == rs.rank and all(type(x) is int for x in r)
+                and rs.in_coroot_lattice(r)):
+            raise ValueError("%r is not a coroot-lattice vector of %s" % (r, rs))
+        if not _in_weyl_group(rs, v):
+            raise ValueError("%r is not an element of the Weyl group of %s" % (v, rs))
         self.rs = rs
         self.v = v
-        self.r = tuple(r)
+        self.r = r
 
     def __mul__(self, other: "AffineWeylElement") -> "AffineWeylElement":
         if self.rs is not other.rs:
@@ -366,8 +390,9 @@ def _grow(rs: RootSystem, word=(), target=None):
         for j, a in column:
             beta[j] -= a * b
         beta[i] = -b
-    matrix = [_unpack(row, p) for row in v]
-    return AffineWeylElement(rs, FiniteWeylElement(matrix), _unpack(r, p))
+    w = object.__new__(AffineWeylElement)  # unchecked: in W and Q^vee by construction
+    w.rs, w.v, w.r = rs, FiniteWeylElement([_unpack(row, p) for row in v]), tuple(_unpack(r, p))
+    return w
 
 
 def element_from_inversions(rs: RootSystem, affine_roots) -> AffineWeylElement:

@@ -8,12 +8,19 @@ i + j <= 2n+1; ideals of C_n correspond to the self-conjugate ideals of
 A_{2n-1} (their symmetrisations), and minimaxity is read off from the
 symmetrisation.  Counting non-meeting antichains recovers the Motzkin
 and directed-animal numbers, refined by the number of generators.
+
+In both types a root of height h whose support starts at alpha_i is the
+pair (i, i + h).  `_pair_table` reads the pairs off once per system, and
+`_fold_table` matches the root indices of A_{2n-1} and C_n by pair, so
+every conversion below is a lookup.
 """
 
 import math
+from collections import Counter
+from functools import lru_cache
 
 from .rootsys import Root, RootSystem, build
-from .ideals import Antichain, Ideal, generators
+from .ideals import Antichain, Ideal, enumerate_ideals, generators
 from .lattice_count import catalan
 
 __all__ = [
@@ -33,21 +40,15 @@ class PairAntichain:
     def __init__(self, n: int, pairs):
         pairs = sorted(tuple(p) for p in pairs)
         for a, b in pairs:
-            if not 1 <= a < b <= n + 1:
-                raise ValueError("pair (%d, %d) is out of range for A_%d" % (a, b, n))
-        firsts = [p[0] for p in pairs]
-        seconds = [p[1] for p in pairs]
-        if sorted(set(firsts)) != firsts or sorted(set(seconds)) != seconds:
+            if not 1 <= a < b <= n + 1 or a % 1 or b % 1:
+                raise ValueError("pair %r is out of range for A_%d" % ((a, b), n))
+        if any(p[0] >= q[0] or p[1] >= q[1] for p, q in zip(pairs, pairs[1:])):
             raise ValueError("pair antichain needs strictly increasing a's and b's")
         self.n = n
         self.pairs = tuple(pairs)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PairAntichain)
-            and self.n == other.n
-            and self.pairs == other.pairs
-        )
+        return isinstance(other, PairAntichain) and (self.n, self.pairs) == (other.n, other.pairs)
 
     def __hash__(self):
         return hash((self.n, self.pairs))
@@ -62,15 +63,21 @@ def _require_type_a(rs: RootSystem):
                          % rs.type_label)
 
 
+@lru_cache(maxsize=None)
+def _pair_table(rs: RootSystem):
+    """The pair (i, i + height) of each positive root of A_n or C_n, by root
+    index, where alpha_i starts its support; and the inverse dict."""
+    firsts = [next(k for k, c in enumerate(r.coords) if c) + 1 for r in rs.positive_roots]
+    pairs = tuple((i, i + r.height) for i, r in zip(firsts, rs.positive_roots))
+    return pairs, {pair: idx for idx, pair in enumerate(pairs)}
+
+
 def to_pairs(antichain: Antichain) -> PairAntichain:
     """(a, b) encoding of a type-A antichain: support [a, b-1] of each root."""
     rs = antichain.rs
     _require_type_a(rs)
-    pairs = []
-    for r in antichain.roots:
-        support = [i for i, c in enumerate(r.coords) if c]
-        pairs.append((support[0] + 1, support[-1] + 2))
-    return PairAntichain(rs.rank, pairs)
+    pairs = _pair_table(rs)[0]
+    return PairAntichain(rs.rank, [pairs[rs.index_of(r)] for r in antichain.roots])
 
 
 def from_pairs(pa: PairAntichain, rs: RootSystem = None) -> Antichain:
@@ -79,10 +86,8 @@ def from_pairs(pa: PairAntichain, rs: RootSystem = None) -> Antichain:
     _require_type_a(rs)
     if rs.rank != pa.n:
         raise ValueError("rank mismatch: pairs for A_%d, system A_%d" % (pa.n, rs.rank))
-    roots = [
-        Root(tuple(1 if a <= i + 1 < b else 0 for i in range(pa.n))) for a, b in pa.pairs
-    ]
-    return Antichain(rs, roots)
+    index = _pair_table(rs)[1]
+    return Antichain(rs, [rs.positive_roots[index[p]] for p in pa.pairs])
 
 
 def has_non_meeting_generators(pa: PairAntichain) -> bool:
@@ -126,38 +131,18 @@ def _require_type_c(rs: RootSystem):
         raise ValueError("expected a type C system (got %s)" % rs.type_label)
 
 
-def _sp_pair_coords(n: int, i: int, j: int):
-    v = [0] * n
-    if j <= n + 1:
-        for t in range(i, j):
-            v[t - 1] += 1
-    else:
-        for t in range(i, 2 * n - j + 1):
-            v[t - 1] += 1
-        for t in range(2 * n - j + 1, n):
-            v[t - 1] += 2
-        v[n - 1] += 1
-    return tuple(v)
-
-
 def sp_pair_to_root(rs: RootSystem, pair) -> Root:
     _require_type_c(rs)
-    n = rs.rank
+    index = _pair_table(rs)[1]
     i, j = pair
-    if not (1 <= i < j and i + j <= 2 * n + 1):
-        raise ValueError("(%d, %d) is not a positive-root pair of C_%d" % (i, j, n))
-    return Root(_sp_pair_coords(n, i, j))
+    if (i, j) not in index:  # exactly the i < j with i >= 1 and i + j <= 2n + 1
+        raise ValueError("%r is not a positive-root pair of C_%d" % ((i, j), rs.rank))
+    return rs.positive_roots[index[(i, j)]]
 
 
 def sp_root_to_pair(rs: RootSystem, root: Root):
     _require_type_c(rs)
-    n = rs.rank
-    rs.index_of(root)
-    for i in range(1, 2 * n):
-        for j in range(i + 1, 2 * n + 2 - i):
-            if _sp_pair_coords(n, i, j) == root.coords:
-                return (i, j)
-    raise ValueError("no pair found for %r" % (root,))
+    return _pair_table(rs)[0][rs.index_of(root)]
 
 
 def fold_pair(n: int, i: int, j: int):
@@ -167,22 +152,23 @@ def fold_pair(n: int, i: int, j: int):
     return (2 * n + 1 - j, 2 * n + 1 - i)
 
 
+@lru_cache(maxsize=None)
+def _fold_table(n: int):
+    """Per A_{2n-1} root index, the C_n index of its `fold_pair`; per C_n
+    index, the A_{2n-1} index of the same pair."""
+    a_pairs, a_index = _pair_table(build("A", 2 * n - 1))
+    c_pairs, c_index = _pair_table(build("C", n))
+    return (tuple(c_index[fold_pair(n, i, j)] for i, j in a_pairs),
+            tuple(a_index[pair] for pair in c_pairs))
+
+
 def symmetrize(ideal: Ideal) -> Ideal:
     """The self-conjugate ideal of A_{2n-1} restricting to a C_n ideal."""
     rs = ideal.rs
     _require_type_c(rs)
-    n = rs.rank
-    rs_a = build("A", 2 * n - 1)
-    pair_bit = {}
-    for idx, r in enumerate(rs.positive_roots):
-        pair_bit[sp_root_to_pair(rs, r)] = idx
-    mask = 0
-    for a_idx, a_root in enumerate(rs_a.positive_roots):
-        support = [i for i, c in enumerate(a_root.coords) if c]
-        i, j = support[0] + 1, support[-1] + 2
-        if ideal.mask >> pair_bit[fold_pair(n, i, j)] & 1:
-            mask |= 1 << a_idx
-    return Ideal(rs_a, mask)
+    fold = _fold_table(rs.rank)[0]
+    return Ideal(build("A", 2 * rs.rank - 1),
+                 sum(1 << a for a, c in enumerate(fold) if ideal.mask >> c & 1))
 
 
 def sp_restriction(bar_ideal: Ideal) -> Ideal:
@@ -192,16 +178,9 @@ def sp_restriction(bar_ideal: Ideal) -> Ideal:
     if rs_a.rank % 2 == 0:
         raise ValueError("restriction needs A_{2n-1}, an odd rank")
     n = (rs_a.rank + 1) // 2
-    rs_c = build("C", n)
-    mask = 0
-    for a_idx, a_root in enumerate(rs_a.positive_roots):
-        if not bar_ideal.mask >> a_idx & 1:
-            continue
-        support = [i for i, c in enumerate(a_root.coords) if c]
-        i, j = support[0] + 1, support[-1] + 2
-        if i + j <= 2 * n + 1:
-            mask |= 1 << rs_c.index_of(sp_pair_to_root(rs_c, (i, j)))
-    return Ideal(rs_c, mask)
+    lift = _fold_table(n)[1]
+    return Ideal(build("C", n),
+                 sum(1 << c for c, a in enumerate(lift) if bar_ideal.mask >> a & 1))
 
 
 def is_self_conjugate(bar_ideal: Ideal) -> bool:
@@ -241,10 +220,5 @@ def generating_function_Fmm(type_label: str, rank: int):
 
 def minimax_generator_distribution(rs: RootSystem):
     """Generator-count histogram over the minimax ideals, by enumeration."""
-    from .ideals import enumerate_ideals
-
-    hist = {}
-    for ideal in enumerate_ideals(rs, "minimax"):
-        k = len(generators(ideal))
-        hist[k] = hist.get(k, 0) + 1
-    return [hist.get(k, 0) for k in range(max(hist) + 1)]
+    hist = Counter(len(generators(ideal)) for ideal in enumerate_ideals(rs, "minimax"))
+    return [hist[k] for k in range(max(hist) + 1)]

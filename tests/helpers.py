@@ -5,8 +5,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from adideals import affine as A
+from adideals import classical_types as C
 from adideals import ideals as I
-from adideals.rootsys import AffineRoot
+from adideals.rootsys import AffineRoot, Root, build
 
 
 def systems_up_to(max_rank, exceptional=True):
@@ -370,3 +371,71 @@ def heisenberg_mask_by_pairing(rs):
     """Bitmask of the roots gamma with (gamma, theta^vee) > 0, by brute pairing."""
     return sum(1 << i for i, r in enumerate(rs.positive_roots)
                if brute_pairing(rs, r, rs.theta) > 0)
+
+
+# The pair computations that `classical_types._pair_table` and `_fold_table`
+# replaced, kept as their differential oracles: type A pairs by a support
+# scan, type C pairs by searching every pair of C_n for the root's
+# coordinates, and the old bodies of `symmetrize` and `sp_restriction`.
+
+def sp_pair_coords(n, i, j):
+    """Root coordinates of the C_n pair (i, j), i < j, i + j <= 2n + 1."""
+    v = [0] * n
+    if j <= n + 1:
+        for t in range(i, j):
+            v[t - 1] += 1
+    else:
+        for t in range(i, 2 * n - j + 1):
+            v[t - 1] += 1
+        for t in range(2 * n - j + 1, n):
+            v[t - 1] += 2
+        v[n - 1] += 1
+    return tuple(v)
+
+
+def sp_root_to_pair_by_search(rs, root):
+    """The C_n pair of a positive root, by trying every pair."""
+    n = rs.rank
+    rs.index_of(root)
+    for i in range(1, 2 * n):
+        for j in range(i + 1, 2 * n + 2 - i):
+            if sp_pair_coords(n, i, j) == root.coords:
+                return (i, j)
+    raise ValueError("no pair found for %r" % (root,))
+
+
+def a_pair_by_support(root):
+    """The A_n pair (a, b) of a positive root with support [a, b - 1]."""
+    support = [i for i, c in enumerate(root.coords) if c]
+    return support[0] + 1, support[-1] + 2
+
+
+def symmetrize_by_search(ideal):
+    """The A_{2n-1} ideal of the pairs whose `fold_pair` lies in the C_n
+    ideal, with C_n pairs found by `sp_root_to_pair_by_search`."""
+    rs = ideal.rs
+    n = rs.rank
+    rs_a = build("A", 2 * n - 1)
+    pair_bit = {}
+    for idx, r in enumerate(rs.positive_roots):
+        pair_bit[sp_root_to_pair_by_search(rs, r)] = idx
+    mask = 0
+    for a_idx, a_root in enumerate(rs_a.positive_roots):
+        if ideal.mask >> pair_bit[C.fold_pair(n, *a_pair_by_support(a_root))] & 1:
+            mask |= 1 << a_idx
+    return I.Ideal(rs_a, mask)
+
+
+def sp_restriction_by_support(bar_ideal):
+    """The C_n ideal of the pairs (i, j), i + j <= 2n + 1, of an A_{2n-1} ideal."""
+    rs_a = bar_ideal.rs
+    n = (rs_a.rank + 1) // 2
+    rs_c = build("C", n)
+    mask = 0
+    for a_idx, a_root in enumerate(rs_a.positive_roots):
+        if not bar_ideal.mask >> a_idx & 1:
+            continue
+        i, j = a_pair_by_support(a_root)
+        if i + j <= 2 * n + 1:
+            mask |= 1 << rs_c.index_of(Root(sp_pair_coords(n, i, j)))
+    return I.Ideal(rs_c, mask)

@@ -11,8 +11,9 @@ from adideals import affine as A
 from adideals import ideals as I
 from adideals import lattice_count as L
 from helpers import (
-    affine_inverse, affine_product, all_words, matrix_element_from_word, matrix_inverse,
-    peel_element_from_inversions, peel_reduced_word, prescribed_inversions, systems_up_to,
+    affine_inverse, affine_product, all_words, full_weyl_group, matrix_element_from_word,
+    matrix_inverse, peel_element_from_inversions, peel_reduced_word, prescribed_inversions,
+    systems_up_to,
 )
 
 
@@ -456,6 +457,50 @@ def test_alcove_image_barycenter_matches_matrix_oracle(label, rank):
         assert A.alcove_image_barycenter(w) == tuple(x - rx for x, rx in zip(moved, w.r))
 
 
+@pytest.mark.parametrize("label,rank,matrix,r", [
+    # the swap maps the simple roots to roots, but is the diagram automorphism
+    ("A", 2, [[0, 1], [1, 0]], (0, 0)),
+    ("A", 2, [[1, 1], [0, 1]], (0, 0)),
+    ("A", 2, [[-1, 0], [0, -1]], (0, 0)),
+    ("D", 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], (0, 0, 0, 0)),
+    ("A", 2, [[1, 0]], (0, 0)),
+    ("A", 2, [[1, 0], [0]], (0, 0)),
+    ("A", 2, [[1.0, 0], [0, 1]], (0, 0)),
+    ("A", 2, [["1", 0], [0, 1]], (0, 0)),
+    ("A", 2, [[1, 0], [0, 1]], (0, 0, 0)),
+    ("A", 2, [[1, 0], [0, 1]], ("1", 0)),
+    ("A", 2, [[1, 0], [0, 1]], (None, 0)),
+    ("A", 2, [[1, 0], [0, 1]], (1.0, 0)),
+    ("B", 2, [[1, 0], [0, 1]], (0, 1)),  # alpha_2 is short: alpha_2^vee = 2 alpha_2
+    ("G2", 2, [[1, 0], [0, 1]], (1, 0)),  # alpha_1 is short: alpha_1^vee = 3 alpha_1
+])
+def test_affine_element_rejects_data_outside_w_and_coroot_lattice(label, rank, matrix, r):
+    rs = build(label, rank)
+    with pytest.raises(ValueError, match="Weyl group|coroot-lattice"):
+        A.AffineWeylElement(rs, A.FiniteWeylElement(matrix), r)
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G2", 2)])
+def test_affine_element_accepts_the_whole_weyl_group(label, rank):
+    rs = build(label, rank)
+    steps = [int(2 / x) for x in rs.lengths]  # alpha_j^vee = steps[j] alpha_j
+    for v in full_weyl_group(rs):
+        w = A.AffineWeylElement(rs, v, [-s for s in steps])
+        assert A.element_from_word(rs, A.reduced_word(w)) == w
+
+
+def test_grown_elements_skip_the_constructor_checks(monkeypatch):
+    rs = build("E6", 6)
+    w = A.w_min(I.full_ideal(rs))
+
+    def fail(*args):
+        raise AssertionError("_grow went through the checking constructor")
+
+    monkeypatch.setattr(A.AffineWeylElement, "__init__", fail)
+    assert A.element_from_word(rs, A.reduced_word(w)) == w
+    assert A.w_min(I.full_ideal(rs)) == w
+
+
 @pytest.mark.parametrize("field", ["v_matrix", "r_coords"])
 def test_element_from_record_rejects_mismatch(field):
     rs = build("A", 2)
@@ -496,7 +541,8 @@ def test_element_from_record_validates_under_optimize():
         "assert False, 'asserts are on'",
         "rec = {'word': [0], 'v_matrix': [[9, 9], [9, 9]], 'r_coords': [5, 5]}",
         "calls = [lambda: A.element_from_record(build('A', 2), rec),",
-        "         lambda: A.length(A.translation(build('G2', 2), (1, 0)))]",
+        "         lambda: A.length(A.translation(build('G2', 2), (1, 0))),",
+        "         lambda: A.finite_element(build('A', 2), A.FiniteWeylElement([[0, 1], [1, 0]]))]",
         "for n, call in enumerate(calls):",
         "    try:",
         "        call()",

@@ -6,6 +6,10 @@ from adideals.rootsys import Root, build
 from adideals import classical_types as C
 from adideals import ideals as I
 from adideals.lattice_count import directed_animals, motzkin
+from helpers import (
+    a_pair_by_support, sp_pair_coords, sp_restriction_by_support,
+    sp_root_to_pair_by_search, symmetrize_by_search,
+)
 
 
 def antichain_of(rs, coord_lists):
@@ -77,6 +81,45 @@ def test_sp_pair_encoding():
         C.sp_pair_to_root(rs, (3, 6))
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_pair_table_matches_support_scan_type_a(n):
+    rs = build("A", n)
+    pairs, index = C._pair_table(rs)
+    assert pairs == tuple(a_pair_by_support(r) for r in rs.positive_roots)
+    assert index == {pair: idx for idx, pair in enumerate(pairs)}
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_pair_table_matches_search_type_c(n):
+    rs = build("C", n)
+    pairs, index = C._pair_table(rs)
+    assert pairs == tuple(sp_root_to_pair_by_search(rs, r) for r in rs.positive_roots)
+    assert index == {pair: idx for idx, pair in enumerate(pairs)}
+    for pair in pairs:
+        assert C.sp_pair_to_root(rs, pair).coords == sp_pair_coords(n, *pair)
+
+
+def test_pair_lookups_keep_their_checks():
+    rs_a, rs_c = build("A", 3), build("C", 3)
+    with pytest.raises(ValueError, match="type C"):
+        C.sp_root_to_pair(rs_a, rs_a.theta)
+    with pytest.raises(ValueError, match="type C"):
+        C.sp_pair_to_root(rs_a, (1, 2))
+    with pytest.raises(ValueError, match="not a positive root"):
+        C.sp_root_to_pair(rs_c, Root((1, 0, 1)))
+    for pair in [(0, 2), (2, 2), (3, 5), (1.5, 2)]:
+        with pytest.raises(ValueError, match="not a positive-root pair"):
+            C.sp_pair_to_root(rs_c, pair)
+    assert C.sp_pair_to_root(rs_c, (1.0, 2.0)) == rs_c.alpha(0)
+    with pytest.raises(ValueError, match="out of range"):
+        C.from_pairs(C.PairAntichain(3, [(1.5, 2)]))
+    assert C.from_pairs(C.PairAntichain(3, [(1.0, 2.0)])) == I.Antichain(rs_a, [rs_a.alpha(0)])
+    with pytest.raises(ValueError, match="type A"):
+        C.from_pairs(C.PairAntichain(3, [(1, 2)]), rs_c)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        C.from_pairs(C.PairAntichain(2, [(1, 2)]), rs_a)
+
+
 def test_fold_pair():
     assert C.fold_pair(2, 1, 3) == (1, 3)
     assert C.fold_pair(2, 2, 4) == (1, 3)
@@ -95,7 +138,16 @@ def test_symmetrize_examples():
     assert pairs == ((1, 6),)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_symmetrize_and_restriction_match_oracles(n):
+    rs = build("C", n)
+    for ideal in I.enumerate_ideals(rs):
+        bar = C.symmetrize(ideal)
+        assert bar == symmetrize_by_search(ideal)
+        assert C.sp_restriction(bar) == sp_restriction_by_support(bar)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
 def test_symmetrize_round_trip(n):
     rs = build("C", n)
     for ideal in I.enumerate_ideals(rs):
@@ -126,7 +178,7 @@ def test_symmetrize_commutes_with_powers():
             assert C.symmetrize(I.power(ideal, k)) == I.power(bar, k)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", range(2, 8))
 def test_sp_minimax_agrees_with_generic(n):
     rs = build("C", n)
     for ideal in I.enumerate_ideals(rs):

@@ -1,6 +1,7 @@
 """Property tests over random ideals of every type of rank <= 6, and of
-E7 and E8 for the minimax test; and over random affine Weyl elements of
-every type of rank <= 4 (G2 and F4 included) for their inversion data.
+E7 and E8 for the minimax test, and of C_n, n <= 8, for the type C pair
+coordinates; and over random affine Weyl elements of every type of rank
+<= 4 (G2 and F4 included) for their inversion data.
 
 Derandomised, so every run draws the same examples.
 """
@@ -10,16 +11,19 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from adideals import affine as A
+from adideals import classical_types as C
 from adideals import heisenberg as H
 from adideals import ideals as I
 from adideals.rootsys import Root, build
 from helpers import (
     affine_inverse, affine_product, level_scan_inversions, peel_element_from_inversions,
-    peel_reduced_word, prescribed_inversions, systems_up_to, two_table_is_minimax,
+    peel_reduced_word, prescribed_inversions, sp_restriction_by_support,
+    sp_root_to_pair_by_search, symmetrize_by_search, systems_up_to, two_table_is_minimax,
 )
 
 SYSTEMS = systems_up_to(6)
 LARGE_SYSTEMS = [("E7", 7), ("E8", 8)]
+TYPE_C_SYSTEMS = [("C", n) for n in range(2, 9)]
 
 
 @st.composite
@@ -73,6 +77,20 @@ def test_element_record_round_trip(ideal):
 @given(st.one_of(ideals(LARGE_SYSTEMS), ideals(LARGE_SYSTEMS, strictly_positive=True)))
 def test_is_minimax_matches_two_table_oracle_on_e7_e8(ideal):
     assert I.is_minimax(ideal) == two_table_is_minimax(ideal)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(ideals(TYPE_C_SYSTEMS))
+def test_type_c_pair_lookups_match_search_oracles(ideal):
+    rs = ideal.rs
+    gens = I.generators(ideal).roots
+    assert [C.sp_root_to_pair(rs, r) for r in gens] == [
+        sp_root_to_pair_by_search(rs, r) for r in gens]
+    bar = C.symmetrize(ideal)
+    assert bar == symmetrize_by_search(ideal)
+    assert C.sp_restriction(bar) == sp_restriction_by_support(bar) == ideal
+    assert C.is_self_conjugate(bar)
+    assert C.sp_is_minimax(ideal) == I.is_minimax(ideal)
 
 
 def _elements_of(rs):
