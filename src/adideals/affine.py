@@ -101,14 +101,24 @@ def _in_weyl_group(rs: RootSystem, v) -> bool:
             and [[type(x) for x in row] for row in v.matrix] == [[int] * rs.rank] * rs.rank):
         return False
     cols = [list(col) for col in zip(*v.matrix)]  # cols[i] = v(alpha_i)
+    heights = [sum(col) for col in cols]
+    _, simples = _affine_simple_data(rs)
     for _ in range(rs.num_positive + 1):
-        i = next((i for i, col in enumerate(cols) if sum(col) < 0), None)
-        if i is None:
+        for i, hi in enumerate(heights):
+            if hi < 0:
+                break
+        else:
             return FiniteWeylElement(cols).is_identity()
-        # v s_i(alpha_j) = v(alpha_j) - (alpha_j, alpha_i^vee) v(alpha_i)
+        # v s_i(alpha_j) = v(alpha_j) - (alpha_j, alpha_i^vee) v(alpha_i), and so
+        # for the heights; the affine simple root i + 1 lists the nonzero
+        # (alpha_j, alpha_i^vee), j != i, with j shifted by one
         ci = cols[i]
-        cols = [[x - row[i] * y for x, y in zip(col, ci)] if row[i] else col
-                for col, row in zip(cols, rs.cartan)]
+        for j, a in simples[i + 1][3]:
+            if j:
+                cols[j - 1] = [x - a * y for x, y in zip(cols[j - 1], ci)]
+                heights[j - 1] -= a * hi
+        cols[i] = [-y for y in ci]
+        heights[i] = -hi
     return False
 
 
@@ -119,8 +129,7 @@ class AffineWeylElement:
 
     def __init__(self, rs: RootSystem, v: FiniteWeylElement, r):
         r = tuple(r)
-        if not (len(r) == rs.rank and all(type(x) is int for x in r)
-                and rs.in_coroot_lattice(r)):
+        if not (all(type(x) is int for x in r) and rs.in_coroot_lattice(r)):
             raise ValueError("%r is not a coroot-lattice vector of %s" % (r, rs))
         if not _in_weyl_group(rs, v):
             raise ValueError("%r is not an element of the Weyl group of %s" % (v, rs))

@@ -14,17 +14,29 @@ this numbering, so the numbering is load-bearing, not cosmetic.
 Positive roots are stored sorted by (height, coords), which fixes the
 index of every root; all set-valued data elsewhere in the package is
 held as bitmasks over this order.
+
+The build works on packed root keys, coordinate i in 16-bit digit p-1-i
+of one integer, as `affine._grow` packs its vectors: adding alpha_i is
+one add, a lookup is one dict probe, and ascending keys within a height
+are ascending coords.  Delta^+ grows one height layer at a time, and each
+root carries its pairings (beta, alpha_j^vee) and its squared length, so
+the root-string test, the norms and the covers beta + alpha_i cost O(1)
+per step and the build O(N p) for N positive roots.  Coordinate tuples
+are unpacked once per root, at the end.
 """
 
 import math
+import struct
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import sub
+from operator import add, sub
 
 __all__ = ["Root", "AffineRoot", "RootSystem", "build"]
+
+# bits per coordinate digit of a packed root key; root coordinates are at most 6
+_BITS = 16
 
 # (min rank, max rank); None means unbounded above
 _RANK_RANGES = {
@@ -143,37 +155,56 @@ def _cartan_data(type_label, rank):
     return tuple(tuple(row) for row in a), tuple(lengths)
 
 
-def _positive_root_coords(cartan, rank):
-    """Generate Delta^+ from the Cartan matrix by root-string closure."""
+def _positive_root_keys(cartan, sq):
+    """Generate Delta^+ by root-string closure, one height layer at a time.
 
-    def pair_simple(coords, j):
-        # (x, alpha_j^vee)
-        return sum(c * cartan[i][j] for i, c in enumerate(coords) if c)
-
-    simples = [tuple(1 if k == i else 0 for k in range(rank)) for i in range(rank)]
-    known = set(simples)
-    out = list(simples)
-    layer = list(simples)
+    A root is a packed key, coordinate i in 16-bit digit p-1-i, so that
+    +-alpha_i is one add and ascending keys within a height are ascending
+    coords.  Each root carries its pairings (beta, alpha_j^vee) and its norm
+    in the units of sq[i] = _gram_den |alpha_i|^2.  Returns the keys in
+    (height, coords) order, their norms, the indices of their covers
+    beta + alpha_i and the height-layer sizes.
+    """
+    p = len(cartan)
+    units = [1 << _BITS * (p - 1 - i) for i in range(p)]
+    pairings = dict(zip(units, cartan))
+    norm = dict(zip(units, sq))
+    covers = {}
+    layer = sorted(units)
+    keys = list(layer)
+    sizes = []
     while layer:
+        sizes.append(len(layer))
         nxt = []
-        for coords in layer:
-            for i in range(rank):
-                if coords == simples[i]:
-                    continue
-                # alpha_i-string through coords: p = steps down that stay roots
-                p = 0
-                down = tuple(c - (k == i) for k, c in enumerate(coords))
-                while down in known:
-                    p += 1
-                    down = tuple(c - (k == i) for k, c in enumerate(down))
-                if p - pair_simple(coords, i) >= 1:
-                    up = tuple(c + (k == i) for k, c in enumerate(coords))
-                    if up not in known:
-                        known.add(up)
-                        nxt.append(up)
-                        out.append(up)
+        for key in layer:
+            pair = pairings[key]
+            ups = covers[key] = []
+            for i, q in enumerate(pair):
+                u = units[i]
+                # beta + alpha_i is a root iff the alpha_i-string through beta
+                # reaches more than q = (beta, alpha_i^vee) steps down, i.e.
+                # beta - alpha_i, ..., beta - (q + 1) alpha_i are roots; a
+                # borrow out of a zero digit i gives no root key
+                if q >= 0:
+                    down = key - u
+                    while q >= 0 and down in pairings:
+                        q -= 1
+                        down -= u
+                    if q >= 0:
+                        continue
+                up = key + u
+                ups.append(up)
+                if up not in pairings:
+                    pairings[up] = tuple(map(add, pair, cartan[i]))
+                    # |beta + alpha_i|^2 = |beta|^2 + ((beta, alpha_i^vee) + 1) |alpha_i|^2
+                    norm[up] = norm[key] + (pair[i] + 1) * sq[i]
+                    nxt.append(up)
+        nxt.sort()
+        keys += nxt
         layer = nxt
-    return out
+    position = dict(zip(keys, range(len(keys))))
+    return (keys, [norm[k] for k in keys],
+            [[position[c] for c in covers[k]] for k in keys], sizes)
 
 
 def _det_int(m):
@@ -191,10 +222,11 @@ def _det_int(m):
                     break
             else:
                 return 0
+        pivot, tail = a[k][k], a[k][k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
+            row, f = a[i], a[i][k]
+            row[k + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = pivot
     return sign * a[n - 1][n - 1]
 
 
@@ -243,11 +275,14 @@ class RootSystem:
 
     Computed once at construction: the positive roots in their
     deterministic order, the highest root, exponents, the root lengths and
-    the poset masks.  The two-root decompositions, the partner masks read
-    off them and the fundamental coweights are computed on first use, since
-    counting reads none of them.  Inner products and pairings are computed
-    on demand from one integer Gram matrix.  Use the module-level `build`
-    (which caches) rather than the constructor.
+    the poset masks.  The roots, their norms (for `long_mask`) and their
+    covers (for the poset masks) come from `_positive_root_keys` on packed
+    keys; the keys and the carried pairings stay local to the constructor,
+    and `_index` maps coordinate tuples.  The two-root decompositions, the
+    partner masks read off them and the fundamental coweights are computed
+    on first use, since counting reads none of them.  Inner products and
+    pairings are computed on demand from one integer Gram matrix.  Use the
+    module-level `build` (which caches) rather than the constructor.
     """
 
     def __init__(self, type_label: str, rank: int):
@@ -258,30 +293,34 @@ class RootSystem:
         self.lengths = lengths
 
         # the integer Gram matrix _gram_den * (alpha_i, alpha_j), with
-        # (alpha_i, alpha_j) = a[i][j] |alpha_j|^2 / 2
-        entries = [[Fraction(cartan[i][j]) * lengths[j] / 2 for j in range(rank)]
-                   for i in range(rank)]
-        den = math.lcm(*(x.denominator for row in entries for x in row))
+        # (alpha_i, alpha_j) = a[i][j] |alpha_j|^2 / 2 = a[i][j] n_j / (2 d_j)
+        halves = [(x.numerator, 2 * x.denominator) for x in lengths]
+        den = math.lcm(*(d // math.gcd(a * n, d)
+                         for row in cartan for a, (n, d) in zip(row, halves)))
         self._gram_den = den
-        self._gram_num = tuple(tuple(int(x * den) for x in row) for row in entries)
+        self._gram_num = tuple(tuple(a * n * den // d for a, (n, d) in zip(row, halves))
+                               for row in cartan)
         assert self._gram_num == tuple(zip(*self._gram_num)), "Cartan data is not symmetrisable"
+        # x_j alpha_j = x_j |alpha_j|^2 / 2 alpha_j^vee is in the coroot lattice
+        # iff x_j is a multiple of d_j / n_j, an integer for every simple type
+        assert all(d % n == 0 for n, d in halves)
+        self._coroot_moduli = tuple(d // n for n, d in halves)
 
-        coords_list = _positive_root_coords(cartan, rank)
-        coords_list.sort(key=lambda c: (sum(c), c))
-        self.positive_roots = tuple(Root(c) for c in coords_list)
-        n = len(self.positive_roots)
+        sq = [self._gram_num[i][i] for i in range(rank)]
+        keys, norms, covers, layer_sizes = _positive_root_keys(cartan, sq)
+        digits = struct.Struct(">%dH" % rank)
+        self.positive_roots = tuple(Root(digits.unpack(k.to_bytes(2 * rank, "big")))
+                                    for k in keys)
+        n = len(keys)
         self.num_positive = n
         self._index = {r.coords: i for i, r in enumerate(self.positive_roots)}
-        self.simple_indices = tuple(
-            self._index[tuple(1 if k == i else 0 for k in range(rank))] for i in range(rank)
-        )
+        # the first layer, in ascending keys, is alpha_p, ..., alpha_1
+        self.simple_indices = tuple(reversed(range(rank)))
         self.simple_mask = sum(1 << i for i in self.simple_indices)
 
-        heights = [r.height for r in self.positive_roots]
-        hmax = heights[-1]
-        tops = [i for i in range(n) if heights[i] == hmax]
-        assert len(tops) == 1, "highest root is not unique"
-        self.theta_index = tops[0]
+        hmax = len(layer_sizes)
+        assert layer_sizes[-1] == 1, "highest root is not unique"
+        self.theta_index = n - 1
         self.theta = self.positive_roots[self.theta_index]
         self.theta_coords = self.theta.coords
         self.c0 = 1
@@ -290,8 +329,6 @@ class RootSystem:
         assert sum(self.theta_coords) == self.coxeter_number - 1
 
         # exponents = conjugate partition of the height distribution
-        by_height = Counter(heights)
-        layer_sizes = [by_height[m] for m in range(1, hmax + 1)]
         assert all(layer_sizes[i] >= layer_sizes[i + 1] for i in range(hmax - 1))
         exps = sorted(sum(1 for s in layer_sizes if s >= j) for j in range(1, rank + 1))
         self.exponents = tuple(exps)
@@ -301,7 +338,6 @@ class RootSystem:
         ones = 1 + sum(1 for c in self.theta_coords if c == 1)
         assert self.index_of_connection == ones, "det(Cartan) != number of marks equal to 1"
 
-        norms = [self._gram_product(r.coords, r.coords) for r in self.positive_roots]
         assert max(norms) == norms[self.theta_index] == 2 * den
         self.long_mask = sum(1 << i for i, q in enumerate(norms) if q == 2 * den)
 
@@ -310,11 +346,6 @@ class RootSystem:
         # gamma and the roots above its covers, which all have larger
         # indices, so up masks are filled from the last index down and
         # down masks from the first index up
-        covers = []
-        for r in self.positive_roots:
-            c = r.coords
-            ups = (self._index.get(c[:s] + (c[s] + 1,) + c[s + 1:]) for s in range(rank))
-            covers.append([k for k in ups if k is not None])
         up = [1 << i for i in range(n)]
         for i in reversed(range(n)):
             for k in covers[i]:
@@ -415,11 +446,17 @@ class RootSystem:
         return self.bilinear(root.coords, root.coords)
 
     def in_coroot_lattice(self, x) -> bool:
-        """Whether the coordinate vector x lies in the coroot lattice."""
-        for j, xj in enumerate(x):
-            if (Fraction(xj) * self.lengths[j] / 2).denominator != 1:
-                return False
-        return True
+        """Whether x, rank many int or Fraction coordinates, lies in the coroot
+        lattice; ValueError for any other x."""
+        try:
+            coords = tuple(x)
+        except TypeError:
+            coords = ()
+        if len(coords) != self.rank or not all(
+                type(c) is int or isinstance(c, Fraction) for c in coords):
+            raise ValueError("a coroot-lattice test in %s needs %d int or Fraction "
+                             "coordinates, not %r" % (self, self.rank, x))
+        return not any(c % m for c, m in zip(coords, self._coroot_moduli))
 
     # -- debug dump ---------------------------------------------------------
 

@@ -1,13 +1,16 @@
 """Shared test helpers: system sweeps and independent brute-force oracles."""
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 from adideals import affine as A
 from adideals import classical_types as C
 from adideals import ideals as I
-from adideals.rootsys import AffineRoot, Root, build
+from adideals.rootsys import AffineRoot, Root, _cartan_data, build
 
 
 def systems_up_to(max_rank, exceptional=True):
@@ -439,3 +442,119 @@ def sp_restriction_by_support(bar_ideal):
         if i + j <= 2 * n + 1:
             mask |= 1 << rs_c.index_of(Root(sp_pair_coords(n, i, j)))
     return I.Ideal(rs_c, mask)
+
+
+# The tuple-based build that `RootSystem` replaced by packed root keys, kept
+# as its differential oracle: every root-string step, norm term and cover
+# lookup builds or scans a coordinate tuple, O(N p^2).
+
+def positive_root_coords_by_tuples(cartan, rank):
+    """Generate Delta^+ from the Cartan matrix by root-string closure."""
+
+    def pair_simple(coords, j):
+        # (x, alpha_j^vee)
+        return sum(c * cartan[i][j] for i, c in enumerate(coords) if c)
+
+    simples = [tuple(1 if k == i else 0 for k in range(rank)) for i in range(rank)]
+    known = set(simples)
+    out = list(simples)
+    layer = list(simples)
+    while layer:
+        nxt = []
+        for coords in layer:
+            for i in range(rank):
+                if coords == simples[i]:
+                    continue
+                # alpha_i-string through coords: p = steps down that stay roots
+                p = 0
+                down = tuple(c - (k == i) for k, c in enumerate(coords))
+                while down in known:
+                    p += 1
+                    down = tuple(c - (k == i) for k, c in enumerate(down))
+                if p - pair_simple(coords, i) >= 1:
+                    up = tuple(c + (k == i) for k, c in enumerate(coords))
+                    if up not in known:
+                        known.add(up)
+                        nxt.append(up)
+                        out.append(up)
+        layer = nxt
+    return out
+
+
+def fraction_det(matrix):
+    """Determinant by Fraction Gaussian elimination."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+# the tables `tuple_root_system` rebuilds: every table `RootSystem` computes
+# at construction, and `_index`, which `ideals` and the tests read
+ROOT_SYSTEM_TABLES = (
+    "cartan", "lengths", "_gram_den", "_gram_num", "positive_roots", "num_positive",
+    "_index", "simple_indices", "simple_mask", "theta_index", "theta", "theta_coords",
+    "c0", "coxeter_number", "exponents", "index_of_connection", "long_mask",
+    "up_masks", "strict_up_masks", "strict_down_masks", "incomparability_masks",
+)
+
+
+@lru_cache(maxsize=None)
+def tuple_root_system(label, rank):
+    """The `ROOT_SYSTEM_TABLES` of `build(label, rank)`, computed on coordinate
+    tuples: the roots by `positive_root_coords_by_tuples`, the Gram matrix by
+    Fraction products, the norms term by term, the index of connection by
+    `fraction_det` and the order masks from covers found by tuple slices."""
+    cartan, lengths = _cartan_data(label, rank)
+    gram = [[Fraction(cartan[i][j]) * lengths[j] / 2 for j in range(rank)]
+            for i in range(rank)]
+    den = math.lcm(*(x.denominator for row in gram for x in row))
+    coords = sorted(positive_root_coords_by_tuples(cartan, rank), key=lambda c: (sum(c), c))
+    n = len(coords)
+    index = {c: i for i, c in enumerate(coords)}
+    simple_indices = tuple(index[tuple(int(k == i) for k in range(rank))]
+                           for i in range(rank))
+    heights = [sum(c) for c in coords]
+    theta_index = heights.index(max(heights))
+    by_height = Counter(heights)
+    layer_sizes = [by_height[m] for m in range(1, max(heights) + 1)]
+    num = tuple(tuple(int(x * den) for x in row) for row in gram)
+    norms = [sum(x * g * y for x, row in zip(c, num) if x for g, y in zip(row, c))
+             for c in coords]
+    up, down = [1 << i for i in range(n)], [1 << i for i in range(n)]
+    covers = [[index[u] for u in (c[:s] + (c[s] + 1,) + c[s + 1:] for s in range(rank))
+               if u in index] for c in coords]
+    for i in reversed(range(n)):
+        for k in covers[i]:
+            up[i] |= up[k]
+    for i in range(n):
+        for k in covers[i]:
+            down[k] |= down[i]
+    full = (1 << n) - 1
+    return SimpleNamespace(
+        cartan=cartan, lengths=lengths, _gram_den=den, _gram_num=num,
+        positive_roots=tuple(Root(c) for c in coords), num_positive=n, _index=index,
+        simple_indices=simple_indices, simple_mask=sum(1 << i for i in simple_indices),
+        theta_index=theta_index, theta=Root(coords[theta_index]),
+        theta_coords=coords[theta_index], c0=1, coxeter_number=max(heights) + 1,
+        exponents=tuple(sorted(sum(1 for s in layer_sizes if s >= j)
+                               for j in range(1, rank + 1))),
+        index_of_connection=int(fraction_det(cartan)),
+        long_mask=sum(1 << i for i, q in enumerate(norms) if q == 2 * den),
+        up_masks=tuple(up),
+        strict_up_masks=tuple(m ^ 1 << i for i, m in enumerate(up)),
+        strict_down_masks=tuple(m ^ 1 << i for i, m in enumerate(down)),
+        incomparability_masks=tuple(full & ~(u | d) for u, d in zip(up, down)),
+    )

@@ -1,12 +1,14 @@
 """Property tests over random ideals of every type of rank <= 6, and of
 E7 and E8 for the minimax test, and of C_n, n <= 8, for the type C pair
-coordinates; and over random affine Weyl elements of every type of rank
-<= 4 (G2 and F4 included) for their inversion data.
+coordinates; over random affine Weyl elements of every type of rank
+<= 4 (G2 and F4 included) for their inversion data; and over random roots
+of every type of rank <= 30 for the packed root-system build.
 
 Derandomised, so every run draws the same examples.
 """
 
 import json
+from operator import ge, le
 
 from hypothesis import given, settings, strategies as st
 
@@ -14,11 +16,12 @@ from adideals import affine as A
 from adideals import classical_types as C
 from adideals import heisenberg as H
 from adideals import ideals as I
-from adideals.rootsys import Root, build
+from adideals.rootsys import Root, RootSystem, build
 from helpers import (
-    affine_inverse, affine_product, level_scan_inversions, peel_element_from_inversions,
-    peel_reduced_word, prescribed_inversions, sp_restriction_by_support,
-    sp_root_to_pair_by_search, symmetrize_by_search, systems_up_to, two_table_is_minimax,
+    affine_inverse, affine_product, brute_bilinear, level_scan_inversions,
+    peel_element_from_inversions, peel_reduced_word, prescribed_inversions,
+    sp_restriction_by_support, sp_root_to_pair_by_search, symmetrize_by_search,
+    systems_up_to, tuple_root_system, two_table_is_minimax,
 )
 
 SYSTEMS = systems_up_to(6)
@@ -140,3 +143,27 @@ def test_products_of_drawn_elements_match_matrix_product(data):
     rs = build(*data.draw(st.sampled_from(systems_up_to(4))))
     w1, w2 = data.draw(_elements_of(rs)), data.draw(_elements_of(rs))
     assert w1 * w2 == affine_product(w1, w2)
+
+
+@st.composite
+def roots_of_systems(draw, systems=systems_up_to(30)):
+    """(label, rank, k) for a drawn system and a drawn positive-root index k."""
+    label, rank = draw(st.sampled_from(systems))
+    return label, rank, draw(st.integers(0, build(label, rank).num_positive - 1))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(roots_of_systems())
+def test_packed_build_matches_oracles_root_by_root(drawn):
+    label, rank, k = drawn
+    rs = RootSystem(label, rank)  # a fresh build, not the cached one
+    roots = rs.positive_roots
+    assert roots == tuple_root_system(label, rank).positive_roots
+    c = roots[k].coords
+    assert rs._index[c] == k
+    above = sum(1 << j for j, r in enumerate(roots) if all(map(le, c, r.coords)))
+    below = sum(1 << j for j, r in enumerate(roots) if all(map(ge, c, r.coords)))
+    assert rs.up_masks[k] == above
+    assert rs.strict_down_masks[k] == below ^ 1 << k
+    assert rs.incomparability_masks[k] == (1 << len(roots)) - 1 & ~(above | below)
+    assert (rs.long_mask >> k & 1) == (brute_bilinear(rs, c, c) == 2)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -12,8 +13,9 @@ import adideals
 from adideals.rootsys import Root, RootSystem, build
 from adideals.ideals import heisenberg_root_mask
 from helpers import (
-    _invert, brute_bilinear, brute_pairing, decompositions_by_pairs, fraction_gram,
-    heisenberg_mask_by_pairing, order_masks_by_coordinates, systems_up_to,
+    ROOT_SYSTEM_TABLES, _invert, brute_bilinear, brute_pairing, decompositions_by_pairs,
+    fraction_gram, heisenberg_mask_by_pairing, order_masks_by_coordinates, systems_up_to,
+    tuple_root_system,
 )
 
 # standard exponent tables, kept as an oracle against the computed values
@@ -211,6 +213,27 @@ def test_decompositions_match_pair_addition_oracle(label, rank):
     assert rs.partner_masks == tuple(partners)
 
 
+@pytest.mark.parametrize("label,rank", systems_up_to(30))
+def test_packed_build_matches_tuple_oracle(label, rank):
+    # every `verify` system is of rank <= 8, so all of them are among these
+    rs = build(label, rank)
+    oracle = tuple_root_system(label, rank)
+    for name in ROOT_SYSTEM_TABLES:
+        assert getattr(rs, name) == getattr(oracle, name), name
+    if rank <= 12:
+        decs, partners = decompositions_by_pairs(oracle)
+        assert rs.decompositions == tuple(decs)
+        assert rs.partner_masks == tuple(partners)
+
+
+def test_rank_100_builds_in_seconds():
+    # the tuple-based build took about 11 s on A100, the packed one under 1 s
+    start = time.perf_counter()
+    rs = RootSystem("A", 100)
+    assert time.perf_counter() - start < 5.0
+    assert rs.num_positive == 5050 and rs.exponents == tuple(range(1, 101))
+
+
 def test_build_memory_stays_sparse():
     # the dense N x N addition table alone peaked at about 12.8 MB on A40
     tracemalloc.start()
@@ -239,6 +262,31 @@ def test_inner_products_match_fraction_gram_oracle(label, rank):
     inv = _invert(fraction_gram(rs))
     assert rs.coweight_basis == tuple(
         tuple(inv[j][i] for j in range(rank)) for i in range(rank))
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(8))
+def test_coroot_lattice_membership_matches_fraction_oracle(label, rank):
+    rs = build(label, rank)
+    # x_j alpha_j is in the coroot lattice iff x_j |alpha_j|^2 / 2 is an integer
+    steps = [Fraction(c, 6) for c in range(-7, 8)] + list(range(-7, 8))
+    for j in range(rank):
+        for c in steps:
+            x = [0] * rank
+            x[j] = c
+            expected = (Fraction(c) * rs.lengths[j] / 2).denominator == 1
+            assert rs.in_coroot_lattice(x) == expected
+    # a long root is its own coroot; a short simple root is a proper fraction of it
+    for i, r in enumerate(rs.positive_roots):
+        if rs.long_mask >> i & 1:
+            assert rs.in_coroot_lattice(r.coords)
+        elif r.height == 1:
+            assert not rs.in_coroot_lattice(r.coords)
+
+
+@pytest.mark.parametrize("x", [(0,), ("1", 0), (0, 0, 0), (None, 0), (True, 0), (1.0, 0), 5])
+def test_coroot_lattice_test_rejects_malformed_points(x):
+    with pytest.raises(ValueError, match="2 int or Fraction coordinates"):
+        build("A", 2).in_coroot_lattice(x)
 
 
 def test_coweight_basis_is_computed_on_first_use():
