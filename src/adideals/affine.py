@@ -12,14 +12,16 @@ root mu, s(mu) = (mu, r) + [v(mu) < 0], with no level scanning.
 
 One kernel, `_grow`, grows u from the identity by left multiplications
 u -> s_i u along a given word or one inversion at a time, so the same
-loop serves words, inversion sets, products and inverses.  Reduced words
-are peeled off the images w(alpha_j) of the affine simple roots, moved by
-the same Cartan-column step.
+loop serves words, inversion sets, products, inverses and the elements
+of ideals.  Reduced words are peeled off the images w(alpha_j) of the
+affine simple roots, moved by the same Cartan-column step.
 
 The minimal element of an ideal I is the one whose inversion set is
 {m*delta - gamma : gamma in I, 1 <= m <= l(gamma, I)}; the maximal
 element of a strictly positive I uses k(gamma, I) - 1 instead.  Both
-are grown from these prescribed inversion sets.
+are grown straight from the l- or k-table: a step may add a root
+m*delta - gamma exactly when m is within the table's value at gamma, so
+these inversion sets are never listed.
 """
 
 from fractions import Fraction
@@ -350,43 +352,51 @@ def _affine_simple_data(rs: RootSystem):
     return weights, tuple(simples)
 
 
-def _grow(rs: RootSystem, word=(), target=None):
+@lru_cache(maxsize=None)
+def _negative_root_index(rs: RootSystem):
+    """{-gamma packed: the index of gamma} over the positive roots gamma,
+    packed as the finite part of an affine root (the p lowest digits)."""
+    low = _affine_simple_data(rs)[0][1:]
+    return {-sum(map(mul, mu.coords, low)): idx for idx, mu in enumerate(rs.positive_roots)}
+
+
+def _grow(rs: RootSystem, word=(), wanted=None, size=0):
     """u = s_{i_k} ... s_{i_1}, grown from the identity by the left
     multiplications u -> s_i u of its steps i_1, ..., i_k.
 
-    Without a target the steps are the given word.  With a target, a set of
-    positive affine roots, each step takes the first i with u^{-1}(alpha_i)
-    positive and in the target, which adds exactly that root, since then
-    N(s_i u) = N(u) + {u^{-1}(alpha_i)}; the growth stops once the whole
-    target is added, and raises ValueError when no step is possible before,
-    i.e. when the target is no inversion set.  Only the p+1 images
+    Without `wanted` the steps are the given word.  With it, a test on
+    packed positive affine roots that holds for exactly `size` of them, the
+    growth adds those roots one per step: s_i adds exactly
+    beta_i = u^{-1}(alpha_i) when it is positive, since then
+    N(s_i u) = N(u) + {beta_i}, so the steps take any i with beta_i positive
+    and wanted, and raise ValueError when there is none before `size` steps,
+    i.e. when the wanted roots form no inversion set.  Only the p+1 images
     beta_j = u^{-1}(alpha_j) are kept; s_i moves them by
     beta_j -> beta_j - (alpha_j, alpha_i^vee) beta_i, whatever the length of
-    u.  The parts of u = v . t_r follow by integer row updates:
-    s_i u = (s_i v) . t_r for i >= 1, and s_0 u = (s_theta v) . t_{r + f}
-    with f the finite part of beta_0.  `reduced_word` peels words off
-    w(alpha_j) with the same step.
+    u; beta_i turns negative, so only its Cartan-column neighbours are
+    tested again.  The order of the steps does not matter: an element is
+    fixed by its inversion set.  The parts of u = v . t_r follow by integer
+    row updates: s_i u = (s_i v) . t_r for i >= 1, and
+    s_0 u = (s_theta v) . t_{r + f} with f the finite part of beta_0.
+    `reduced_word` peels words off w(alpha_j) with the same step.
     """
     weights, simples = _affine_simple_data(rs)
-    if target is not None:
-        top, low = weights[0], weights[1:]
-        target = {sum(map(mul, b.finite, low), b.level * top) for b in target}
     beta = [packed for packed, _, _, _ in simples]
+    if wanted is not None:
+        ready = {j for j, b in enumerate(beta) if b > 0 and wanted(b)}
     p = rs.rank
     v = list(weights[1:])  # the rows of the identity matrix
     r = 0  # the finite part sits in the p lowest digits
-    for n in range(len(word) if target is None else len(target)):
-        if target is None:
+    for n in range(len(word) if wanted is None else size):
+        if wanted is None:
             i = word[n]
-            b = beta[i]
+        elif ready:
+            i = ready.pop()
         else:
-            for i, b in enumerate(beta):
-                if b > 0 and b in target:
-                    break
-            else:
-                raise ValueError(
-                    "the given set is not bi-convex (no simple reflection adds a root of it)"
-                )
+            raise ValueError(
+                "the given set is not bi-convex (no simple reflection adds a root of it)"
+            )
+        b = beta[i]
         _, support, pairs, column = simples[i]
         if i == 0:
             r += b
@@ -397,7 +407,12 @@ def _grow(rs: RootSystem, word=(), target=None):
         for k, fk in support:
             v[k] -= fk * z
         for j, a in column:
-            beta[j] -= a * b
+            bj = beta[j] = beta[j] - a * b
+            if wanted is not None:
+                if bj > 0 and wanted(bj):
+                    ready.add(j)
+                else:
+                    ready.discard(j)
         beta[i] = -b
     w = object.__new__(AffineWeylElement)  # unchecked: in W and Q^vee by construction
     w.rs, w.v, w.r = rs, FiniteWeylElement([_unpack(row, p) for row in v]), tuple(_unpack(r, p))
@@ -407,17 +422,28 @@ def _grow(rs: RootSystem, word=(), target=None):
 def element_from_inversions(rs: RootSystem, affine_roots) -> AffineWeylElement:
     """The unique element whose inversion set is the given set; raises
     ValueError when the set is no inversion set."""
-    return _grow(rs, target=affine_roots)
+    weights = _affine_simple_data(rs)[0]
+    top, low = weights[0], weights[1:]
+    target = {sum(map(mul, b.finite, low), b.level * top) for b in affine_roots}
+    return _grow(rs, wanted=target.__contains__, size=len(target))
 
 
-def _layer_roots(ideal: Ideal, top):
-    """m*delta - gamma for each gamma in I and 1 <= m <= top[gamma]."""
-    rs = ideal.rs
-    out = []
-    for idx in _ideals._iter_bits(ideal.mask):
-        minus = tuple(-c for c in rs.positive_roots[idx].coords)
-        out += [AffineRoot(m, minus) for m in range(1, top[idx] + 1)]
-    return out
+def _grow_to_levels(rs: RootSystem, levels) -> AffineWeylElement:
+    """The element whose inversion set is {m*delta - gamma_k : 1 <= m <= levels[k]}.
+
+    A positive packed root b is such a root iff its level digit m (rounded,
+    since the finite digits below it are signed) and its finite part, looked
+    up as -gamma_k, satisfy m <= levels[k]."""
+    shift = _SHIFT * rs.rank
+    half = 1 << (shift - 1)
+    minus = _negative_root_index(rs)
+
+    def wanted(b):
+        m = (b + half) >> shift
+        k = minus.get(b - (m << shift))
+        return k is not None and m <= levels[k]
+
+    return _grow(rs, wanted=wanted, size=sum(levels))
 
 
 def w_min(ideal: Ideal, l_table=None) -> AffineWeylElement:
@@ -425,13 +451,13 @@ def w_min(ideal: Ideal, l_table=None) -> AffineWeylElement:
     is `ideals._l_table(ideal)`, already computed."""
     if l_table is None:
         l_table = _ideals._l_table(ideal)
-    return element_from_inversions(ideal.rs, _layer_roots(ideal, l_table))
+    return _grow_to_levels(ideal.rs, [m or 0 for m in l_table])
 
 
 def w_max(ideal: Ideal) -> AffineWeylElement:
     """The maximal element whose first layer ideal is I (I strictly positive)."""
     kt = _ideals._k_table(ideal)  # raises for non strictly positive ideals
-    return element_from_inversions(ideal.rs, _layer_roots(ideal, [k - 1 for k in kt]))
+    return _grow_to_levels(ideal.rs, [k - 1 for k in kt])
 
 
 def rootlet(w: AffineWeylElement):

@@ -7,6 +7,12 @@ Output is deterministic: identical invocations produce identical bytes.
 `main` builds the argument parser on its first call and reuses it for the
 rest of the process: `parse_args` leaves the parser unchanged, and help
 text is formatted when printed.  `make_parser` still builds a fresh one.
+
+`enumerate --stats` and `verify --stats` write one JSON object to stderr
+when the command completes: the seconds of enumerate's stages (build, with
+the work guard; walk_and_records; write) and its counters (records written,
+bytes out, growth steps), or the seconds of each verify suite and its
+check and failure counts.  Stdout is the same with and without the flag.
 """
 
 import argparse
@@ -17,6 +23,7 @@ import json
 import os
 import sys
 import tempfile
+from time import perf_counter
 
 from .rootsys import Root, build
 from . import ideals as I
@@ -117,7 +124,41 @@ def _parse_class(raw: str):
     return tokens or ["all"]
 
 
+class _CountingWriter:
+    """A text stream that passes writes on to `out` and counts their UTF-8 bytes."""
+
+    def __init__(self, out):
+        self.out = out
+        self.bytes = 0
+
+    def write(self, text):
+        self.bytes += len(text.encode())
+        return self.out.write(text)
+
+
+def _stats_records(records, seconds, counters):
+    """Yield the records, adding the seconds spent making them to
+    seconds["walk_and_records"] and counting them and their growth steps;
+    w_min takes one step per unit of its length, `length_min`."""
+    records = iter(records)
+    while True:
+        start = perf_counter()
+        rec = next(records, None)
+        seconds["walk_and_records"] += perf_counter() - start
+        if rec is None:
+            return
+        counters["records_written"] += 1
+        counters["growth_steps"] += rec["length_min"]
+        yield rec
+
+
+def _write_stats(command, seconds, counters):
+    print(json.dumps({"command": command, "seconds": seconds, "counters": counters},
+                     sort_keys=True), file=sys.stderr)
+
+
 def cmd_enumerate(args, out) -> int:
+    start = perf_counter()
     rs = build(args.type, args.rank)
     tokens = _parse_class(args.klass)
     # an ideal is kept when it is in every listed class, so their smallest
@@ -126,9 +167,11 @@ def cmd_enumerate(args, out) -> int:
     if "minimax" in tokens:
         sizes["minimax"] = L.count_minimax(rs).value
     expected = min(sizes.get(t, L.count_AD(rs).value) for t in tokens)
-    # building an element takes one step per unit of length, each touching
-    # about rank + 1 simple-root images, and lengths are bounded by the
-    # summed root heights
+    # building an element takes one step per unit of length, and lengths are
+    # bounded by the summed root heights; a step updates and tests against
+    # the l-table the images of its affine simple root and of that node's
+    # neighbours in the affine Dynkin diagram, and updates at most rank
+    # rows of v, about rank + 1 integer updates in all
     height_sum = sum(r.height for r in rs.positive_roots)
     work = expected * height_sum * (rs.rank + 1)
     if not args.force:
@@ -146,6 +189,12 @@ def cmd_enumerate(args, out) -> int:
             return 2
     kept = I.enumerate_ideals(rs, [t.replace("-", "_") for t in tokens])
     records = (ideal_record(idl) for idl in kept)
+    if args.stats:
+        seconds = {"build": perf_counter() - start, "walk_and_records": 0.0}
+        counters = {"records_written": 0, "growth_steps": 0}
+        records = _stats_records(records, seconds, counters)
+        out = _CountingWriter(out)
+        start = perf_counter()
     if args.format == "json":
         payload = {
             "schema": IDEAL_RECORD_SCHEMA_ID,
@@ -181,6 +230,10 @@ def cmd_enumerate(args, out) -> int:
         out.write("# %d record(s) for %s class=%s\n"
                   % (count, V.system_name(args.type, args.rank),
                      ",".join(tokens)))
+    if args.stats:
+        seconds["write"] = perf_counter() - start - seconds["walk_and_records"]
+        counters["bytes_out"] = out.bytes
+        _write_stats("enumerate", seconds, counters)
     return 0
 
 
@@ -227,11 +280,14 @@ def cmd_verify(args, out) -> int:
     names = V.SUITE_NAMES if args.suite == "all" else (args.suite,)
     failures = 0
     results = []
+    seconds = {}
     for name in names:
+        start = perf_counter()
         for row in V.run_suite(name):
             results.append(row)
             if not row.ok:
                 failures += 1
+        seconds[name] = perf_counter() - start
     if args.format == "json":
         json.dump(
             {
@@ -253,6 +309,8 @@ def cmd_verify(args, out) -> int:
                 out.write("FAIL [%s] %s: expected=%s computed=%s\n"
                           % (r.suite, r.name, r.expected, r.computed))
         out.write("# %d check(s), %d failure(s)\n" % (len(results), failures))
+    if args.stats:
+        _write_stats("verify", seconds, {"checks": len(results), "failures": failures})
     return 1 if failures else 0
 
 
@@ -311,6 +369,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--force", action="store_true",
                    help="allow oversized dumps")
+    p.add_argument("--stats", action="store_true",
+                   help="write seconds per stage and counters as JSON to stderr")
 
     p = sub.add_parser("classify", help="classify one ideal given its generators")
     _add_system_args(p)
@@ -330,6 +390,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all", choices=("all",) + V.SUITE_NAMES)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", default=None)
+    p.add_argument("--stats", action="store_true",
+                   help="write seconds per suite and counters as JSON to stderr")
 
     p = sub.add_parser("tables", help="print the reproduced tables")
     p.add_argument("--which", default="all",

@@ -31,7 +31,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, sub
+from operator import add
 
 __all__ = ["Root", "AffineRoot", "RootSystem", "build"]
 
@@ -247,23 +247,28 @@ def _invert_fraction_matrix(m):
     return tuple(tuple(row[n:]) for row in a)
 
 
-def _decompositions(roots, index, strict_down):
+def _decompositions(roots, strict_down):
     """Per root k, the pairs (a, b), a <= b, with roots[a] + roots[b] = roots[k].
 
     Only the roots a strictly below roots[k] and of at most half its height
-    are tried, in index order; roots are sorted by height.
+    are tried, in index order; roots are sorted by height.  Each probe is one
+    subtraction of packed keys, as `_positive_root_keys` packs them, and one
+    dict lookup: a root below roots[k] leaves no digit of the difference
+    negative.
     """
+    digits = struct.Struct(">%dH" % len(roots[0].coords))
+    keys = [int.from_bytes(digits.pack(*r.coords), "big") for r in roots]
+    position = dict(zip(keys, range(len(keys))))
     heights = [r.height for r in roots]
     out = []
-    for k, r in enumerate(roots):
-        c = r.coords
+    for k, key in enumerate(keys):
         pairs = []
         below = strict_down[k] & ((1 << bisect_right(heights, heights[k] // 2)) - 1)
         while below:
             low = below & -below
             below ^= low
             a = low.bit_length() - 1
-            b = index.get(tuple(map(sub, c, roots[a].coords)))
+            b = position.get(key - keys[a])
             if b is not None and a <= b:
                 pairs.append((a, b))
         out.append(tuple(pairs))
@@ -278,11 +283,12 @@ class RootSystem:
     the poset masks.  The roots, their norms (for `long_mask`) and their
     covers (for the poset masks) come from `_positive_root_keys` on packed
     keys; the keys and the carried pairings stay local to the constructor,
-    and `_index` maps coordinate tuples.  The two-root decompositions, the
-    partner masks read off them and the fundamental coweights are computed
-    on first use, since counting reads none of them.  Inner products and
-    pairings are computed on demand from one integer Gram matrix.  Use the
-    module-level `build` (which caches) rather than the constructor.
+    and `_index` maps coordinate tuples.  The two-root decompositions (on
+    keys packed again from the roots), the partner masks read off them and
+    the fundamental coweights are computed on first use, since counting
+    reads none of them.  Inner products and pairings are computed on demand
+    from one integer Gram matrix.  Use the module-level `build` (which
+    caches) rather than the constructor.
     """
 
     def __init__(self, type_label: str, rank: int):
@@ -363,7 +369,7 @@ class RootSystem:
     @cached_property
     def decompositions(self):
         """Per root k, the pairs (a, b), a <= b, of root indices summing to it."""
-        return _decompositions(self.positive_roots, self._index, self.strict_down_masks)
+        return _decompositions(self.positive_roots, self.strict_down_masks)
 
     @cached_property
     def partner_masks(self):

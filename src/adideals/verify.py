@@ -259,12 +259,12 @@ def suite_bijections():
         layers_ok = True
         equality_seen = False
         for ideal in I.enumerate_ideals(rs):
-            wmin = A.w_min(ideal)
+            lt = I._l_table(ideal)
+            wmin = A.w_min(ideal, lt)
             if A.first_layer_ideal(wmin) != ideal or not A.is_minimal(wmin):
                 layers_ok = False
-            strictly = I.is_strictly_positive(ideal)
-            if strictly:
-                lt = I._l_table(ideal)
+            mm = I.is_minimax(ideal)
+            if I.is_strictly_positive(ideal):
                 kt = I._k_table(ideal)
                 members = list(I._iter_bits(ideal.mask))
                 if any(lt[m] > kt[m] - 1 for m in members):
@@ -273,7 +273,6 @@ def suite_bijections():
                 wmax = A.w_max(ideal)
                 if A.first_layer_ideal(wmax) != ideal or not A.is_maximal(wmax):
                     layers_ok = False
-                mm = I.is_minimax(ideal)
                 if not (mm == (wmin == wmax) == pointwise):
                     equiv_ok = False
                 if mm:
@@ -289,9 +288,9 @@ def suite_bijections():
                     ):
                         shi_ok = False
             if I.is_abelian(ideal):
-                nu, _ = A.rootlet(A.w_min(ideal))
+                nu, _ = A.rootlet(wmin)
                 nu_simple = nu.is_positive() and rs.index_of(nu) in rs.simple_indices
-                if I.is_minimax(ideal) != (not nu_simple):
+                if mm != (not nu_simple):
                     abel_ok = False
 
         rows.append(CheckResult("bijections", name + " first layers round-trip",

@@ -354,6 +354,22 @@ def test_element_from_inversions_matches_peel_oracle(label, rank):
             assert A.w_max(ideal) == oracle
 
 
+def test_w_min_and_w_max_build_no_affine_roots(monkeypatch):
+    rs = build("E7", 7)
+    ideal = heis(rs)
+    A._affine_simple_data(rs)
+
+    def fail(*args):
+        raise AssertionError("an AffineRoot was built")
+
+    monkeypatch.setattr(A, "AffineRoot", fail)
+    w = A.w_min(ideal)
+    assert A.length(w) == sum(filter(None, I._l_table(ideal)))
+    assert A.first_layer_ideal(w) == ideal
+    strict = I.Ideal(rs, ideal.mask & ~rs.simple_mask)
+    assert A.first_layer_ideal(A.w_max(strict)) == strict
+
+
 def test_e6_w_min_inversion_sets_and_first_layers():
     rs = build("E6", 6)
     seen = 0
@@ -536,13 +552,14 @@ def test_element_from_record_rejects_malformed(record):
 def test_element_from_record_validates_under_optimize():
     # `python -O` strips asserts; the checks must still raise
     code = "\n".join([
-        "from adideals.rootsys import build",
+        "from adideals.rootsys import AffineRoot, build",
         "from adideals import affine as A",
         "assert False, 'asserts are on'",
         "rec = {'word': [0], 'v_matrix': [[9, 9], [9, 9]], 'r_coords': [5, 5]}",
         "calls = [lambda: A.element_from_record(build('A', 2), rec),",
         "         lambda: A.length(A.translation(build('G2', 2), (1, 0))),",
-        "         lambda: A.finite_element(build('A', 2), A.FiniteWeylElement([[0, 1], [1, 0]]))]",
+        "         lambda: A.finite_element(build('A', 2), A.FiniteWeylElement([[0, 1], [1, 0]])),",
+        "         lambda: A.element_from_inversions(build('A', 2), [AffineRoot(1, (-1, 0))])]",
         "for n, call in enumerate(calls):",
         "    try:",
         "        call()",

@@ -12,6 +12,7 @@ import pytest
 from adideals import affine as A
 from adideals import cli
 from adideals import ideals as I
+from adideals import verify as V
 from adideals.rootsys import build
 from helpers import systems_up_to
 
@@ -246,6 +247,42 @@ def test_verify_suite_passes(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert all(r["ok"] for r in payload["results"])
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_enumerate_stats_go_to_stderr_only(fmt, capsys):
+    argv = ["enumerate", "--type", "B", "--rank", "4", "--format", fmt]
+    code, out, err = run(argv, capsys)
+    stats_code, stats_out, stats_err = run(argv + ["--stats"], capsys)
+    assert code == stats_code == 0
+    assert stats_out == out and err == ""
+    stats = json.loads(stats_err)
+    assert stats["command"] == "enumerate"
+    assert sorted(stats["seconds"]) == ["build", "walk_and_records", "write"]
+    assert all(isinstance(s, float) for s in stats["seconds"].values())
+    ideals = list(I.enumerate_ideals(build("B", 4)))
+    assert stats["counters"] == {
+        "records_written": len(ideals),
+        "bytes_out": len(out.encode()),
+        "growth_steps": sum(A.length(A.w_min(ideal)) for ideal in ideals),
+    }
+
+
+@pytest.mark.parametrize("suite,fmt", [("f4table", "text"), ("f4table", "json"),
+                                       ("all", "text")])
+def test_verify_stats_go_to_stderr_only(suite, fmt, capsys):
+    argv = ["verify", "--suite", suite, "--format", fmt]
+    code, out, err = run(argv, capsys)
+    stats_code, stats_out, stats_err = run(argv + ["--stats"], capsys)
+    assert code == stats_code == 0
+    assert stats_out == out and err == ""
+    stats = json.loads(stats_err)
+    assert stats["command"] == "verify"
+    names = V.SUITE_NAMES if suite == "all" else (suite,)
+    assert sorted(stats["seconds"]) == sorted(names)
+    checks = (len(json.loads(out)["results"]) if fmt == "json"
+              else int(out.splitlines()[-1].split()[1]))  # "# N check(s), ..."
+    assert stats["counters"] == {"checks": checks, "failures": 0}
 
 
 def test_verify_under_optimize_matches_in_process_run(capsys):

@@ -1,8 +1,9 @@
-"""Property tests over random ideals of every type of rank <= 6, and of
-E7 and E8 for the minimax test, and of C_n, n <= 8, for the type C pair
-coordinates; over random affine Weyl elements of every type of rank
-<= 4 (G2 and F4 included) for their inversion data; and over random roots
-of every type of rank <= 30 for the packed root-system build.
+"""Property tests over random ideals of every type of rank <= 6, of rank
+<= 7 for the growth of w_min and w_max, of E7 and E8 for the minimax
+test, and of C_n, n <= 8, for the type C pair coordinates; over random
+affine Weyl elements of every type of rank <= 4 (G2 and F4 included) for
+their inversion data; and over random roots of every type of rank <= 30
+for the packed root-system build.
 
 Derandomised, so every run draws the same examples.
 """
@@ -25,6 +26,7 @@ from helpers import (
 )
 
 SYSTEMS = systems_up_to(6)
+RANK_7_SYSTEMS = systems_up_to(7)  # A1 first; G2, F4, E6 and E7 included
 LARGE_SYSTEMS = [("E7", 7), ("E8", 8)]
 TYPE_C_SYSTEMS = [("C", n) for n in range(2, 9)]
 
@@ -58,6 +60,18 @@ def test_w_min_properties(ideal):
     winv = w.inverse()
     assert winv == affine_inverse(w)
     assert (w * winv).is_identity()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.one_of(ideals(RANK_7_SYSTEMS), ideals(RANK_7_SYSTEMS[1:], strictly_positive=True)))
+def test_level_growth_matches_inversion_set_growth(ideal):
+    # w_min and w_max test each candidate root against the l- or k-table;
+    # element_from_inversions tests it against the prescribed set
+    rs = ideal.rs
+    assert A.w_min(ideal) == A.element_from_inversions(rs, prescribed_inversions(ideal))
+    if I.is_strictly_positive(ideal):
+        assert A.w_max(ideal) == A.element_from_inversions(
+            rs, prescribed_inversions(ideal, maximal=True))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)

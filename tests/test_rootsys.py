@@ -220,7 +220,7 @@ def test_packed_build_matches_tuple_oracle(label, rank):
     oracle = tuple_root_system(label, rank)
     for name in ROOT_SYSTEM_TABLES:
         assert getattr(rs, name) == getattr(oracle, name), name
-    if rank <= 12:
+    if rank <= 12 or label in ("A", "D"):
         decs, partners = decompositions_by_pairs(oracle)
         assert rs.decompositions == tuple(decs)
         assert rs.partner_masks == tuple(partners)
