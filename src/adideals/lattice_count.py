@@ -10,11 +10,12 @@ prod_i (x^-c_i + 1 + x^c_i).  Dividing by the index of connection f, or
 keeping only the solutions passing the per-type congruence that cuts
 the coroot lattice out of the coweight lattice, gives the minimax
 count; the two routes are computed independently and must agree.  Both
-run on one dynamic program over the factors of that product, the
-second with the congruence residues carried in its state.
+read that coefficient off one product of polynomials packed into big
+integers (Kronecker substitution), the second with one packed
+polynomial per congruence residue class.
 
-All arithmetic here is exact: integer dynamic programs, rational
-products with a final integrality assertion.
+All arithmetic here is exact: packed integer polynomial products, and
+products of integer fractions divided once, with a remainder raising.
 """
 
 import itertools
@@ -112,31 +113,54 @@ def laurent_coefficient(cs, k: int, forms=()) -> int:
 
     Given forms, (weights, modulus) pairs with one weight per factor, count
     only the terms x^(sum c_i y_i) with every sum w_i y_i = 0 mod modulus.
+
+    Each factor is shifted by x^|c_i| to 1 + x^|c_i| + x^(2|c_i|), so the
+    answer is the coefficient at k + sum |c_i| of a polynomial with
+    nonnegative exponents, packed into one int (Kronecker substitution):
+    coefficient e in bits [e*s, (e+1)*s).  No coefficient exceeds 3^n, the
+    number of terms, so a slot of s = bitlength(3^n) bits never carries
+    into the next, and multiplying by a factor is two shifts and two
+    additions.  With forms there is one packed int per residue class,
+    indexed in mixed radix over the moduli.
     """
-    zero = (0,) * len(forms)
+    if type(k) is not int or any(type(c) is not int for c in cs):
+        raise ValueError("marks and exponent must be ints, not %r and %r" % (cs, k))
+    for weights, m in forms:
+        if type(m) is not int or m < 1:
+            raise ValueError("modulus must be an int >= 1, not %r" % (m,))
+        if len(weights) != len(cs) or any(type(w) is not int for w in weights):
+            raise ValueError("a form needs %d int weights, not %r" % (len(cs), weights))
+    shifts = [abs(c) for c in cs]
+    target = k + sum(shifts)
+    if not 0 <= target <= 2 * sum(shifts):
+        return 0
+    s = (3 ** len(cs)).bit_length()
+    # y_i = -1, 0, 1 sits at shift 0, |c_i|, 2|c_i| (reversed if c_i < 0),
+    # so shift j adds j times the weight, negated if c_i < 0, to a class
+    # that starts at minus the sum of those weights
     mods = [m for _, m in forms]
-    # reach[i]: the most the factors from i on can still move the exponent,
-    # so a state further than that from k is dropped
-    reach = list(itertools.accumulate(reversed([abs(c) for c in cs]), initial=0))[::-1]
-    poly = {(0, zero): 1}
-    for i, c in enumerate(cs):
-        weights = [w[i] for w, _ in forms]
-        # the residue step of y_i = -1 and +1, once per residue vector
-        ress = {res for _, res in poly}
-        steps = [(d * c, {r: tuple((x + d * w) % m for x, w, m in zip(r, weights, mods))
-                          for r in ress})
-                 for d in (-1, 1)]
-        lo, hi = k - reach[i + 1], k + reach[i + 1]
-        nxt = {}
-        for (e, res), v in poly.items():
-            if lo <= e <= hi:
-                nxt[e, res] = nxt.get((e, res), 0) + v
-            for de, moved in steps:
-                if lo <= e + de <= hi:
-                    key = (e + de, moved[res])
-                    nxt[key] = nxt.get(key, 0) + v
-        poly = nxt
-    return poly.get((k, zero), 0)
+    signed = [[-w if c < 0 else w for w, c in zip(weights, cs)] for weights, _ in forms]
+    strides = [math.prod(mods[:j]) for j in range(len(mods))]
+    polys = [0] * math.prod(mods)
+    polys[sum(-sum(ws) % m * st for ws, m, st in zip(signed, mods, strides))] = 1
+    for i, a in enumerate(shifts):
+        one, two = a * s, 2 * a * s
+        steps = [ws[i] % m for ws, m in zip(signed, mods)]
+        if not any(steps):
+            polys = [p + (p << one) + (p << two) for p in polys]
+            continue
+        # moved[r]: the class r plus the steps, in the same mixed radix
+        moved = [0]
+        for d, m, st in zip(steps, mods, strides):
+            moved = [(x + d) % m * st + r for x in range(m) for r in moved]
+        nxt = polys[:]
+        for r, p in enumerate(polys):
+            if p:
+                r1 = moved[r]
+                nxt[r1] += p << one
+                nxt[moved[r1]] += p << two
+        polys = nxt
+    return polys[0] >> (target * s) & ((1 << s) - 1)
 
 
 def trinomial(k: int, n: int) -> int:
@@ -191,10 +215,12 @@ def count_minimax(rs: RootSystem) -> CountReport:
     """Minimax count by the lattice route, computed two ways.
 
     (a) the extended-system solution count divided by the index of
-    connection (divisibility is asserted, not assumed); (b) the number
+    connection (divisibility is checked, not assumed); (b) the number
     of solutions passing the coroot-lattice congruence.  The two must
     agree or the implementation is broken.  Both are read off
-    `laurent_coefficient`, (b) with the congruence forms (y_0 weighs 0).
+    `laurent_coefficient`'s packed product of the p + 1 factors, (b)
+    with the congruence forms (y_0 weighs 0), which keeps one packed
+    polynomial per residue class.  Neither enumerates the solutions.
     """
     cs = (rs.c0,) + rs.theta_coords
     f = rs.index_of_connection
@@ -220,25 +246,29 @@ def count_minimax_by_enumeration(rs: RootSystem) -> CountReport:
     return CountReport(rs.type_label, rs.rank, "minimax", value, "enumeration")
 
 
-def _integer_product(factors) -> int:
-    total = Fraction(1)
-    for f in factors:
-        total *= f
-    assert total.denominator == 1
-    return int(total)
+def _integer_product(pairs) -> int:
+    """prod a / b over the (a, b) pairs, which must be an integer."""
+    num = den = 1
+    for a, b in pairs:
+        num *= a
+        den *= b
+    quot, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError("the product %d/%d is not an integer" % (num, den))
+    return quot
 
 
 def count_AD(rs: RootSystem) -> CountReport:
     """#ideals = prod (h + e_i + 1) / (e_i + 1), exact."""
     h = rs.coxeter_number
-    value = _integer_product(Fraction(h + e + 1, e + 1) for e in rs.exponents)
+    value = _integer_product((h + e + 1, e + 1) for e in rs.exponents)
     return CountReport(rs.type_label, rs.rank, "AD", value, "closed_form")
 
 
 def count_AD0(rs: RootSystem) -> CountReport:
     """#strictly positive ideals = prod (h + e_i - 1) / (e_i + 1), exact."""
     h = rs.coxeter_number
-    value = _integer_product(Fraction(h + e - 1, e + 1) for e in rs.exponents)
+    value = _integer_product((h + e - 1, e + 1) for e in rs.exponents)
     return CountReport(rs.type_label, rs.rank, "AD0", value, "closed_form")
 
 
@@ -269,7 +299,7 @@ def haiman_count(rs: RootSystem, t: int) -> int:
             "t = %d shares a factor with the Coxeter number %d"
             % (t, rs.coxeter_number)
         )
-    return _integer_product(Fraction(t + e, 1 + e) for e in rs.exponents)
+    return _integer_product((t + e, 1 + e) for e in rs.exponents)
 
 
 # -- the classical sequences --------------------------------------------------

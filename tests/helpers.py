@@ -95,6 +95,41 @@ def coroot_points_in_dilated_alcove(rs, t):
     return count
 
 
+def laurent_coefficient_by_dp(cs, k, forms=()):
+    """Coefficient of x^k in prod_i (x^-c_i + 1 + x^c_i), with the terms
+    kept only where every form sum w_i y_i vanishes mod its modulus.
+
+    The dict dynamic program `lattice_count.laurent_coefficient` replaced by
+    packed integer products, kept as its oracle: one (exponent, residues)
+    state per entry, with states that the remaining factors cannot bring
+    back to k dropped.
+    """
+    zero = (0,) * len(forms)
+    mods = [m for _, m in forms]
+    # reach[i]: the most the factors from i on can still move the exponent,
+    # so a state further than that from k is dropped
+    reach = list(itertools.accumulate(reversed([abs(c) for c in cs]), initial=0))[::-1]
+    poly = {(0, zero): 1}
+    for i, c in enumerate(cs):
+        weights = [w[i] for w, _ in forms]
+        # the residue step of y_i = -1 and +1, once per residue vector
+        ress = {res for _, res in poly}
+        steps = [(d * c, {r: tuple((x + d * w) % m for x, w, m in zip(r, weights, mods))
+                          for r in ress})
+                 for d in (-1, 1)]
+        lo, hi = k - reach[i + 1], k + reach[i + 1]
+        nxt = {}
+        for (e, res), v in poly.items():
+            if lo <= e <= hi:
+                nxt[e, res] = nxt.get((e, res), 0) + v
+            for de, moved in steps:
+                if lo <= e + de <= hi:
+                    key = (e + de, moved[res])
+                    nxt[key] = nxt.get(key, 0) + v
+        poly = nxt
+    return poly.get((k, zero), 0)
+
+
 def _invert(matrix):
     n = len(matrix)
     aug = [

@@ -1,10 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from adideals.rootsys import build
 from adideals import lattice_count as L
-from helpers import coroot_points_in_dilated_alcove, systems_up_to
+from helpers import coroot_points_in_dilated_alcove, laurent_coefficient_by_dp, systems_up_to
 
 
 def test_membership_examples():
@@ -61,6 +64,32 @@ def test_laurent_matches_extended_system(label, rank):
     rs = build(label, rank)
     cs = (rs.c0,) + rs.theta_coords
     assert L.laurent_coefficient(cs, 1) == len(L.solve_extended_system(rs))
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(12))
+def test_laurent_matches_dp_oracle_on_both_count_minimax_routes(label, rank):
+    rs = build(label, rank)
+    cs = (rs.c0,) + rs.theta_coords
+    forms = [((0,) + w, m) for w, m in L.CONGRUENCES[label](rank)]
+    assert L.laurent_coefficient(cs, 1) == laurent_coefficient_by_dp(cs, 1)
+    assert L.laurent_coefficient(cs, 1, forms) == laurent_coefficient_by_dp(cs, 1, forms)
+
+
+@pytest.mark.parametrize("cs,k,forms", [
+    ((1, 1.0), 1, ()),
+    ((1, Fraction(1)), 1, ()),
+    ((1, 1), 1.0, ()),
+    ((1, 1), "1", ()),
+    ((1, 1), 1, [((1, 0), 0)]),
+    ((1, 1), 1, [((1, 0), -2)]),
+    ((1, 1), 1, [((1, 0), 2.0)]),
+    ((1, 1), 1, [((1,), 2)]),
+    ((1, 1), 1, [((1, 0, 1), 2)]),
+    ((1, 1), 1, [((1, 0.5), 2)]),
+])
+def test_laurent_rejects_malformed_input(cs, k, forms):
+    with pytest.raises(ValueError):
+        L.laurent_coefficient(cs, k, forms)
 
 
 def test_trinomial_values():
@@ -128,7 +157,7 @@ def test_count_minimax_never_sweeps(label, rank, monkeypatch):
     assert L.count_minimax(rs).value == oracle
 
 
-@pytest.mark.parametrize("n", range(12, 26))
+@pytest.mark.parametrize("n", [*range(12, 26), 40, 100])
 def test_count_minimax_high_ranks_match_closed_forms(n):
     assert L.count_minimax(build("A", n)).value == L.motzkin(n)
     assert L.count_minimax(build("B", n)).value == L.directed_animals(n)
@@ -164,6 +193,37 @@ def test_count_AD_examples():
     report = L.count_AD(build("B", 3))
     assert report.method == "closed_form" and not report.congruence_applied
     assert report.csv_row() == ["B", 3, "AD", 20, "closed_form", False]
+
+
+def test_integer_product_raises_on_a_remainder():
+    assert L._integer_product([(6, 2), (5, 3)]) == 5
+    assert L._integer_product([]) == 1
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        L._integer_product([(3, 2), (5, 3)])
+
+
+def test_lattice_checks_raise_under_optimize():
+    # the checks are raises, not asserts, so `python -O` keeps them
+    code = "\n".join([
+        "from adideals import lattice_count as L",
+        "assert False, 'asserts are on'",
+        "calls = [(lambda: L._integer_product([(3, 2)]), ArithmeticError),",
+        "         (lambda: L.laurent_coefficient((1, 1), 1, [((1, 0), 0)]), ValueError),",
+        "         (lambda: L.laurent_coefficient((1, 1), 1, [((1,), 2)]), ValueError)]",
+        "for n, (call, error) in enumerate(calls):",
+        "    try:",
+        "        call()",
+        "    except error:",
+        "        continue",
+        "    raise SystemExit(10 + n)",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(L.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_haiman_examples():

@@ -2,8 +2,9 @@
 <= 7 for the growth of w_min and w_max, of E7 and E8 for the minimax
 test, and of C_n, n <= 8, for the type C pair coordinates; over random
 affine Weyl elements of every type of rank <= 4 (G2 and F4 included) for
-their inversion data; and over random roots of every type of rank <= 30
-for the packed root-system build.
+their inversion data; over random roots of every type of rank <= 30
+for the packed root-system build; and over random Laurent products, with
+congruence forms, for the packed lattice count.
 
 Derandomised, so every run draws the same examples.
 """
@@ -17,9 +18,11 @@ from adideals import affine as A
 from adideals import classical_types as C
 from adideals import heisenberg as H
 from adideals import ideals as I
+from adideals import lattice_count as L
 from adideals.rootsys import Root, RootSystem, build
 from helpers import (
-    affine_inverse, affine_product, brute_bilinear, level_scan_inversions,
+    affine_inverse, affine_product, brute_bilinear, laurent_coefficient_by_dp,
+    level_scan_inversions,
     peel_element_from_inversions, peel_reduced_word, prescribed_inversions,
     sp_restriction_by_support, sp_root_to_pair_by_search, symmetrize_by_search,
     systems_up_to, tuple_root_system, two_table_is_minimax,
@@ -181,3 +184,22 @@ def test_packed_build_matches_oracles_root_by_root(drawn):
     assert rs.strict_down_masks[k] == below ^ 1 << k
     assert rs.incomparability_masks[k] == (1 << len(roots)) - 1 & ~(above | below)
     assert (rs.long_mask >> k & 1) == (brute_bilinear(rs, c, c) == 2)
+
+
+@st.composite
+def laurent_inputs(draw):
+    """Marks (negative and zero ones included), an exponent up to 3 beyond
+    the reach of the product, and up to two forms with moduli 1..6."""
+    cs = draw(st.lists(st.integers(-4, 4), max_size=8))
+    reach = sum(abs(c) for c in cs)
+    k = draw(st.integers(-reach - 3, reach + 3))
+    weights = st.lists(st.integers(-7, 7), min_size=len(cs), max_size=len(cs))
+    forms = draw(st.lists(st.tuples(weights, st.integers(1, 6)), max_size=2))
+    return cs, k, forms
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(laurent_inputs())
+def test_packed_laurent_matches_dp_oracle(case):
+    cs, k, forms = case
+    assert L.laurent_coefficient(cs, k, forms) == laurent_coefficient_by_dp(cs, k, forms)
