@@ -13,8 +13,10 @@ root mu, s(mu) = (mu, r) + [v(mu) < 0], with no level scanning.
 One kernel, `_grow`, grows u from the identity by left multiplications
 u -> s_i u along a given word or one inversion at a time, so the same
 loop serves words, inversion sets, products, inverses and the elements
-of ideals.  Reduced words are peeled off the images w(alpha_j) of the
-affine simple roots, moved by the same Cartan-column step.
+of ideals.  One peel, `_peel`, walks the other way: it takes the lowest
+right descent off the images w(alpha_j) of the affine simple roots, moved
+by the same Cartan-column step, and so serves both reduced words and the
+test that a matrix lies in the finite Weyl group W.
 
 The minimal element of an ideal I is the one whose inversion set is
 {m*delta - gamma : gamma in I, 1 <= m <= l(gamma, I)}; the maximal
@@ -97,31 +99,20 @@ def finite_length(rs: RootSystem, v: FiniteWeylElement) -> int:
 
 
 def _in_weyl_group(rs: RootSystem, v) -> bool:
-    """Whether v is in W: while some v(alpha_i) has negative height, replace v by
-    v s_i for the lowest such i; v is in W iff this ends at 1 within |Delta^+| steps."""
+    """Whether v is in W: `_peel` takes the packed images v(alpha_j) to the
+    identity's within |Delta^+| steps, and the peeled word rebuilds v.
+
+    The rebuilt element is in W, so the final comparison keeps the test
+    sound even when a huge entry of v aliases in the packing."""
     if not (isinstance(v, FiniteWeylElement)
             and [[type(x) for x in row] for row in v.matrix] == [[int] * rs.rank] * rs.rank):
         return False
-    cols = [list(col) for col in zip(*v.matrix)]  # cols[i] = v(alpha_i)
-    heights = [sum(col) for col in cols]
-    _, simples = _affine_simple_data(rs)
-    for _ in range(rs.num_positive + 1):
-        for i, hi in enumerate(heights):
-            if hi < 0:
-                break
-        else:
-            return FiniteWeylElement(cols).is_identity()
-        # v s_i(alpha_j) = v(alpha_j) - (alpha_j, alpha_i^vee) v(alpha_i), and so
-        # for the heights; the affine simple root i + 1 lists the nonzero
-        # (alpha_j, alpha_i^vee), j != i, with j shifted by one
-        ci = cols[i]
-        for j, a in simples[i + 1][3]:
-            if j:
-                cols[j - 1] = [x - a * y for x, y in zip(cols[j - 1], ci)]
-                heights[j - 1] -= a * hi
-        cols[i] = [-y for y in ci]
-        heights[i] = -hi
-    return False
+    weights = _affine_simple_data(rs)[0]
+    cols = [sum(map(mul, col, weights[1:])) for col in zip(*v.matrix)]
+    # v(alpha_0) = delta - v(theta), and packing is linear
+    word = _peel(rs, [weights[0] - sum(map(mul, rs.theta_coords, cols))] + cols,
+                 rs.num_positive)
+    return word is not None and _grow(rs, word).v == v
 
 
 class AffineWeylElement:
@@ -179,7 +170,9 @@ def translation(rs: RootSystem, r) -> AffineWeylElement:
 
 
 def simple_affine_root(rs: RootSystem, i: int) -> AffineRoot:
-    """alpha_i for i >= 1 (0-based i-1 internally); alpha_0 = delta - theta."""
+    """alpha_i for i in 0..p (0-based i-1 internally); alpha_0 = delta - theta."""
+    if not (type(i) is int and 0 <= i <= rs.rank):
+        raise ValueError("an affine simple index is an int in 0..%d, not %r" % (rs.rank, i))
     if i == 0:
         return AffineRoot(1, tuple(-c for c in rs.theta_coords))
     return AffineRoot(0, rs.alpha(i - 1).coords)
@@ -187,12 +180,7 @@ def simple_affine_root(rs: RootSystem, i: int) -> AffineRoot:
 
 def affine_simple_reflection(rs: RootSystem, i: int) -> AffineWeylElement:
     """s_i for i in 0..p; s_0 = s_theta . t_{-theta^vee}."""
-    if i == 0:
-        # theta is long, so theta^vee = theta in coordinates
-        return AffineWeylElement(
-            rs, reflection(rs, rs.theta), tuple(-c for c in rs.theta_coords)
-        )
-    return finite_element(rs, reflection(rs, rs.alpha(i - 1)))
+    return element_from_word(rs, [i])
 
 
 def act_affine_root(w: AffineWeylElement, beta: AffineRoot) -> AffineRoot:
@@ -268,27 +256,36 @@ def is_minimax_element(w: AffineWeylElement) -> bool:
 
 
 def reduced_word(w: AffineWeylElement):
-    """A reduced word for w, peeling the lowest right descent first: while
-    some w(alpha_i) is negative, take the lowest such i and replace w by
-    w s_i; the word is the peeled indices reversed.
-
-    Only the p+1 images beta_j = w(alpha_j), packed as in `_grow`, are
-    kept; s_i moves them by `_grow`'s step, since w s_i(alpha_j) =
-    beta_j - (alpha_j, alpha_i^vee) beta_i.  Each peel shortens w by one,
-    and only the identity has no negative image, so this takes length(w)
-    steps.
-    """
+    """A reduced word for w: the indices `_peel` takes off the packed images
+    w(alpha_j), reversed."""
     rs = w.rs
-    weights, simples = _affine_simple_data(rs)
+    weights = _affine_simple_data(rs)[0]
     beta = [sum(map(mul, (b.level,) + b.finite, weights))
             for b in (act_affine_root(w, simple_affine_root(rs, j)) for j in range(rs.rank + 1))]
+    return _peel(rs, beta)[::-1]
+
+
+def _peel(rs: RootSystem, beta, bound=None):
+    """Peel the lowest right descent first: while some packed image
+    beta_i = w(alpha_i) is negative, take the lowest such i and replace w by
+    w s_i.  Returns the peeled indices, or None after more than `bound` peels.
+
+    Only the p+1 images, a list updated in place, are kept; s_i moves them
+    by `_grow`'s step, since w s_i(alpha_j) = beta_j - (alpha_j, alpha_i^vee)
+    beta_i.  Each peel shortens w by one, and only the identity has no
+    negative image, so an affine Weyl group element is peeled in length(w)
+    steps, and w = s_{i_k} ... s_{i_1} = `_grow(rs, peeled)`.
+    """
+    simples = _affine_simple_data(rs)[1]
     peeled = []
     while True:
         for i, b in enumerate(beta):
             if b < 0:
                 break
         else:
-            return peeled[::-1]
+            return peeled
+        if len(peeled) == bound:
+            return None
         peeled.append(i)
         for j, a in simples[i][3]:
             beta[j] -= a * b
@@ -304,7 +301,7 @@ def element_from_word(rs: RootSystem, word) -> AffineWeylElement:
     return _grow(rs, word[::-1])
 
 
-# `_grow` and `reduced_word` pack each vector they update into one integer
+# `_grow` and `_peel` pack each vector they update into one integer
 # whose signed base-2^64 digits are the entries, most significant first.
 # Packing is linear, so every update is one integer multiply-add, and a
 # packed affine root (level, coords...) is positive exactly when the integer
@@ -378,7 +375,7 @@ def _grow(rs: RootSystem, word=(), wanted=None, size=0):
     fixed by its inversion set.  The parts of u = v . t_r follow by integer
     row updates: s_i u = (s_i v) . t_r for i >= 1, and
     s_0 u = (s_theta v) . t_{r + f} with f the finite part of beta_0.
-    `reduced_word` peels words off w(alpha_j) with the same step.
+    `_peel` peels words off w(alpha_j) with the same step.
     """
     weights, simples = _affine_simple_data(rs)
     beta = [packed for packed, _, _, _ in simples]

@@ -261,7 +261,7 @@ def cmd_classify(args, out) -> int:
 def cmd_count(args, out) -> int:
     report = getattr(L, "count_" + args.quantity)(build(args.type, args.rank))
     if args.format == "json":
-        json.dump(report.__dict__, out, indent=1, sort_keys=True)
+        json.dump(report._asdict(), out, indent=1, sort_keys=True)
         out.write("\n")
     elif args.format == "csv":
         writer = csv.writer(out)

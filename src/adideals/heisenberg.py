@@ -6,12 +6,13 @@ where theta is not simple) and h^3 = {}.  The
 dominant elements of the form v.s_0 are classified by a long positive
 root nu: v is either w_nu (the shortest element taking theta to nu) or
 s_nu.w_nu, and the first-layer ideals of w_nu.s_0 and s_nu.w_nu.s_0 are
-exactly the nontrivial ideals contained in h.  Closed-form descriptions
+exactly the nontrivial ideals contained in h.  A reduced word of w_nu is
+read off the ascent from nu up to theta by simple reflections, one
+lowest non-dominant index at a time.  Closed-form descriptions
 of those ideals are provided and tested against the first layers.
 """
 
-from collections import deque
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .rootsys import Root, RootSystem
 from .ideals import Ideal, heisenberg_root_mask
@@ -37,16 +38,14 @@ def heisenberg_ideal(rs: RootSystem) -> Ideal:
     return Ideal(rs, heisenberg_root_mask(rs))
 
 
-@dataclass(frozen=True)
-class HeisenbergElementDescriptor:
+class HeisenbergElementDescriptor(namedtuple("HeisenbergElementDescriptor", "nu sign")):
     """A long positive root nu plus a sign.
 
     sign +1 describes w_nu.s_0 (rootlet +nu); sign -1 describes
     s_nu.w_nu.s_0 (rootlet -nu).
     """
 
-    nu: Root
-    sign: int
+    __slots__ = ()
 
 
 def _require_long_positive(rs: RootSystem, nu: Root) -> int:
@@ -63,28 +62,24 @@ def _require_sign(sign) -> None:
 
 
 def _w_nu_word(rs: RootSystem, nu: Root):
-    """A reduced word (affine indices 1..p) of w_nu, from a shortest path
-    from theta to nu in the graph on long roots whose edges are the simple
-    reflections; any such path composes to the unique shortest element."""
+    """A reduced word (affine indices 1..p) of w_nu, by ascent: while
+    nu != theta, take the lowest i with (nu, alpha_i^vee) < 0 and replace nu
+    by s_i nu, which is higher.  Each step removes exactly one positive
+    beta with (nu, beta^vee) < 0, so the word s_{i_1} ... s_{i_k}, which takes
+    theta to nu, is reduced, and its element is the unique shortest one
+    (the minimal coset representative of the stabiliser of theta)."""
     _require_long_positive(rs, nu)
-    start, target = rs.theta_coords, nu.coords
     cartan = rs.cartan
-    prev = {start: None}
-    queue = deque([start])
-    while queue and target not in prev:
-        cur = queue.popleft()
+    cur = list(nu.coords)
+    word = []
+    while tuple(cur) != rs.theta_coords:
         for i in range(rs.rank):
             # s_i(x) = x - (x, alpha_i^vee) alpha_i
             c = sum(x * cartan[k][i] for k, x in enumerate(cur) if x)
-            nxt = cur[:i] + (cur[i] - c,) + cur[i + 1:]
-            if nxt not in prev:
-                prev[nxt] = (cur, i)
-                queue.append(nxt)
-    word = []  # the last reflection applied to theta comes first
-    cur = target
-    while prev[cur] is not None:
-        cur, i = prev[cur]
+            if c < 0:
+                break
         word.append(i + 1)
+        cur[i] -= c
     return word
 
 

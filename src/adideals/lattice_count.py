@@ -20,7 +20,7 @@ products of integer fractions divided once, with a remainder raising.
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .rootsys import RootSystem
@@ -37,20 +37,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CountReport:
-    """One counted quantity with its method provenance."""
+class CountReport(namedtuple("CountReport", "type_label rank quantity value method "
+                                             "congruence_applied", defaults=(False,))):
+    """One counted quantity with its method provenance; `method` is one of
+    enumeration, lattice and closed_form."""
 
-    type_label: str
-    rank: int
-    quantity: str
-    value: int
-    method: str  # enumeration | lattice | closed_form
-    congruence_applied: bool = False
+    __slots__ = ()
 
     def csv_row(self):
-        return [self.type_label, self.rank, self.quantity, self.value,
-                self.method, self.congruence_applied]
+        return list(self)
 
 
 # -- polytope membership ----------------------------------------------------

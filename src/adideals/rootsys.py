@@ -28,7 +28,7 @@ are unpacked once per root, at the end.
 import math
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from operator import add
@@ -52,11 +52,10 @@ _RANK_RANGES = {
 }
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(namedtuple("Root", "coords")):
     """A root, stored as its coordinate vector over the simple roots."""
 
-    coords: tuple
+    __slots__ = ()
 
     @property
     def height(self) -> int:
@@ -78,12 +77,10 @@ class Root:
         return "Root[%s]" % ",".join(map(str, self.coords))
 
 
-@dataclass(frozen=True)
-class AffineRoot:
+class AffineRoot(namedtuple("AffineRoot", "level finite")):
     """An affine real root k*delta + mu; `finite` holds the coords of mu."""
 
-    level: int
-    finite: tuple
+    __slots__ = ()
 
     def is_positive(self) -> bool:
         if self.level != 0:
@@ -247,19 +244,16 @@ def _invert_fraction_matrix(m):
     return tuple(tuple(row[n:]) for row in a)
 
 
-def _decompositions(roots, strict_down):
-    """Per root k, the pairs (a, b), a <= b, with roots[a] + roots[b] = roots[k].
+def _decompositions(keys, heights, strict_down):
+    """Per root k, the pairs (a, b), a <= b, with root a + root b = root k.
 
-    Only the roots a strictly below roots[k] and of at most half its height
-    are tried, in index order; roots are sorted by height.  Each probe is one
-    subtraction of packed keys, as `_positive_root_keys` packs them, and one
-    dict lookup: a root below roots[k] leaves no digit of the difference
-    negative.
+    The roots are given by their packed keys from `_positive_root_keys` and
+    their heights, sorted by height.  Only the roots a strictly below root k
+    and of at most half its height are tried, in index order.  Each probe is
+    one subtraction of keys and one dict lookup: a root below root k leaves
+    no digit of the difference negative.
     """
-    digits = struct.Struct(">%dH" % len(roots[0].coords))
-    keys = [int.from_bytes(digits.pack(*r.coords), "big") for r in roots]
     position = dict(zip(keys, range(len(keys))))
-    heights = [r.height for r in roots]
     out = []
     for k, key in enumerate(keys):
         pairs = []
@@ -282,13 +276,13 @@ class RootSystem:
     deterministic order, the highest root, exponents, the root lengths and
     the poset masks.  The roots, their norms (for `long_mask`) and their
     covers (for the poset masks) come from `_positive_root_keys` on packed
-    keys; the keys and the carried pairings stay local to the constructor,
-    and `_index` maps coordinate tuples.  The two-root decompositions (on
-    keys packed again from the roots), the partner masks read off them and
-    the fundamental coweights are computed on first use, since counting
-    reads none of them.  Inner products and pairings are computed on demand
-    from one integer Gram matrix.  Use the module-level `build` (which
-    caches) rather than the constructor.
+    keys; the keys are kept in `_keys`, the carried pairings stay local to
+    the constructor, and `_index` maps coordinate tuples.  The two-root
+    decompositions (probed on the kept keys), the partner masks read off
+    them and the fundamental coweights are computed on first use, since
+    counting reads none of them.  Inner products and pairings are computed
+    on demand from one integer Gram matrix.  Use the module-level `build`
+    (which caches) rather than the constructor.
     """
 
     def __init__(self, type_label: str, rank: int):
@@ -314,6 +308,7 @@ class RootSystem:
 
         sq = [self._gram_num[i][i] for i in range(rank)]
         keys, norms, covers, layer_sizes = _positive_root_keys(cartan, sq)
+        self._keys = tuple(keys)
         digits = struct.Struct(">%dH" % rank)
         self.positive_roots = tuple(Root(digits.unpack(k.to_bytes(2 * rank, "big")))
                                     for k in keys)
@@ -369,7 +364,8 @@ class RootSystem:
     @cached_property
     def decompositions(self):
         """Per root k, the pairs (a, b), a <= b, of root indices summing to it."""
-        return _decompositions(self.positive_roots, self.strict_down_masks)
+        return _decompositions(self._keys, [r.height for r in self.positive_roots],
+                               self.strict_down_masks)
 
     @cached_property
     def partner_masks(self):

@@ -4,10 +4,13 @@ Each suite returns a list of CheckResult rows comparing a frozen
 expected value against one or more computed routes (lattice count,
 exhaustive enumeration, closed formula, element construction).  The CLI
 `verify` subcommand renders these rows and exits nonzero on the first
-mismatch; the acceptance tests run the same suites.
+mismatch; the acceptance tests run the same suites.  The count suites
+motzkin, animals, soD and exceptional are entries of one table, read by
+one loop.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import partial
 
 from .rootsys import build
 from . import ideals as I
@@ -23,6 +26,7 @@ MOTZKIN = (1, 2, 4, 9, 21, 51, 127, 323)
 # n = 1..8
 DIRECTED_ANIMALS = (1, 2, 5, 13, 35, 96, 267, 750)
 EXCEPTIONAL_MINIMAX = {"G2": 3, "F4": 17, "E6": 67, "E7": 217, "E8": 834}
+_EXCEPTIONAL = (("G2", 2), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8))
 E8_IDEAL_COUNT = 25080
 
 # The non-Abelian minimax ideals of F4 and their attached data
@@ -42,12 +46,8 @@ F4_NONABELIAN_ROWS = (
 F4_ABELIAN_NONTRIVIAL_MINIMAX = 12
 
 
-@dataclass
-class CheckResult:
-    suite: str
-    name: str
-    expected: object
-    computed: object
+class CheckResult(namedtuple("CheckResult", "suite name expected computed")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -59,16 +59,12 @@ def system_name(label: str, rank: int) -> str:
     return label if len(label) > 1 else "%s%d" % (label, rank)
 
 
-def _types_up_to(max_rank, with_exceptional=True):
+def _types_up_to(max_rank):
     out = [("A", n) for n in range(1, max_rank + 1)]
     out += [("B", n) for n in range(2, max_rank + 1)]
     out += [("C", n) for n in range(2, max_rank + 1)]
     out += [("D", n) for n in range(4, max_rank + 1)]
-    if with_exceptional:
-        for label, rank in (("G2", 2), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8)):
-            if rank <= max_rank:
-                out.append((label, rank))
-    return out
+    return out + [(label, rank) for label, rank in _EXCEPTIONAL if rank <= max_rank]
 
 
 def format_rootlet_action(w) -> str:
@@ -114,66 +110,44 @@ def minimax_table_rows(rs):
 # -- suites -------------------------------------------------------------------
 
 
-def suite_motzkin():
+def _quarter_sum(rs):
+    """The quarter-sum form of the type D minimax count."""
+    n = rs.rank
+    return (L.trinomial(-1, n - 3) + 4 * L.trinomial(0, n - 3)
+            + 4 * L.trinomial(1, n - 3) + L.trinomial(2, n - 3))
+
+
+_LATTICE = ("lattice", lambda rs: L.count_minimax(rs).value)
+_ENUMERATION = ("enumeration", lambda rs: L.count_minimax_by_enumeration(rs).value)
+
+# (suite, systems, expected(rs), routes): one row per system and route
+# (name, count(rs)), named after the system and the route, in table order
+_COUNT_TABLE = (
+    ("motzkin", [("A", n) for n in range(1, 9)], lambda rs: MOTZKIN[rs.rank - 1],
+     (_LATTICE, ("closed form", lambda rs: L.motzkin(rs.rank)), _ENUMERATION)),
+    ("animals", [(label, n) for label in "BC" for n in range(2, 9)],
+     lambda rs: DIRECTED_ANIMALS[rs.rank - 1],
+     (_LATTICE, ("closed form", lambda rs: L.directed_animals(rs.rank)), _ENUMERATION)),
+    ("soD", [("D", n) for n in range(4, 9)], lambda rs: L.minimax_count_D(rs.rank),
+     (_LATTICE, ("quarter-sum", _quarter_sum), _ENUMERATION)),
+    ("exceptional", _EXCEPTIONAL, lambda rs: EXCEPTIONAL_MINIMAX[rs.type_label],
+     (_LATTICE, _ENUMERATION)),
+    ("exceptional", [("E8", 8)], lambda rs: E8_IDEAL_COUNT,
+     (("ideal count, product formula", lambda rs: L.count_AD(rs).value),
+      ("ideal count, enumeration", lambda rs: sum(1 for _ in I.enumerate_ideals(rs))))),
+)
+
+
+def _count_rows(suite):
     rows = []
-    for n in range(1, 9):
-        rs = build("A", n)
-        rows.append(CheckResult("motzkin", "A%d lattice" % n, MOTZKIN[n - 1],
-                                L.count_minimax(rs).value))
-        rows.append(CheckResult("motzkin", "A%d closed form" % n, MOTZKIN[n - 1],
-                                L.motzkin(n)))
-        rows.append(CheckResult("motzkin", "A%d enumeration" % n, MOTZKIN[n - 1],
-                                L.count_minimax_by_enumeration(rs).value))
-    return rows
-
-
-def suite_animals():
-    rows = []
-    for label in ("B", "C"):
-        for n in range(2, 9):
-            rs = build(label, n)
-            rows.append(CheckResult("animals", "%s%d lattice" % (label, n),
-                                    DIRECTED_ANIMALS[n - 1], L.count_minimax(rs).value))
-            rows.append(CheckResult("animals", "%s%d closed form" % (label, n),
-                                    DIRECTED_ANIMALS[n - 1], L.directed_animals(n)))
-            rows.append(CheckResult("animals", "%s%d enumeration" % (label, n),
-                                    DIRECTED_ANIMALS[n - 1],
-                                    L.count_minimax_by_enumeration(rs).value))
-    return rows
-
-
-def suite_soD():
-    rows = []
-    for n in range(4, 9):
-        rs = build("D", n)
-        expected = L.minimax_count_D(n)
-        rows.append(CheckResult("soD", "D%d lattice" % n, expected,
-                                L.count_minimax(rs).value))
-        # quarter-sum form of the same count
-        quarter = (
-            L.trinomial(-1, n - 3) + 4 * L.trinomial(0, n - 3)
-            + 4 * L.trinomial(1, n - 3) + L.trinomial(2, n - 3)
-        )
-        rows.append(CheckResult("soD", "D%d quarter-sum" % n, expected, quarter))
-        rows.append(CheckResult("soD", "D%d enumeration" % n, expected,
-                                L.count_minimax_by_enumeration(rs).value))
-    return rows
-
-
-def suite_exceptional():
-    rows = []
-    for label, rank in (("G2", 2), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8)):
-        rs = build(label, rank)
-        expected = EXCEPTIONAL_MINIMAX[label]
-        rows.append(CheckResult("exceptional", "%s lattice" % label, expected,
-                                L.count_minimax(rs).value))
-        rows.append(CheckResult("exceptional", "%s enumeration" % label, expected,
-                                L.count_minimax_by_enumeration(rs).value))
-    rs8 = build("E8", 8)
-    rows.append(CheckResult("exceptional", "E8 ideal count, product formula",
-                            E8_IDEAL_COUNT, L.count_AD(rs8).value))
-    rows.append(CheckResult("exceptional", "E8 ideal count, enumeration",
-                            E8_IDEAL_COUNT, sum(1 for _ in I.enumerate_ideals(rs8))))
+    for name, systems, expected, routes in _COUNT_TABLE:
+        if name != suite:
+            continue
+        for label, rank in systems:
+            rs = build(label, rank)
+            head, want = system_name(label, rank), expected(rs)
+            rows += [CheckResult(suite, "%s %s" % (head, route), want, count(rs))
+                     for route, count in routes]
     return rows
 
 
@@ -315,10 +289,8 @@ def suite_bijections():
 
 
 _SUITES = {
-    "motzkin": suite_motzkin,
-    "animals": suite_animals,
-    "soD": suite_soD,
-    "exceptional": suite_exceptional,
+    **{name: partial(_count_rows, name)
+       for name in ("motzkin", "animals", "soD", "exceptional")},
     "f4table": suite_f4table,
     "formulas": suite_formulas,
     "bijections": suite_bijections,

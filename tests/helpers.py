@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
@@ -201,11 +201,20 @@ def affine_inverse(w):
     return A.AffineWeylElement(w.rs, matrix_inverse(w.v), tuple(-x for x in w.v.act(w.r)))
 
 
+def matrix_simple_reflection(rs, i):
+    """s_i by its reflection matrix, through the checking constructor;
+    s_0 = s_theta . t_{-theta^vee}, with theta^vee = theta in coordinates."""
+    if i == 0:
+        return A.AffineWeylElement(rs, A.reflection(rs, rs.theta),
+                                   tuple(-c for c in rs.theta_coords))
+    return A.finite_element(rs, A.reflection(rs, rs.alpha(i - 1)))
+
+
 def matrix_element_from_word(rs, word):
     """The product of the word's affine simple reflections, left to right."""
     acc = A.identity_element(rs)
     for i in word:
-        acc = affine_product(acc, A.affine_simple_reflection(rs, i))
+        acc = affine_product(acc, matrix_simple_reflection(rs, i))
     return acc
 
 
@@ -216,7 +225,7 @@ def peel_reduced_word(w):
     and replace w by w s_i; the word is the peeled indices reversed.
     """
     rs = w.rs
-    refl = [A.affine_simple_reflection(rs, i) for i in range(rs.rank + 1)]
+    refl = [matrix_simple_reflection(rs, i) for i in range(rs.rank + 1)]
     simples = [A.simple_affine_root(rs, i) for i in range(rs.rank + 1)]
     peeled = []
     while not w.is_identity():
@@ -225,6 +234,37 @@ def peel_reduced_word(w):
         w = affine_product(w, refl[i])
         peeled.append(i)
     return peeled[::-1]
+
+
+def in_weyl_group_by_columns(rs, v):
+    """Whether v is in W, peeled on matrix columns and their heights.
+
+    The test `affine._in_weyl_group` replaced by its peel on packed images,
+    kept as its differential oracle: while some column v(alpha_i) has
+    negative height, replace v by v s_i for the lowest such i, moving the
+    columns by v s_i(alpha_j) = v(alpha_j) - (alpha_j, alpha_i^vee) v(alpha_i);
+    v is in W iff this ends at 1 within |Delta^+| steps.
+    """
+    if not (isinstance(v, A.FiniteWeylElement)
+            and [[type(x) for x in row] for row in v.matrix] == [[int] * rs.rank] * rs.rank):
+        return False
+    cols = [list(col) for col in zip(*v.matrix)]  # cols[i] = v(alpha_i)
+    heights = [sum(col) for col in cols]
+    for _ in range(rs.num_positive + 1):
+        for i, hi in enumerate(heights):
+            if hi < 0:
+                break
+        else:
+            return A.FiniteWeylElement(cols).is_identity()
+        ci = cols[i]
+        for j in range(rs.rank):
+            a = rs.cartan[j][i]
+            if j != i and a:
+                cols[j] = [x - a * y for x, y in zip(cols[j], ci)]
+                heights[j] -= a * hi
+        cols[i] = [-y for y in ci]
+        heights[i] = -hi
+    return False
 
 
 def level_scan_inversions(w):
@@ -280,7 +320,7 @@ def peel_element_from_inversions(rs, affine_roots):
         (b.level, b.finite)
         for b in (A.simple_affine_root(rs, i) for i in range(rs.rank + 1))
     ]
-    refl = [A.affine_simple_reflection(rs, i) for i in range(rs.rank + 1)]
+    refl = [matrix_simple_reflection(rs, i) for i in range(rs.rank + 1)]
     peeled = []
     while remaining:
         for i, s in enumerate(simples):
@@ -404,6 +444,35 @@ def brute_power_mask(ideal, k):
         cur = {tuple(x + y for x, y in zip(a, b)) for a in cur for b in base}
         cur = {c for c in cur if rs.is_positive_root(c)}
     return sum(1 << rs._index[c] for c in cur)
+
+
+def w_nu_word_by_bfs(rs, nu):
+    """A reduced word (affine indices 1..p) of w_nu, from a shortest path
+    from theta to nu in the graph on long roots whose edges are the simple
+    reflections; any such path composes to the unique shortest element.
+
+    The breadth-first search `heisenberg._w_nu_word` replaced by its ascent,
+    kept as its differential oracle.
+    """
+    start, target = rs.theta_coords, nu.coords
+    cartan = rs.cartan
+    prev = {start: None}
+    queue = deque([start])
+    while queue and target not in prev:
+        cur = queue.popleft()
+        for i in range(rs.rank):
+            # s_i(x) = x - (x, alpha_i^vee) alpha_i
+            c = sum(x * cartan[k][i] for k, x in enumerate(cur) if x)
+            nxt = cur[:i] + (cur[i] - c,) + cur[i + 1:]
+            if nxt not in prev:
+                prev[nxt] = (cur, i)
+                queue.append(nxt)
+    word = []  # the last reflection applied to theta comes first
+    cur = target
+    while prev[cur] is not None:
+        cur, i = prev[cur]
+        word.append(i + 1)
+    return word
 
 
 def heisenberg_mask_by_pairing(rs):

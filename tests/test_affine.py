@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -11,9 +12,9 @@ from adideals import affine as A
 from adideals import ideals as I
 from adideals import lattice_count as L
 from helpers import (
-    affine_inverse, affine_product, all_words, full_weyl_group, matrix_element_from_word,
-    matrix_inverse, peel_element_from_inversions, peel_reduced_word, prescribed_inversions,
-    systems_up_to,
+    affine_inverse, affine_product, all_words, full_weyl_group, in_weyl_group_by_columns,
+    matrix_element_from_word, matrix_inverse, matrix_product, matrix_simple_reflection,
+    peel_element_from_inversions, peel_reduced_word, prescribed_inversions, systems_up_to,
 )
 
 
@@ -473,7 +474,7 @@ def test_alcove_image_barycenter_matches_matrix_oracle(label, rank):
         assert A.alcove_image_barycenter(w) == tuple(x - rx for x, rx in zip(moved, w.r))
 
 
-@pytest.mark.parametrize("label,rank,matrix,r", [
+OUTSIDE_W_OR_COROOT_LATTICE = [
     # the swap maps the simple roots to roots, but is the diagram automorphism
     ("A", 2, [[0, 1], [1, 0]], (0, 0)),
     ("A", 2, [[1, 1], [0, 1]], (0, 0)),
@@ -489,11 +490,62 @@ def test_alcove_image_barycenter_matches_matrix_oracle(label, rank):
     ("A", 2, [[1, 0], [0, 1]], (1.0, 0)),
     ("B", 2, [[1, 0], [0, 1]], (0, 1)),  # alpha_2 is short: alpha_2^vee = 2 alpha_2
     ("G2", 2, [[1, 0], [0, 1]], (1, 0)),  # alpha_1 is short: alpha_1^vee = 3 alpha_1
-])
+    # the columns (0, 2^64) and (0, 1) pack to the identity's (1, 0) and (0, 1)
+    ("A", 2, [[0, 0], [2**64, 1]], (0, 0)),
+]
+
+
+@pytest.mark.parametrize("label,rank,matrix,r", OUTSIDE_W_OR_COROOT_LATTICE)
 def test_affine_element_rejects_data_outside_w_and_coroot_lattice(label, rank, matrix, r):
     rs = build(label, rank)
     with pytest.raises(ValueError, match="Weyl group|coroot-lattice"):
         A.AffineWeylElement(rs, A.FiniteWeylElement(matrix), r)
+
+
+@pytest.mark.parametrize("label,rank,matrix,r", OUTSIDE_W_OR_COROOT_LATTICE)
+def test_weyl_membership_matches_column_oracle_on_rejected_data(label, rank, matrix, r):
+    rs = build(label, rank)
+    v = A.FiniteWeylElement(matrix)
+    assert A._in_weyl_group(rs, v) == in_weyl_group_by_columns(rs, v)
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("C", 3), ("G2", 2)])
+def test_weyl_membership_matches_column_oracle(label, rank):
+    # v m is outside W for every v in W, since the shear m is
+    rs = build(label, rank)
+    shear = A.FiniteWeylElement([[int(i == j or (i, j) == (0, 1)) for j in range(rank)]
+                                 for i in range(rank)])
+    for v in full_weyl_group(rs):
+        assert A._in_weyl_group(rs, v) and in_weyl_group_by_columns(rs, v)
+        outside = matrix_product(v, shear)
+        assert not A._in_weyl_group(rs, outside)
+        assert not in_weyl_group_by_columns(rs, outside)
+
+
+def test_weyl_membership_rejects_a_matrix_aliasing_the_identity():
+    rs = build("A", 2)
+    v = A.FiniteWeylElement([[0, 0], [2**64, 1]])
+    low = A._affine_simple_data(rs)[0][1:]
+    assert [sum(map(mul, col, low)) for col in zip(*v.matrix)] == list(low)
+    assert not A._in_weyl_group(rs, v)
+    with pytest.raises(ValueError, match="Weyl group"):
+        A.finite_element(rs, v)
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(8))
+def test_simple_reflections_match_matrix_oracle(label, rank):
+    rs = build(label, rank)
+    for i in range(rs.rank + 1):
+        assert A.affine_simple_reflection(rs, i) == matrix_simple_reflection(rs, i)
+
+
+@pytest.mark.parametrize("i", [-1, -3, 3, True, 1.0, "1", None])
+def test_simple_indices_outside_0_to_p_are_rejected(i):
+    rs = build("A", 2)
+    with pytest.raises(ValueError, match="0..2"):
+        A.simple_affine_root(rs, i)
+    with pytest.raises(ValueError, match="0..2"):
+        A.affine_simple_reflection(rs, i)
 
 
 @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G2", 2)])
@@ -556,10 +608,12 @@ def test_element_from_record_validates_under_optimize():
         "from adideals import affine as A",
         "assert False, 'asserts are on'",
         "rec = {'word': [0], 'v_matrix': [[9, 9], [9, 9]], 'r_coords': [5, 5]}",
+        "alias = A.FiniteWeylElement([[0, 0], [2**64, 1]])",
         "calls = [lambda: A.element_from_record(build('A', 2), rec),",
         "         lambda: A.length(A.translation(build('G2', 2), (1, 0))),",
         "         lambda: A.finite_element(build('A', 2), A.FiniteWeylElement([[0, 1], [1, 0]])),",
-        "         lambda: A.element_from_inversions(build('A', 2), [AffineRoot(1, (-1, 0))])]",
+        "         lambda: A.element_from_inversions(build('A', 2), [AffineRoot(1, (-1, 0))]),",
+        "         lambda: A.finite_element(build('A', 2), alias)]",
         "for n, call in enumerate(calls):",
         "    try:",
         "        call()",

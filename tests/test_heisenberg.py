@@ -8,7 +8,7 @@ from adideals import heisenberg as H
 from adideals import ideals as I
 from helpers import (
     affine_product, brute_pairing, full_weyl_group, matrix_inverse, matrix_product,
-    systems_up_to,
+    systems_up_to, w_nu_word_by_bfs,
 )
 
 
@@ -73,6 +73,16 @@ def test_w_nu_length_and_inversions(label, rank):
         inv = {r.coords for r in A.finite_inversions(rs, matrix_inverse(v))}
         charac = {r.coords for r in rs.positive_roots if rs.pairing(r, nu) == -1}
         assert inv == charac
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(8))
+def test_w_nu_ascent_matches_bfs_oracle(label, rank):
+    rs = build(label, rank)
+    for nu in long_positive(rs):
+        word = H._w_nu_word(rs, nu)
+        w = A.element_from_word(rs, word)
+        assert w == A.element_from_word(rs, w_nu_word_by_bfs(rs, nu))
+        assert len(word) == A.length(w)
 
 
 def test_a2_w_nu_length_one():

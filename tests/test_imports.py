@@ -1,10 +1,19 @@
-"""The package imports only the standard library and itself."""
+"""The package imports only the standard library and itself, and keeps
+its import light."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
+import pytest
+
 import adideals
+from adideals import heisenberg as H
+from adideals import lattice_count as L
+from adideals import verify as V
+from adideals.rootsys import AffineRoot, build
 
 
 def test_package_imports_only_the_standard_library():
@@ -21,3 +30,31 @@ def test_package_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, "%s imports %s" % (path.name, name)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # a cold, isolated interpreter: both modules cost milliseconds to import
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import adideals.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(adideals.__file__)))
+    proc = subprocess.run([sys.executable, "-I", "-c", code, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_value_classes_are_immutable_tuples_with_field_reprs():
+    rs = build("A", 2)
+    report = L.count_AD(rs)
+    values = [rs.theta, AffineRoot(1, (0, 1)), report,
+              V.CheckResult("s", "n", 1, 1), H.HeisenbergElementDescriptor(rs.theta, 1)]
+    for value in values:
+        assert isinstance(value, tuple) and not hasattr(value, "__dict__")
+        assert hash(value) == hash(tuple(value))
+        with pytest.raises(AttributeError):
+            setattr(value, value._fields[0], None)
+    assert repr(rs.theta) == "Root[1,1]"
+    assert repr(values[1]) == "AffineRoot(1,[0,1])"
+    assert repr(report) == ("CountReport(type_label='A', rank=2, quantity='AD', value=5, "
+                            "method='closed_form', congruence_applied=False)")
+    assert repr(values[4]) == "HeisenbergElementDescriptor(nu=Root[1,1], sign=1)"
