@@ -15,13 +15,13 @@ of those ideals are provided and tested against the first layers.
 from collections import namedtuple
 
 from .rootsys import Root, RootSystem
-from .ideals import Ideal, heisenberg_root_mask
+from .ideals import Ideal, _iter_bits, heisenberg_root_mask
 from .affine import (
     AffineWeylElement,
     FiniteWeylElement,
     affine_simple_reflection,
     element_from_word,
-    finite_inversions,
+    inversion_set,
     length,
     reflection,
 )
@@ -95,15 +95,11 @@ def s_nu(rs: RootSystem, nu: Root) -> FiniteWeylElement:
 
 
 def n_s_nu_zero(rs: RootSystem, nu: Root):
-    """N(s_nu) \\ {nu}: the gamma with (gamma, nu^vee) = 1 and gamma < nu."""
-    t = rs.index_of(nu)
-    return [
-        r
-        for s, r in enumerate(rs.positive_roots)
-        if s != t
-        and rs.root_order_leq(r, nu)
-        and rs.pairing(r, nu) == 1
-    ]
+    """N(s_nu) \\ {nu}: the gamma with (gamma, nu^vee) = 1 and gamma < nu,
+    tried over nu's strict down mask, in root-index order."""
+    roots = rs.positive_roots
+    return [roots[s] for s in _iter_bits(rs.strict_down_masks[rs.index_of(nu)])
+            if rs.pairing(roots[s], nu) == 1]
 
 
 def heisenberg_element(rs: RootSystem, d: HeisenbergElementDescriptor) -> AffineWeylElement:
@@ -128,11 +124,11 @@ def heisenberg_ideal_formula(rs: RootSystem, d: HeisenbergElementDescriptor) -> 
     if d.sign == -1 and idx in rs.simple_indices:
         raise ValueError("the sign -1 formula needs a non-simple root")
     word = _w_nu_word(rs, d.nu)
-    wv = element_from_word(rs, word).v
     theta = rs.theta
     members = {theta.coords}
-    for gamma in finite_inversions(rs, wv):
-        members.add((theta - gamma).coords)
+    # w_nu is finite and grown unchecked: its inversion set is N(w_nu) at level 0
+    for b in inversion_set(element_from_word(rs, word)):
+        members.add(tuple(t - c for t, c in zip(theta.coords, b.finite)))
     if d.sign == -1:
         wv_inv = element_from_word(rs, word[::-1]).v
         for gamma in n_s_nu_zero(rs, d.nu):

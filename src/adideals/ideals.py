@@ -16,7 +16,8 @@ Both are computed by dynamic programming over two-root decompositions;
 any longer decomposition of a root can be reordered so that every
 partial sum is again a root, so binary splits lose nothing.  The splits
 are `RootSystem.decompositions`, found by subtracting from each root the
-roots below it; `power` reads them and `is_abelian` the partner masks.
+roots below it; `_l_table` reads them, `power` the l-table and
+`is_abelian` the partner masks.
 
 Each split of a root has both parts at lower root indices, so k fills
 in root-index order.  So does l, and on an ideal whose members below m
@@ -27,8 +28,8 @@ k - 1 != l.  `is_minimax` is that scan from the lowest root, and
 `enumerate_ideals` runs it inside its walk, where a child shares its
 parent's k-values below the generator it adds and a failure prunes the
 children that cannot mend it.  The full tables, `_l_table` and
-`_k_table`, are kept: `w_min` and `w_max` read them, and they are the
-oracle the scan is checked against.
+`_k_table`, are kept: `w_min`, `w_max` and `power` read them, and they
+are the oracle the scan is checked against.
 """
 
 from collections import namedtuple
@@ -175,7 +176,7 @@ def xi(ideal: Ideal) -> Antichain:
     outs = [
         rs.positive_roots[i]
         for i in _iter_bits(comp)
-        if not rs.strict_up_masks[i] & comp
+        if rs.up_masks[i] & comp == 1 << i
     ]
     return Antichain(rs, outs)
 
@@ -192,22 +193,13 @@ def is_abelian(ideal: Ideal) -> bool:
 
 
 def power(ideal: Ideal, k: int) -> Ideal:
-    """I^k, defined inductively by I^k = (I^{k-1} + I) cap Delta."""
-    if k < 1:
-        raise ValueError("power requires k >= 1")
-    decs = ideal.rs.decompositions
-    base = cur = ideal.mask
-    for _ in range(k - 1):
-        # I^k is an ideal inside I^{k-1}: the members of I^{k-1} that split
-        # into two members of I, one of them in I^{k-1}
-        nxt = 0
-        for m in _iter_bits(cur):
-            for a, b in decs[m]:
-                if base >> a & 1 and base >> b & 1 and (cur >> a & 1 or cur >> b & 1):
-                    nxt |= 1 << m
-                    break
-        cur = nxt
-    return Ideal(ideal.rs, cur)
+    """I^k = (I^{k-1} + I) cap Delta = {gamma in I : l(gamma, I) >= k}: in a
+    sum of m >= k members ordered so that every partial sum is a root, the
+    first m - k + 1 terms sum to a member, so it is a sum of k members."""
+    if type(k) is not int or k < 1:
+        raise ValueError("power requires an int k >= 1, not %r" % (k,))
+    table = _l_table(ideal)
+    return Ideal(ideal.rs, sum(1 << m for m in _iter_bits(ideal.mask) if table[m] >= k))
 
 
 def _l_table(ideal: Ideal):
@@ -298,13 +290,14 @@ def is_minimax(ideal: Ideal) -> bool:
 def heisenberg_root_mask(rs: RootSystem) -> int:
     """Bitmask of the roots not orthogonal to the highest root.
 
-    theta is long, so (gamma, theta^vee) is (gamma, theta); computed once
-    per root system.
+    theta is dominant, so (gamma, theta) > 0 exactly when gamma lies above
+    a simple root alpha_i with (alpha_i, theta) > 0, a neighbour of alpha_0
+    in the extended diagram: the union of their up masks, p pairings.
     """
     mask = 0
-    for i, r in enumerate(rs.positive_roots):
-        if rs.pair_root_coroot(r.coords, rs.theta_coords) > 0:
-            mask |= 1 << i
+    for i, s in enumerate(rs.simple_indices):
+        if rs.pair_root_coroot(rs.alpha(i).coords, rs.theta_coords) > 0:
+            mask |= rs.up_masks[s]
     return mask
 
 
@@ -356,7 +349,10 @@ def enumerate_ideals(rs: RootSystem, which="all"):
         raise ValueError("unknown filter %r; expected one of %s"
                          % (unknown[0], tuple(CLASSES)))
     n = rs.num_positive
-    up, incomp, below = rs.up_masks, rs.incomparability_masks, rs.strict_down_masks
+    up, below = rs.up_masks, rs.strict_down_masks
+    # roots are sorted by height, so one with a higher index than j is
+    # incomparable to j iff it is not above j
+    not_above = [~u for u in up]
     cand = (1 << n) - 1
     if names & {"strictly_positive", "minimax"}:
         cand &= ~rs.simple_mask
@@ -395,7 +391,7 @@ def enumerate_ideals(rs: RootSystem, which="all"):
             j = cand.bit_length() - 1
             bit = 1 << j
             cand ^= bit
-            sub = higher & incomp[j]
+            sub = higher & not_above[j]
             higher |= bit
             if rescue & (bit | sub):
                 push((mask | up[j], sub, k[:j] + ones[j:] if minimax else None, j))

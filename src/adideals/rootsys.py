@@ -274,15 +274,18 @@ class RootSystem:
 
     Computed once at construction: the positive roots in their
     deterministic order, the highest root, exponents, the root lengths and
-    the poset masks.  The roots, their norms (for `long_mask`) and their
-    covers (for the poset masks) come from `_positive_root_keys` on packed
-    keys; the keys are kept in `_keys`, the carried pairings stay local to
-    the constructor, and `_index` maps coordinate tuples.  The two-root
-    decompositions (probed on the kept keys), the partner masks read off
-    them and the fundamental coweights are computed on first use, since
-    counting reads none of them.  Inner products and pairings are computed
-    on demand from one integer Gram matrix.  Use the module-level `build`
-    (which caches) rather than the constructor.
+    two order tables: `up_masks` (the roots at or above each root) and
+    `strict_down_masks`.  Every other order set (Xi, incomparable roots,
+    the Heisenberg ideal) is read off them by its user.  The roots, their
+    norms (for `long_mask`) and their covers (for the order tables) come
+    from `_positive_root_keys` on packed keys; the keys are kept in
+    `_keys`, the carried pairings stay local to the constructor, and
+    `_index` maps coordinate tuples.  The two-root decompositions (probed
+    on the kept keys), the partner masks read off them and the fundamental
+    coweights are computed on first use, since counting reads none of them.
+    Inner products and pairings are computed on demand from one integer
+    Gram matrix.  Use the module-level `build` (which caches) rather than
+    the constructor.
     """
 
     def __init__(self, type_label: str, rank: int):
@@ -346,20 +349,17 @@ class RootSystem:
         # transitive closure is the root order: the roots above gamma are
         # gamma and the roots above its covers, which all have larger
         # indices, so up masks are filled from the last index down and
-        # down masks from the first index up
+        # strict down masks from the first index up
         up = [1 << i for i in range(n)]
         for i in reversed(range(n)):
             for k in covers[i]:
                 up[i] |= up[k]
-        down = [1 << i for i in range(n)]
+        down = [0] * n
         for i in range(n):
             for k in covers[i]:
-                down[k] |= down[i]
+                down[k] |= down[i] | 1 << i
         self.up_masks = tuple(up)
-        self.strict_up_masks = tuple(m ^ 1 << i for i, m in enumerate(up))
-        self.strict_down_masks = tuple(m ^ 1 << i for i, m in enumerate(down))
-        full = (1 << n) - 1
-        self.incomparability_masks = tuple(full & ~(u | d) for u, d in zip(up, down))
+        self.strict_down_masks = tuple(down)
 
     @cached_property
     def decompositions(self):

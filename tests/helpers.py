@@ -5,6 +5,7 @@ import math
 from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
+from operator import ge
 from types import SimpleNamespace
 
 from adideals import affine as A
@@ -352,7 +353,7 @@ def all_words(rs, max_len):
 
 
 def order_masks_by_coordinates(rs):
-    """(up, strict_up, strict_down, incomparability) masks of the root order.
+    """(up, strict_down) masks of the root order.
 
     The construction `RootSystem` replaced by the cover-built masks, kept as
     their differential oracle: compares every pair of positive roots
@@ -361,18 +362,22 @@ def order_masks_by_coordinates(rs):
     n = rs.num_positive
     coords = [r.coords for r in rs.positive_roots]
     up = [0] * n
-    strict_up = [0] * n
     strict_down = [0] * n
     for i in range(n):
         for j in range(n):
             if all(b >= a for a, b in zip(coords[i], coords[j])):
                 up[i] |= 1 << j
                 if i != j:
-                    strict_up[i] |= 1 << j
                     strict_down[j] |= 1 << i
-    full = (1 << n) - 1
-    incomp = [full & ~(up[i] | strict_down[i]) for i in range(n)]
-    return up, strict_up, strict_down, incomp
+    return up, strict_down
+
+
+def brute_xi(ideal):
+    """The maximal elements of the complement, in root order, by comparing
+    the coordinates of every pair of non-members."""
+    out = [r.coords for r in ideal.rs.positive_roots if r not in ideal]
+    return [c for c in out
+            if not any(d != c and all(map(ge, d, c)) for d in out)]
 
 
 @lru_cache(maxsize=None)
@@ -476,9 +481,13 @@ def w_nu_word_by_bfs(rs, nu):
 
 
 def heisenberg_mask_by_pairing(rs):
-    """Bitmask of the roots gamma with (gamma, theta^vee) > 0, by brute pairing."""
+    """Bitmask of the roots gamma with (gamma, theta^vee) > 0, by pairing every
+    root with theta: (gamma, theta) = sum_i gamma_i (alpha_i, theta), with the
+    p Fraction products (alpha_i, theta) taken once, so rank 30 stays cheap."""
+    g = fraction_gram(rs)
+    row = [sum(g[i][j] * t for j, t in enumerate(rs.theta_coords)) for i in range(rs.rank)]
     return sum(1 << i for i, r in enumerate(rs.positive_roots)
-               if brute_pairing(rs, r, rs.theta) > 0)
+               if sum(c * x for c, x in zip(r.coords, row)) > 0)
 
 
 # The pair computations that `classical_types._pair_table` and `_fold_table`
@@ -612,7 +621,7 @@ ROOT_SYSTEM_TABLES = (
     "cartan", "lengths", "_gram_den", "_gram_num", "positive_roots", "num_positive",
     "_index", "simple_indices", "simple_mask", "theta_index", "theta", "theta_coords",
     "c0", "coxeter_number", "exponents", "index_of_connection", "long_mask",
-    "up_masks", "strict_up_masks", "strict_down_masks", "incomparability_masks",
+    "up_masks", "strict_down_masks",
 )
 
 
@@ -647,7 +656,6 @@ def tuple_root_system(label, rank):
     for i in range(n):
         for k in covers[i]:
             down[k] |= down[i]
-    full = (1 << n) - 1
     return SimpleNamespace(
         cartan=cartan, lengths=lengths, _gram_den=den, _gram_num=num,
         positive_roots=tuple(Root(c) for c in coords), num_positive=n, _index=index,
@@ -659,7 +667,5 @@ def tuple_root_system(label, rank):
         index_of_connection=int(fraction_det(cartan)),
         long_mask=sum(1 << i for i, q in enumerate(norms) if q == 2 * den),
         up_masks=tuple(up),
-        strict_up_masks=tuple(m ^ 1 << i for i, m in enumerate(up)),
         strict_down_masks=tuple(m ^ 1 << i for i, m in enumerate(down)),
-        incomparability_masks=tuple(full & ~(u | d) for u, d in zip(up, down)),
     )

@@ -198,6 +198,22 @@ def test_formula_matches_first_layer(label, rank):
             assert got.size == theta_pair + rho_pairing(rs, nu) - 1
 
 
+@pytest.mark.parametrize("label,rank", [("E6", 6), ("E7", 7)])
+def test_formula_builds_no_checked_element(monkeypatch, label, rank):
+    rs = build(label, rank)
+    descriptors = [H.HeisenbergElementDescriptor(nu, sign) for nu in long_positive(rs)
+                   for sign in (1, -1)
+                   if sign == 1 or rs.index_of(nu) not in rs.simple_indices]
+
+    def fail(*args):
+        raise AssertionError("the formula built a checked element")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(A.AffineWeylElement, "__init__", fail)
+        got = [H.heisenberg_ideal_formula(rs, d) for d in descriptors]
+    assert got == [A.first_layer_ideal(H.heisenberg_element(rs, d)) for d in descriptors]
+
+
 def test_formula_rejects_simple_minus():
     rs = build("A", 2)
     with pytest.raises(ValueError, match="non-simple"):

@@ -6,7 +6,7 @@ from adideals.rootsys import Root, build
 from adideals import ideals as I
 from adideals.lattice_count import count_AD, count_AD0
 from helpers import (
-    brute_is_abelian, brute_k, brute_l, brute_power_mask, systems_up_to,
+    brute_is_abelian, brute_k, brute_l, brute_power_mask, brute_xi, systems_up_to,
     two_table_is_minimax,
 )
 
@@ -118,8 +118,21 @@ def test_abelian_and_powers_match_member_pairs(label, rank):
     rs = build(label, rank)
     for ideal in I.enumerate_ideals(rs):
         assert I.is_abelian(ideal) == brute_is_abelian(ideal)
-        assert I.power(ideal, 2).mask == brute_power_mask(ideal, 2)
-        assert I.power(ideal, 3).mask == brute_power_mask(ideal, 3)
+        for k in (1, 2, 3, 4):
+            assert I.power(ideal, k).mask == brute_power_mask(ideal, k)
+
+
+@pytest.mark.parametrize("k", [0, 2.5, "2"])
+def test_power_rejects_k_that_is_no_positive_int(k):
+    with pytest.raises(ValueError, match="k >= 1"):
+        I.power(I.full_ideal(build("A", 3)), k)
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(5) + [("E6", 6)])  # G2, F4 included
+def test_xi_matches_coordinate_maxima(label, rank):
+    rs = build(label, rank)
+    for ideal in I.enumerate_ideals(rs):
+        assert [r.coords for r in I.xi(ideal)] == brute_xi(ideal)
 
 
 def test_xi_examples():

@@ -44,7 +44,7 @@ def ideals(draw, systems=SYSTEMS, strictly_positive=False):
     picks = draw(st.lists(st.integers(lowest, rs.num_positive - 1), max_size=rs.rank))
     kept = 0
     for idx in picks:  # keep a root only if it is incomparable to all kept
-        if not kept & ~rs.incomparability_masks[idx]:
+        if not kept & (rs.up_masks[idx] | rs.strict_down_masks[idx]):
             kept |= 1 << idx
     roots = [r for i, r in enumerate(rs.positive_roots) if kept >> i & 1]
     return I.ideal_of(I.Antichain(rs, roots))
@@ -182,7 +182,6 @@ def test_packed_build_matches_oracles_root_by_root(drawn):
     below = sum(1 << j for j, r in enumerate(roots) if all(map(ge, c, r.coords)))
     assert rs.up_masks[k] == above
     assert rs.strict_down_masks[k] == below ^ 1 << k
-    assert rs.incomparability_masks[k] == (1 << len(roots)) - 1 & ~(above | below)
     assert (rs.long_mask >> k & 1) == (brute_bilinear(rs, c, c) == 2)
 
 
