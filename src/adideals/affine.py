@@ -466,9 +466,10 @@ def rootlet(w: AffineWeylElement):
 def first_layer_ideal(w: AffineWeylElement) -> Ideal:
     """{mu in Delta^+ : delta - mu in N(w)} = {mu : s(mu) <= -1}; w must be
     dominant."""
-    if not is_dominant(w):
+    shifts = _shifts(w)
+    if any(shifts[i] > 0 for i in w.rs.simple_indices):
         raise ValueError("first layer ideal is defined for dominant elements only")
-    return Ideal(w.rs, sum(1 << idx for idx, s in enumerate(_shifts(w)) if s <= -1))
+    return Ideal(w.rs, sum(1 << idx for idx, s in enumerate(shifts) if s <= -1))
 
 
 def _roots_sent_to(w: AffineWeylElement, targets) -> Antichain:

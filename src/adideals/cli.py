@@ -25,7 +25,7 @@ import sys
 import tempfile
 from time import perf_counter
 
-from .rootsys import Root, build
+from .rootsys import TYPES, Root, build
 from . import ideals as I
 from . import affine as A
 from . import classical_types as C
@@ -161,20 +161,21 @@ def cmd_enumerate(args, out) -> int:
     start = perf_counter()
     rs = build(args.type, args.rank)
     tokens = _parse_class(args.klass)
-    # an ideal is kept when it is in every listed class, so their smallest
-    # size bounds the records
-    sizes = {"strictly-positive": L.count_AD0(rs).value, "abelian": 2 ** rs.rank}
-    if "minimax" in tokens:
-        sizes["minimax"] = L.count_minimax(rs).value
-    expected = min(sizes.get(t, L.count_AD(rs).value) for t in tokens)
-    # building an element takes one step per unit of length, and lengths are
-    # bounded by the summed root heights; a step updates and tests against
-    # the l-table the images of its affine simple root and of that node's
-    # neighbours in the affine Dynkin diagram, and updates at most rank
-    # rows of v, about rank + 1 integer updates in all
-    height_sum = sum(r.height for r in rs.positive_roots)
-    work = expected * height_sum * (rs.rank + 1)
     if not args.force:
+        # an ideal is kept when it is in every listed class, so their smallest
+        # size bounds the records; count_AD bounds every class, so it is
+        # taken only when no listed class has a count of its own
+        sizes = {"strictly-positive": lambda: L.count_AD0(rs).value,
+                 "abelian": lambda: 2 ** rs.rank,
+                 "minimax": lambda: L.count_minimax(rs).value}
+        expected = min([size() for t, size in sizes.items() if t in tokens]
+                       or [L.count_AD(rs).value])
+        # building an element takes one step per unit of length, and lengths are
+        # bounded by the summed root heights; a step updates and tests against
+        # the l-table the images of its affine simple root and of that node's
+        # neighbours in the affine Dynkin diagram, and updates at most rank
+        # rows of v, about rank + 1 integer updates in all
+        work = expected * sum(r.height for r in rs.positive_roots) * (rs.rank + 1)
         if args.format == "text" and expected > MAX_TEXT_RECORDS:
             print(
                 "refusing to dump %d records as text; pass --force to insist"
@@ -326,7 +327,7 @@ def cmd_tables(args, out) -> int:
             "%6d" % L.count_minimax(build("D", n)).value for n in range(4, 9)) + "\n")
         out.write("exceptional: " + " ".join(
             "%s=%d" % (t, L.count_minimax(build(t, r)).value)
-            for t, r in (("G2", 2), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8)))
+            for t, r in V._EXCEPTIONAL)
             + "\n")
     if which in ("f4", "all"):
         out.write("non-Abelian minimax ideals of F4:\n")
@@ -349,8 +350,7 @@ def cmd_tables(args, out) -> int:
 
 
 def _add_system_args(p):
-    p.add_argument("--type", required=True,
-                   choices=["A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2"])
+    p.add_argument("--type", required=True, choices=list(TYPES))
     p.add_argument("--rank", required=True, type=int)
 
 

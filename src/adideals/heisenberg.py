@@ -13,6 +13,7 @@ of those ideals are provided and tested against the first layers.
 """
 
 from collections import namedtuple
+from operator import mul
 
 from .rootsys import Root, RootSystem
 from .ideals import Ideal, _iter_bits, heisenberg_root_mask
@@ -96,10 +97,14 @@ def s_nu(rs: RootSystem, nu: Root) -> FiniteWeylElement:
 
 def n_s_nu_zero(rs: RootSystem, nu: Root):
     """N(s_nu) \\ {nu}: the gamma with (gamma, nu^vee) = 1 and gamma < nu,
-    tried over nu's strict down mask, in root-index order."""
+    tried over nu's strict down mask, in root-index order.  With nu's integer
+    Gram row g = G nu taken once, (gamma, nu^vee) = 1 iff 2 gamma.g = nu.g."""
     roots = rs.positive_roots
-    return [roots[s] for s in _iter_bits(rs.strict_down_masks[rs.index_of(nu)])
-            if rs.pairing(roots[s], nu) == 1]
+    idx = rs.index_of(nu)
+    g = [sum(map(mul, row, nu.coords)) for row in rs._gram_num]
+    norm = sum(map(mul, nu.coords, g))
+    return [roots[s] for s in _iter_bits(rs.strict_down_masks[idx])
+            if 2 * sum(map(mul, roots[s].coords, g)) == norm]
 
 
 def heisenberg_element(rs: RootSystem, d: HeisenbergElementDescriptor) -> AffineWeylElement:

@@ -6,10 +6,15 @@ nonnegative coordinates.  The invariant inner product is normalised so
 that long roots have squared length 2; then nu^vee = nu for long nu and
 every pairing (gamma, nu^vee) between two roots is an integer.
 
-Simple roots are numbered as in the Vinberg-Onishchik reference tables,
-which differs from Bourbaki for E6, E7, E8 and F4 (the README has the
-dictionary).  The counting congruences in `lattice_count` are stated in
-this numbering, so the numbering is load-bearing, not cosmetic.
+Every type is one row of `TYPES`: its least and greatest rank and its
+Dynkin diagram, the bonds between simple roots and the ratios
+r_i = 2 / |alpha_i|^2 (1 on long simple roots, 2 or 3 on short ones).  The
+integer Gram matrix is read off the diagram and the Cartan matrix off the
+Gram matrix.  Simple roots are numbered as in the Vinberg-Onishchik
+reference tables, which differs from Bourbaki for E6, E7, E8 and F4 (the
+README has the dictionary).  The counting congruences in `lattice_count`
+are stated in this numbering, so the numbering is load-bearing, not
+cosmetic.
 
 Positive roots are stored sorted by (height, coords), which fixes the
 index of every root; all set-valued data elsewhere in the package is
@@ -33,22 +38,31 @@ from fractions import Fraction
 from functools import cached_property
 from operator import add
 
-__all__ = ["Root", "AffineRoot", "RootSystem", "build"]
+__all__ = ["TYPES", "Root", "AffineRoot", "RootSystem", "build"]
 
 # bits per coordinate digit of a packed root key; root coordinates are at most 6
 _BITS = 16
 
-# (min rank, max rank); None means unbounded above
-_RANK_RANGES = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (2, None),
-    "D": (4, None),
-    "E6": (6, 6),
-    "E7": (7, 7),
-    "E8": (8, 8),
-    "F4": (4, 4),
-    "G2": (2, 2),
+
+def _path(n):
+    """The bonds of a chain of n nodes."""
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+# type -> (least rank, greatest rank or None, rank -> (bonds, ratios)): the
+# Dynkin diagram in Vinberg-Onishchik numbering, as the bonds (i, j) between
+# simple roots and the ratios r_i = 2 / |alpha_i|^2, 1 on long simple roots
+# and 2 or 3 on short ones
+TYPES = {
+    "A": (1, None, lambda n: (_path(n), (1,) * n)),
+    "B": (2, None, lambda n: (_path(n), (1,) * (n - 1) + (2,))),
+    "C": (2, None, lambda n: (_path(n), (2,) * (n - 1) + (1,))),
+    "D": (4, None, lambda n: (_path(n - 1) + [(n - 3, n - 1)], (1,) * n)),
+    "E6": (6, 6, lambda n: (_path(5) + [(2, 5)], (1,) * 6)),
+    "E7": (7, 7, lambda n: (_path(6) + [(3, 6)], (1,) * 7)),
+    "E8": (8, 8, lambda n: (_path(7) + [(4, 7)], (1,) * 8)),
+    "F4": (4, 4, lambda n: (_path(4), (2, 2, 1, 1))),
+    "G2": (2, 2, lambda n: (_path(2), (3, 1))),
 }
 
 
@@ -94,62 +108,30 @@ class AffineRoot(namedtuple("AffineRoot", "level finite")):
         return "AffineRoot(%d,[%s])" % (self.level, ",".join(map(str, self.finite)))
 
 
-def _cartan_data(type_label, rank):
-    """Cartan matrix a[i][j] = (alpha_i, alpha_j^vee) and squared lengths."""
+def _gram_data(type_label, rank):
+    """The ratios r_i of the type's row of `TYPES`, the integer Gram matrix
+    _gram_den * (alpha_i, alpha_j) and _gram_den, the lcm of the denominators
+    of (alpha_i, alpha_i) = 2 / r_i and, across a bond, of
+    (alpha_i, alpha_j) = -1 / min(r_i, r_j): the shorter root pairs to -1
+    with the longer root's coroot."""
     try:
-        lo, hi = _RANK_RANGES[type_label]
+        lo, hi, diagram = TYPES[type_label]
     except KeyError:
-        raise ValueError(
-            "unknown type %r; valid types: A (rank>=1), B (rank>=2), C (rank>=2), "
-            "D (rank>=4), E6, E7, E8, F4, G2" % (type_label,)
-        ) from None
+        valid = ", ".join("%s (rank>=%d)" % (t, least) if top is None else t
+                          for t, (least, top, _) in TYPES.items())
+        raise ValueError("unknown type %r; valid types: %s" % (type_label, valid)) from None
     if rank < lo or (hi is not None and rank > hi):
         bound = ">= %d" % lo if hi is None else "= %d" % lo
         raise ValueError("type %s requires rank %s (got %d)" % (type_label, bound, rank))
-
-    n = rank
-    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    lengths = [Fraction(2)] * n
-
-    def bond(i, j):
-        a[i][j] = -1
-        a[j][i] = -1
-
-    if type_label == "A":
-        for i in range(n - 1):
-            bond(i, i + 1)
-    elif type_label == "B":
-        for i in range(n - 1):
-            bond(i, i + 1)
-        a[n - 2][n - 1] = -2
-        lengths[n - 1] = Fraction(1)
-    elif type_label == "C":
-        for i in range(n - 1):
-            bond(i, i + 1)
-        a[n - 1][n - 2] = -2
-        lengths = [Fraction(1)] * (n - 1) + [Fraction(2)]
-    elif type_label == "D":
-        for i in range(n - 3):
-            bond(i, i + 1)
-        bond(n - 3, n - 2)
-        bond(n - 3, n - 1)
-    elif type_label in ("E6", "E7", "E8"):
-        edges = {
-            "E6": [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)],
-            "E7": [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (3, 6)],
-            "E8": [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)],
-        }[type_label]
-        for i, j in edges:
-            bond(i, j)
-    elif type_label == "F4":
-        for i in range(3):
-            bond(i, i + 1)
-        a[2][1] = -2
-        lengths = [Fraction(1), Fraction(1), Fraction(2), Fraction(2)]
-    elif type_label == "G2":
-        a = [[2, -1], [-3, 2]]
-        lengths = [Fraction(2, 3), Fraction(2)]
-    return tuple(tuple(row) for row in a), tuple(lengths)
+    bonds, ratios = diagram(rank)
+    den = math.lcm(*(r // math.gcd(2, r) for r in ratios),
+                   *(min(ratios[i], ratios[j]) for i, j in bonds))
+    num = [[0] * rank for _ in range(rank)]
+    for i, r in enumerate(ratios):
+        num[i][i] = 2 * den // r
+    for i, j in bonds:
+        num[i][j] = num[j][i] = -den // min(ratios[i], ratios[j])
+    return ratios, tuple(map(tuple, num)), den
 
 
 def _positive_root_keys(cartan, sq):
@@ -284,32 +266,23 @@ class RootSystem:
     on the kept keys), the partner masks read off them and the fundamental
     coweights are computed on first use, since counting reads none of them.
     Inner products and pairings are computed on demand from one integer
-    Gram matrix.  Use the module-level `build` (which caches) rather than
-    the constructor.
+    Gram matrix, read off the type's row of `TYPES`.  Use the module-level
+    `build` (which caches) rather than the constructor.
     """
 
     def __init__(self, type_label: str, rank: int):
-        cartan, lengths = _cartan_data(type_label, rank)
+        ratios, gram, den = _gram_data(type_label, rank)
         self.type_label = type_label
         self.rank = rank
-        self.cartan = cartan
-        self.lengths = lengths
-
-        # the integer Gram matrix _gram_den * (alpha_i, alpha_j), with
-        # (alpha_i, alpha_j) = a[i][j] |alpha_j|^2 / 2 = a[i][j] n_j / (2 d_j)
-        halves = [(x.numerator, 2 * x.denominator) for x in lengths]
-        den = math.lcm(*(d // math.gcd(a * n, d)
-                         for row in cartan for a, (n, d) in zip(row, halves)))
+        self._gram_num = gram
         self._gram_den = den
-        self._gram_num = tuple(tuple(a * n * den // d for a, (n, d) in zip(row, halves))
-                               for row in cartan)
-        assert self._gram_num == tuple(zip(*self._gram_num)), "Cartan data is not symmetrisable"
-        # x_j alpha_j = x_j |alpha_j|^2 / 2 alpha_j^vee is in the coroot lattice
-        # iff x_j is a multiple of d_j / n_j, an integer for every simple type
-        assert all(d % n == 0 for n, d in halves)
-        self._coroot_moduli = tuple(d // n for n, d in halves)
+        self.lengths = tuple(Fraction(2, r) for r in ratios)
+        # x_j alpha_j = (x_j / r_j) alpha_j^vee is in the coroot lattice iff r_j | x_j
+        self._coroot_moduli = ratios
+        sq = [gram[i][i] for i in range(rank)]
+        # a[i][j] = (alpha_i, alpha_j^vee) = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j)
+        self.cartan = cartan = tuple(tuple(2 * x // q for x, q in zip(row, sq)) for row in gram)
 
-        sq = [self._gram_num[i][i] for i in range(rank)]
         keys, norms, covers, layer_sizes = _positive_root_keys(cartan, sq)
         self._keys = tuple(keys)
         digits = struct.Struct(">%dH" % rank)

@@ -12,7 +12,7 @@ one loop.
 from collections import namedtuple
 from functools import partial
 
-from .rootsys import build
+from .rootsys import TYPES, build
 from . import ideals as I
 from . import affine as A
 from . import heisenberg as H
@@ -26,7 +26,9 @@ MOTZKIN = (1, 2, 4, 9, 21, 51, 127, 323)
 # n = 1..8
 DIRECTED_ANIMALS = (1, 2, 5, 13, 35, 96, 267, 750)
 EXCEPTIONAL_MINIMAX = {"G2": 3, "F4": 17, "E6": 67, "E7": 217, "E8": 834}
-_EXCEPTIONAL = (("G2", 2), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8))
+# the types of one rank, by rank
+_EXCEPTIONAL = tuple(sorted(((t, lo) for t, (lo, hi, _) in TYPES.items() if hi is not None),
+                            key=lambda pair: pair[1]))
 E8_IDEAL_COUNT = 25080
 
 # The non-Abelian minimax ideals of F4 and their attached data
@@ -60,10 +62,8 @@ def system_name(label: str, rank: int) -> str:
 
 
 def _types_up_to(max_rank):
-    out = [("A", n) for n in range(1, max_rank + 1)]
-    out += [("B", n) for n in range(2, max_rank + 1)]
-    out += [("C", n) for n in range(2, max_rank + 1)]
-    out += [("D", n) for n in range(4, max_rank + 1)]
+    out = [(t, n) for t, (lo, hi, _) in TYPES.items() if hi is None
+           for n in range(lo, max_rank + 1)]
     return out + [(label, rank) for label, rank in _EXCEPTIONAL if rank <= max_rank]
 
 

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 from adideals import affine as A
 from adideals import classical_types as C
 from adideals import ideals as I
-from adideals.rootsys import AffineRoot, Root, _cartan_data, build
+from adideals.rootsys import AffineRoot, Root, build
 
 
 def systems_up_to(max_rank, exceptional=True):
@@ -615,6 +615,68 @@ def fraction_det(matrix):
     return det
 
 
+def cartan_data_by_cases(type_label, rank):
+    """(cartan, lengths, _gram_num, _gram_den, _coroot_moduli) of a valid
+    type and rank, written out case by case: the Cartan matrix a[i][j] =
+    (alpha_i, alpha_j^vee) patched per type and the squared lengths, then the
+    Gram matrix (alpha_i, alpha_j) = a[i][j] |alpha_j|^2 / 2 derived from them."""
+    n = rank
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    lengths = [Fraction(2)] * n
+
+    def bond(i, j):
+        a[i][j] = -1
+        a[j][i] = -1
+
+    if type_label == "A":
+        for i in range(n - 1):
+            bond(i, i + 1)
+    elif type_label == "B":
+        for i in range(n - 1):
+            bond(i, i + 1)
+        a[n - 2][n - 1] = -2
+        lengths[n - 1] = Fraction(1)
+    elif type_label == "C":
+        for i in range(n - 1):
+            bond(i, i + 1)
+        a[n - 1][n - 2] = -2
+        lengths = [Fraction(1)] * (n - 1) + [Fraction(2)]
+    elif type_label == "D":
+        for i in range(n - 3):
+            bond(i, i + 1)
+        bond(n - 3, n - 2)
+        bond(n - 3, n - 1)
+    elif type_label in ("E6", "E7", "E8"):
+        edges = {
+            "E6": [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)],
+            "E7": [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (3, 6)],
+            "E8": [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)],
+        }[type_label]
+        for i, j in edges:
+            bond(i, j)
+    elif type_label == "F4":
+        for i in range(3):
+            bond(i, i + 1)
+        a[2][1] = -2
+        lengths = [Fraction(1), Fraction(1), Fraction(2), Fraction(2)]
+    elif type_label == "G2":
+        a = [[2, -1], [-3, 2]]
+        lengths = [Fraction(2, 3), Fraction(2)]
+    cartan, lengths = tuple(tuple(row) for row in a), tuple(lengths)
+
+    # the integer Gram matrix den * (alpha_i, alpha_j), with
+    # (alpha_i, alpha_j) = a[i][j] |alpha_j|^2 / 2 = a[i][j] n_j / (2 d_j)
+    halves = [(x.numerator, 2 * x.denominator) for x in lengths]
+    den = math.lcm(*(d // math.gcd(a * n, d)
+                     for row in cartan for a, (n, d) in zip(row, halves)))
+    num = tuple(tuple(a * n * den // d for a, (n, d) in zip(row, halves)) for row in cartan)
+    assert num == tuple(zip(*num)), "Cartan data is not symmetrisable"
+    # x_j alpha_j = x_j |alpha_j|^2 / 2 alpha_j^vee is in the coroot lattice
+    # iff x_j is a multiple of d_j / n_j, an integer for every simple type
+    assert all(d % n == 0 for n, d in halves)
+    return cartan, lengths, num, den, tuple(d // n for n, d in halves)
+
+
 # the tables `tuple_root_system` rebuilds: every table `RootSystem` computes
 # at construction, and `_index`, which `ideals` and the tests read
 ROOT_SYSTEM_TABLES = (
@@ -628,10 +690,10 @@ ROOT_SYSTEM_TABLES = (
 @lru_cache(maxsize=None)
 def tuple_root_system(label, rank):
     """The `ROOT_SYSTEM_TABLES` of `build(label, rank)`, computed on coordinate
-    tuples: the roots by `positive_root_coords_by_tuples`, the Gram matrix by
+    tuples from the Cartan matrix and lengths of `cartan_data_by_cases`: the roots by `positive_root_coords_by_tuples`, the Gram matrix by
     Fraction products, the norms term by term, the index of connection by
     `fraction_det` and the order masks from covers found by tuple slices."""
-    cartan, lengths = _cartan_data(label, rank)
+    cartan, lengths = cartan_data_by_cases(label, rank)[:2]
     gram = [[Fraction(cartan[i][j]) * lengths[j] / 2 for j in range(rank)]
             for i in range(rank)]
     den = math.lcm(*(x.denominator for row in gram for x in row))

@@ -99,6 +99,31 @@ def test_enumerate_classifies_e8_minimax_without_force(capsys, monkeypatch):
     assert out.endswith("# 1 record(s) for E8 class=minimax\n")
 
 
+@pytest.mark.parametrize("klass", ["all", "minimax", "strictly-positive,abelian"])
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_enumerate_force_skips_the_guard(klass, fmt, capsys, monkeypatch):
+    argv = ["enumerate", "--type", "B", "--rank", "3", "--class", klass,
+            "--format", fmt, "--force"]
+    expected = run(argv, capsys)
+
+    def no_guard(rs):
+        raise AssertionError("--force computed the guard")
+
+    for name in ("count_minimax", "count_AD", "count_AD0"):
+        monkeypatch.setattr(cli.L, name, no_guard)
+    assert run(argv, capsys) == expected
+
+
+def test_enumerate_guard_counts_all_ideals_once(capsys, monkeypatch):
+    calls = []
+    count_AD = cli.L.count_AD
+    monkeypatch.setattr(cli.L, "count_AD", lambda rs: calls.append(rs) or count_AD(rs))
+    code, out, _ = run(["enumerate", "--type", "A", "--rank", "3", "--class",
+                        "all,nontrivial,non-abelian"], capsys)
+    assert code == 0 and len(calls) == 1
+    assert out.endswith("# 6 record(s) for A3 class=all,nontrivial,non-abelian\n")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_enumerate_refuses_a20_minimax_without_sweeping(fmt, capsys, monkeypatch):
     def no_sweep(*args):

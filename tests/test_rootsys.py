@@ -13,9 +13,9 @@ import adideals
 from adideals.rootsys import Root, RootSystem, build
 from adideals.ideals import heisenberg_root_mask
 from helpers import (
-    ROOT_SYSTEM_TABLES, _invert, brute_bilinear, brute_pairing, decompositions_by_pairs,
-    fraction_gram, heisenberg_mask_by_pairing, order_masks_by_coordinates, systems_up_to,
-    tuple_root_system,
+    ROOT_SYSTEM_TABLES, _invert, brute_bilinear, brute_pairing, cartan_data_by_cases,
+    decompositions_by_pairs, fraction_gram, heisenberg_mask_by_pairing,
+    order_masks_by_coordinates, systems_up_to, tuple_root_system,
 )
 
 # standard exponent tables, kept as an oracle against the computed values
@@ -78,16 +78,63 @@ def test_e8_build():
     assert sum(rs.theta_coords) == 29
 
 
+REJECTED_RANKS = {
+    ("D", 3): "type D requires rank >= 4 (got 3)",
+    ("D", 2): "type D requires rank >= 4 (got 2)",
+    ("B", 1): "type B requires rank >= 2 (got 1)",
+    ("C", 1): "type C requires rank >= 2 (got 1)",
+    ("E6", 5): "type E6 requires rank = 6 (got 5)",
+    ("E8", 7): "type E8 requires rank = 8 (got 7)",
+    ("F4", 3): "type F4 requires rank = 4 (got 3)",
+    ("G2", 3): "type G2 requires rank = 2 (got 3)",
+}
+
+
 @pytest.mark.parametrize("label,rank", [("D", 3), ("D", 2), ("B", 1), ("C", 1),
                                         ("E6", 5), ("E8", 7), ("F4", 3), ("G2", 3)])
 def test_invalid_rank_rejected(label, rank):
-    with pytest.raises(ValueError, match="rank"):
+    with pytest.raises(ValueError, match="rank") as info:
         build(label, rank)
+    assert str(info.value) == REJECTED_RANKS[label, rank]
 
 
 def test_unknown_type_rejected():
-    with pytest.raises(ValueError, match="valid types"):
+    with pytest.raises(ValueError, match="valid types") as info:
         build("H3", 3)
+    assert str(info.value) == (
+        "unknown type 'H3'; valid types: A (rank>=1), B (rank>=2), C (rank>=2), "
+        "D (rank>=4), E6, E7, E8, F4, G2")
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(40))
+def test_type_data_matches_case_by_case_oracle(label, rank):
+    rs = build(label, rank)
+    cartan, lengths, num, den, moduli = cartan_data_by_cases(label, rank)
+    assert rs.cartan == cartan
+    assert rs.lengths == lengths
+    assert [type(x) for x in rs.lengths] == [Fraction] * rank
+    assert (rs._gram_num, rs._gram_den, rs._coroot_moduli) == (num, den, moduli)
+
+
+# (type, rank, marks of theta, indices of the short simple roots), as the
+# README's "Simple-root numbering" lists them; `CONGRUENCES` is stated in it
+NUMBERING = [
+    ("B", 5, (1, 2, 2, 2, 2), [4]),
+    ("C", 5, (2, 2, 2, 2, 1), [0, 1, 2, 3]),
+    ("G2", 2, (3, 2), [0]),
+    ("F4", 4, (2, 4, 3, 2), [0, 1]),
+    ("E6", 6, (1, 2, 3, 2, 1, 2), []),
+    ("E7", 7, (1, 2, 3, 4, 3, 2, 2), []),
+    ("E8", 8, (2, 3, 4, 5, 6, 4, 2, 3), []),
+]
+
+
+@pytest.mark.parametrize("label,rank,theta,short", NUMBERING)
+def test_simple_root_numbering_matches_readme(label, rank, theta, short):
+    rs = build(label, rank)
+    assert rs.theta_coords == theta
+    short_simple = rs.simple_mask & ~rs.long_mask
+    assert [i for i in range(rank) if short_simple >> rs.simple_indices[i] & 1] == short
 
 
 @pytest.mark.parametrize("rank", ["3", 2.0, True])
