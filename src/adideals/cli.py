@@ -68,8 +68,7 @@ IDEAL_RECORD_SCHEMA = {
     "additionalProperties": False,
 }
 
-# refuse unguarded dumps beyond these budgets
-MAX_TEXT_RECORDS = 100_000
+# refuse unguarded dumps beyond this budget
 MAX_CLASSIFY_WORK = 100_000_000
 
 
@@ -152,6 +151,10 @@ def _stats_records(records, seconds, counters):
         yield rec
 
 
+def _write_json(out, obj):
+    out.write(json.dumps(obj, indent=1, sort_keys=True) + "\n")
+
+
 def _write_stats(command, seconds, counters):
     print(json.dumps({"command": command, "seconds": seconds, "counters": counters},
                      sort_keys=True), file=sys.stderr)
@@ -176,11 +179,6 @@ def cmd_enumerate(args, out) -> int:
         # neighbours in the affine Dynkin diagram, and updates at most rank
         # rows of v, about rank + 1 integer updates in all
         work = expected * sum(r.height for r in rs.positive_roots) * (rs.rank + 1)
-        if args.format == "text" and expected > MAX_TEXT_RECORDS:
-            print(
-                "refusing to dump %d records as text; pass --force to insist"
-                % expected, file=sys.stderr)
-            return 2
         if work > MAX_CLASSIFY_WORK:
             print(
                 "refusing to classify %d ideals of %s (heavy sweep); "
@@ -205,8 +203,7 @@ def cmd_enumerate(args, out) -> int:
             "records": list(records),
         }
         payload["count"] = len(payload["records"])
-        json.dump(payload, out, indent=1, sort_keys=True)
-        out.write("\n")
+        _write_json(out, payload)
     elif args.format == "csv":
         writer = csv.writer(out)
         writer.writerow(["generators", "size", "strictly_positive", "abelian",
@@ -251,9 +248,7 @@ def cmd_classify(args, out) -> int:
     antichain = I.Antichain(rs, [Root(tuple(g)) for g in gens])
     rec = ideal_record(I.ideal_of(antichain))
     if args.format == "json":
-        json.dump({"schema": IDEAL_RECORD_SCHEMA_ID, "record": rec}, out,
-                  indent=1, sort_keys=True)
-        out.write("\n")
+        _write_json(out, {"schema": IDEAL_RECORD_SCHEMA_ID, "record": rec})
     else:
         out.write(_record_line(rec) + "\n")
     return 0
@@ -262,8 +257,7 @@ def cmd_classify(args, out) -> int:
 def cmd_count(args, out) -> int:
     report = getattr(L, "count_" + args.quantity)(build(args.type, args.rank))
     if args.format == "json":
-        json.dump(report._asdict(), out, indent=1, sort_keys=True)
-        out.write("\n")
+        _write_json(out, report._asdict())
     elif args.format == "csv":
         writer = csv.writer(out)
         writer.writerow(["type", "rank", "quantity", "value", "method",
@@ -290,18 +284,15 @@ def cmd_verify(args, out) -> int:
                 failures += 1
         seconds[name] = perf_counter() - start
     if args.format == "json":
-        json.dump(
-            {
-                "suites": list(names),
-                "passed": failures == 0,
-                "results": [
-                    {"suite": r.suite, "name": r.name, "ok": r.ok,
-                     "expected": repr(r.expected), "computed": repr(r.computed)}
-                    for r in results
-                ],
-            },
-            out, indent=1, sort_keys=True)
-        out.write("\n")
+        _write_json(out, {
+            "suites": list(names),
+            "passed": failures == 0,
+            "results": [
+                {"suite": r.suite, "name": r.name, "ok": r.ok,
+                 "expected": repr(r.expected), "computed": repr(r.computed)}
+                for r in results
+            ],
+        })
     else:
         for r in results:
             if r.ok:

@@ -20,10 +20,8 @@ from .ideals import Ideal, _iter_bits, heisenberg_root_mask
 from .affine import (
     AffineWeylElement,
     FiniteWeylElement,
-    affine_simple_reflection,
     element_from_word,
     inversion_set,
-    length,
     reflection,
 )
 
@@ -145,9 +143,14 @@ def heisenberg_ideal_formula(rs: RootSystem, d: HeisenbergElementDescriptor) -> 
 
 
 def is_heisenberg_type(w: AffineWeylElement) -> bool:
-    """Whether w = v.s_0 for some finite v, i.e. w.s_0 lands in W."""
-    trimmed = w * affine_simple_reflection(w.rs, 0)
-    return not any(trimmed.r) and length(trimmed) == length(w) - 1
+    """Whether w = v.s_0 for some finite v.
+
+    v.s_0 = (v.s_theta).t_{-theta^vee} and theta^vee = theta, so this holds
+    exactly when the translation part of w is -theta.  Such a product is
+    always reduced: v(alpha_0) = delta - v(theta) has level 1, so it is
+    positive and l(v.s_0) = l(v) + 1.
+    """
+    return w.r == tuple(-c for c in w.rs.theta_coords)
 
 
 def descriptor_to_record(d: HeisenbergElementDescriptor) -> dict:

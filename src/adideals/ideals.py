@@ -306,21 +306,14 @@ def is_heisenberg_contained(ideal: Ideal) -> bool:
     return not ideal.mask & ~heisenberg_root_mask(ideal.rs)
 
 
-# class name -> predicate on an Ideal.  `enumerate_ideals` calls the
-# abelian, nontrivial and non-abelian predicates through this table, so a
-# wrapper put on `is_abelian` (a profiler, a counter) sees those calls.  It
-# never calls the others: the minimax test runs inside its walk, and the
-# strictly positive and Heisenberg-contained classes only narrow the
-# generators it tries.
-CLASSES = {
-    "all": None,
-    "strictly_positive": lambda ideal: is_strictly_positive(ideal),
-    "nontrivial": lambda ideal: ideal.mask != 0,
-    "heisenberg_contained": lambda ideal: is_heisenberg_contained(ideal),
-    "abelian": lambda ideal: is_abelian(ideal),
-    "non_abelian": lambda ideal: not is_abelian(ideal),
-    "minimax": lambda ideal: is_minimax(ideal),
-}
+# the class names `enumerate_ideals` accepts.  The walk decides each class
+# itself: abelian, nontrivial and non-abelian by calling `is_abelian` and
+# testing the mask, the minimax test inside the walk, and the strictly
+# positive and Heisenberg-contained classes by narrowing the generators it
+# tries.  `is_abelian` is looked up in this module at each call, so a wrapper
+# put on it (a profiler, a counter) sees those calls.
+CLASSES = ("all", "strictly_positive", "nontrivial", "heisenberg_contained",
+           "abelian", "non_abelian", "minimax")
 
 
 def enumerate_ideals(rs: RootSystem, which="all"):
@@ -344,7 +337,7 @@ def enumerate_ideals(rs: RootSystem, which="all"):
     children that can add one are entered.
     """
     names = {which} if isinstance(which, str) else set(which)
-    unknown = sorted(names - CLASSES.keys())
+    unknown = sorted(names.difference(CLASSES))
     if unknown:
         raise ValueError("unknown filter %r; expected one of %s"
                          % (unknown[0], tuple(CLASSES)))
@@ -358,8 +351,9 @@ def enumerate_ideals(rs: RootSystem, which="all"):
         cand &= ~rs.simple_mask
     if "heisenberg_contained" in names:
         cand &= heisenberg_root_mask(rs)
-    cut = CLASSES["abelian"] if "abelian" in names else None
-    keep = [CLASSES[name] for name in ("nontrivial", "non_abelian") if name in names]
+    abelian = "abelian" in names
+    nontrivial = "nontrivial" in names
+    non_abelian = "non_abelian" in names
     minimax = "minimax" in names
     decs = rs.decompositions if minimax else None
     ones = [1] * n
@@ -374,15 +368,11 @@ def enumerate_ideals(rs: RootSystem, which="all"):
         ideal = object.__new__(Ideal)
         ideal.rs = rs
         ideal.mask = mask
-        if cut and not cut(ideal):
+        if abelian and not is_abelian(ideal):
             continue
         f = _first_minimax_failure(decs, k, mask, start) if minimax else -1
-        if f < 0:
-            for pred in keep:
-                if not pred(ideal):
-                    break
-            else:
-                yield ideal
+        if f < 0 and (mask or not nontrivial) and not (non_abelian and is_abelian(ideal)):
+            yield ideal
         # a subtree fails at f unless it adds a generator below f; with no
         # failure, every child meets -1
         rescue = below[f] if f >= 0 else -1

@@ -254,16 +254,16 @@ def _integer_product(pairs) -> int:
 
 
 def count_AD(rs: RootSystem) -> CountReport:
-    """#ideals = prod (h + e_i + 1) / (e_i + 1), exact."""
-    h = rs.coxeter_number
-    value = _integer_product((h + e + 1, e + 1) for e in rs.exponents)
+    """#ideals = prod (h + e_i + 1) / (e_i + 1), exact: the coroot-lattice
+    points of the (h + 1)-dilated alcove."""
+    value = haiman_count(rs, rs.coxeter_number + 1)
     return CountReport(rs.type_label, rs.rank, "AD", value, "closed_form")
 
 
 def count_AD0(rs: RootSystem) -> CountReport:
-    """#strictly positive ideals = prod (h + e_i - 1) / (e_i + 1), exact."""
-    h = rs.coxeter_number
-    value = _integer_product((h + e - 1, e + 1) for e in rs.exponents)
+    """#strictly positive ideals = prod (h + e_i - 1) / (e_i + 1), exact: the
+    coroot-lattice points of the (h - 1)-dilated alcove."""
+    value = haiman_count(rs, rs.coxeter_number - 1)
     return CountReport(rs.type_label, rs.rank, "AD0", value, "closed_form")
 
 

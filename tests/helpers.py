@@ -345,6 +345,13 @@ def peel_element_from_inversions(rs, affine_roots):
     return acc
 
 
+def heisenberg_type_by_product(w):
+    """Whether w = v.s_0 for a finite v, by the product route: w.s_0, formed
+    through two reduced words, has no translation part and is one shorter."""
+    trimmed = w * A.affine_simple_reflection(w.rs, 0)
+    return not any(trimmed.r) and A.length(trimmed) == A.length(w) - 1
+
+
 def all_words(rs, max_len):
     """Every word over the affine alphabet up to the given length."""
     alphabet = range(rs.rank + 1)

@@ -77,6 +77,24 @@ def test_enumerate_refuses_e8_without_force(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("label,rank,count", [("A", 11, 208012), ("B", 10, 184756),
+                                              ("D", 10, 136136)])
+def test_enumerate_refuses_large_text_dumps_without_force(label, rank, count, capsys,
+                                                          monkeypatch):
+    # the smallest systems with more than 100000 ideals: the work guard
+    # refuses their text dumps before any ideal is visited
+    def no_sweep(*args):
+        raise AssertionError("the guard walked the ideals")
+
+    monkeypatch.setattr(cli.I, "enumerate_ideals", no_sweep)
+    start = time.perf_counter()
+    code, out, err = run(["enumerate", "--type", label, "--rank", str(rank)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("refusing ")
+    assert str(count) in err and "--force" in err
+
+
 def test_enumerate_classifies_e7_without_force(capsys, monkeypatch):
     # the guard's estimate for all 4160 ideals of E7 is within budget; a stub
     # sweep of two ideals keeps the test short

@@ -7,8 +7,9 @@ from adideals import affine as A
 from adideals import heisenberg as H
 from adideals import ideals as I
 from helpers import (
-    affine_product, brute_pairing, full_weyl_group, matrix_inverse, matrix_product,
-    systems_up_to, w_nu_word_by_bfs,
+    affine_product, all_words, brute_pairing, full_weyl_group,
+    heisenberg_type_by_product, matrix_inverse, matrix_product, systems_up_to,
+    w_nu_word_by_bfs,
 )
 
 
@@ -250,6 +251,18 @@ def test_is_heisenberg_type_examples():
     rs = build("A", 2)
     assert H.is_heisenberg_type(A.affine_simple_reflection(rs, 0))
     assert not H.is_heisenberg_type(A.identity_element(rs))
+
+
+@pytest.mark.parametrize("label,rank,max_len", [
+    ("A", 2, 7), ("B", 2, 7), ("G2", 2, 8), ("A", 3, 5), ("B", 3, 5), ("C", 3, 5),
+])
+def test_is_heisenberg_type_matches_product_route(label, rank, max_len):
+    rs = build(label, rank)
+    elements = {A.element_from_word(rs, word) for word in all_words(rs, max_len)}
+    elements.update(A.w_min(ideal) for ideal in I.enumerate_ideals(rs))
+    elements.update(A.w_max(ideal) for ideal in I.enumerate_ideals(rs, "strictly_positive"))
+    for w in elements:
+        assert H.is_heisenberg_type(w) == heisenberg_type_by_product(w), w
 
 
 @pytest.mark.parametrize("label,rank", systems_up_to(4))

@@ -222,6 +222,7 @@ PRUNED_CLASSES = [
     ("minimax",), ("abelian",), ("strictly_positive",), ("heisenberg_contained",),
     ("minimax", "non_abelian"), ("minimax", "abelian"),
     ("heisenberg_contained", "nontrivial"), ("abelian", "heisenberg_contained"),
+    ("nontrivial",), ("non_abelian",), ("nontrivial", "non_abelian"),
 ]
 
 

@@ -258,12 +258,16 @@ def test_haiman_rejects_negative_dilations(label, rank, t):
 
 
 def test_haiman_specialisations_match_ideal_counts():
-    # h+1 and h-1 are always coprime to h, so both dilations count
+    # h+1 and h-1 are always coprime to h, so both dilations count; count_AD
+    # and count_AD0 are these specialisations, so the alcove points are also
+    # counted by brute force
     for label, rank in systems_up_to(4):
         rs = build(label, rank)
         h = rs.coxeter_number
-        assert L.haiman_count(rs, h + 1) == L.count_AD(rs).value
-        assert L.haiman_count(rs, h - 1) == L.count_AD0(rs).value
+        assert (L.haiman_count(rs, h + 1) == L.count_AD(rs).value
+                == coroot_points_in_dilated_alcove(rs, h + 1))
+        assert (L.haiman_count(rs, h - 1) == L.count_AD0(rs).value
+                == coroot_points_in_dilated_alcove(rs, h - 1))
 
 
 def test_motzkin_and_dir_values():
