@@ -17,7 +17,7 @@ any longer decomposition of a root can be reordered so that every
 partial sum is again a root, so binary splits lose nothing.  The splits
 are `RootSystem.decompositions`, found by subtracting from each root the
 roots below it; `_l_table` reads them, `power` the l-table and
-`is_abelian` the partner masks.
+`is_abelian` the splits of theta alone.
 
 Each split of a root has both parts at lower root indices, so k fills
 in root-index order.  So does l, and on an ideal whose members below m
@@ -60,6 +60,8 @@ class Ideal:
     __slots__ = ("rs", "mask")
 
     def __init__(self, rs: RootSystem, mask: int):
+        if type(mask) is not int or not 0 <= mask < 1 << rs.num_positive:
+            raise ValueError("not an int mask below 2**%d: %r" % (rs.num_positive, mask))
         for i in _iter_bits(mask):
             if rs.up_masks[i] & ~mask:
                 raise ValueError(
@@ -187,9 +189,11 @@ def is_strictly_positive(ideal: Ideal) -> bool:
 
 
 def is_abelian(ideal: Ideal) -> bool:
-    """True iff no two members (repeats allowed) sum to a root."""
-    partners, mask = ideal.rs.partner_masks, ideal.mask
-    return not any(partners[i] & mask for i in _iter_bits(mask))
+    """True iff no two members (repeats allowed) sum to a root.  I^2 is again
+    an ideal and every nonempty ideal contains theta, so I^2 is empty iff
+    theta is no sum of two members (Cellini-Papi, Kostant)."""
+    rs, mask = ideal.rs, ideal.mask
+    return not any(mask >> a & 1 and mask >> b & 1 for a, b in rs.decompositions[rs.theta_index])
 
 
 def power(ideal: Ideal, k: int) -> Ideal:
@@ -234,9 +238,10 @@ def _k_table(ideal: Ideal):
 
 
 def l_value(gamma: Root, ideal: Ideal) -> int:
-    if gamma not in ideal:
+    i = ideal.rs.index_of(gamma)
+    if not ideal.mask >> i & 1:
         raise ValueError("l(gamma, I) requires gamma in I")
-    return _l_table(ideal)[ideal.rs.index_of(gamma)]
+    return _l_table(ideal)[i]
 
 
 def k_value(gamma: Root, ideal: Ideal) -> int:

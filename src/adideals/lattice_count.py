@@ -287,8 +287,8 @@ def haiman_count(rs: RootSystem, t: int) -> int:
     Other t are rejected: for t < 0 the dilated alcove is empty, and for t
     sharing a factor with h the product need not even be an integer.
     """
-    if t < 1:
-        raise ValueError("t = %d is not a positive dilation" % t)
+    if type(t) is not int or t < 1:
+        raise ValueError("t = %r is not a positive dilation" % (t,))
     if math.gcd(t, rs.coxeter_number) != 1:
         raise ValueError(
             "t = %d shares a factor with the Coxeter number %d"

@@ -263,8 +263,8 @@ class RootSystem:
     from `_positive_root_keys` on packed keys; the keys are kept in
     `_keys`, the carried pairings stay local to the constructor, and
     `_index` maps coordinate tuples.  The two-root decompositions (probed
-    on the kept keys), the partner masks read off them and the fundamental
-    coweights are computed on first use, since counting reads none of them.
+    on the kept keys) and the fundamental coweights are computed on first
+    use, since counting reads neither.
     Inner products and pairings are computed on demand from one integer
     Gram matrix, read off the type's row of `TYPES`.  Use the module-level
     `build` (which caches) rather than the constructor.
@@ -341,16 +341,6 @@ class RootSystem:
                                self.strict_down_masks)
 
     @cached_property
-    def partner_masks(self):
-        """Bit j of partner_masks[i] is set iff gamma_i + gamma_j is a root."""
-        partners = [0] * self.num_positive
-        for pairs in self.decompositions:
-            for a, b in pairs:
-                partners[a] |= 1 << b
-                partners[b] |= 1 << a
-        return tuple(partners)
-
-    @cached_property
     def coweight_basis(self):
         """The fundamental coweights varpi_i^vee in root coordinates."""
         # varpi_i^vee is the i-th column of gram^{-1} = _gram_den * _gram_num^{-1}
@@ -372,7 +362,7 @@ class RootSystem:
     def index_of(self, root: Root) -> int:
         try:
             return self._index[root.coords]
-        except KeyError:
+        except (KeyError, AttributeError, TypeError):
             raise ValueError("%r is not a positive root of %s" % (root, self)) from None
 
     def is_positive_root(self, coords) -> bool:

@@ -415,28 +415,25 @@ def brute_pairing(rs, gamma, nu):
 
 
 def decompositions_by_pairs(rs):
-    """(decompositions, partner masks) by adding every pair of positive roots.
+    """The decompositions, by adding every pair of positive roots.
 
     The dense N x N addition `RootSystem` replaced by its sparse
     decompositions, kept as their oracle; O(N^2).  decompositions[k] lists
     the pairs (i, j), i <= j, with gamma_i + gamma_j = gamma_k in
-    lexicographic order; bit j of partners[i] is set iff gamma_i + gamma_j
-    is a root.  A root is the integer with coordinate c as its digit of
-    1000**c (no carry: coordinates are at most 6), so a pair sum is one add.
+    lexicographic order.  A root is the integer with coordinate c as its
+    digit of 1000**c (no carry: coordinates are at most 6), so a pair sum
+    is one add.
     """
     n = rs.num_positive
     keys = [sum(x * 1000 ** c for c, x in enumerate(r.coords)) for r in rs.positive_roots]
     index = {key: i for i, key in enumerate(keys)}
     decs = [[] for _ in range(n)]
-    partners = [0] * n
     for i, key in enumerate(keys):
         for j in range(i, n):
             k = index.get(key + keys[j])
             if k is not None:
                 decs[k].append((i, j))
-                partners[i] |= 1 << j
-                partners[j] |= 1 << i
-    return [tuple(d) for d in decs], partners
+    return [tuple(d) for d in decs]
 
 
 def brute_is_abelian(ideal):

@@ -49,6 +49,24 @@ def test_ideal_constructor_rejects_non_ideal():
         I.Ideal(rs, 1 << rs.simple_indices[0])
 
 
+@pytest.mark.parametrize("mask", [-1, 1 << 3, 1 << 40, 2.0, True])
+def test_ideal_constructor_rejects_malformed_mask(mask):
+    # A2 has three positive roots, so its masks are the ints 0 .. 7
+    with pytest.raises(ValueError, match="not an int mask below 2\\*\\*3"):
+        I.Ideal(build("A", 2), mask)
+
+
+@pytest.mark.parametrize("root", [(1, 0), Root([0, 1]), None])
+def test_roots_without_hashable_coords_rejected(root):
+    rs = build("A", 2)
+    with pytest.raises(ValueError, match="is not a positive root of"):
+        I.Antichain(rs, [root])
+    with pytest.raises(ValueError, match="is not a positive root of"):
+        I.ideal_from_roots(rs, [root])
+    with pytest.raises(ValueError, match="is not a positive root of"):
+        I.l_value(root, I.full_ideal(rs))
+
+
 @pytest.mark.parametrize("label,rank", systems_up_to(4))
 def test_generator_round_trip(label, rank):
     rs = build(label, rank)
@@ -120,6 +138,13 @@ def test_abelian_and_powers_match_member_pairs(label, rank):
         assert I.is_abelian(ideal) == brute_is_abelian(ideal)
         for k in (1, 2, 3, 4):
             assert I.power(ideal, k).mask == brute_power_mask(ideal, k)
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(6) + [("E7", 7)])  # E6 included
+def test_abelian_iff_square_is_empty(label, rank):
+    rs = build(label, rank)
+    for ideal in I.enumerate_ideals(rs):
+        assert I.is_abelian(ideal) == (not I.power(ideal, 2).mask)
 
 
 @pytest.mark.parametrize("k", [0, 2.5, "2"])

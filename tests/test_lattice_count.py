@@ -247,6 +247,12 @@ def test_haiman_against_brute_force(label, rank):
         assert L.haiman_count(rs, t) == coroot_points_in_dilated_alcove(rs, t)
 
 
+@pytest.mark.parametrize("t", [2.5, 3.0, True, "5", None])
+def test_haiman_rejects_dilations_that_are_no_int(t):
+    with pytest.raises(ValueError, match="is not a positive dilation"):
+        L.haiman_count(build("A", 2), t)
+
+
 @pytest.mark.parametrize("label,rank,t", [("A", 4, -6), ("E8", 8, -31), ("A", 2, -4)])
 def test_haiman_rejects_negative_dilations(label, rank, t):
     # the t-dilated alcove of a negative t holds no point, while the

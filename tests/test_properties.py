@@ -1,10 +1,10 @@
 """Property tests over random ideals of every type of rank <= 6, of rank
 <= 7 for the growth of w_min and w_max, of E7 and E8 for the minimax
-test, and of C_n, n <= 8, for the type C pair coordinates; over random
-affine Weyl elements of every type of rank <= 4 (G2 and F4 included) for
-their inversion data; over random roots of every type of rank <= 30
-for the packed root-system build; and over random Laurent products, with
-congruence forms, for the packed lattice count.
+and abelian tests, and of C_n, n <= 8, for the type C pair coordinates;
+over random affine Weyl elements of every type of rank <= 4 (G2 and F4
+included) for their inversion data; over random roots of every type of
+rank <= 30 for the packed root-system build; and over random Laurent
+products, with congruence forms, for the packed lattice count.
 
 Derandomised, so every run draws the same examples.
 """
@@ -21,8 +21,8 @@ from adideals import ideals as I
 from adideals import lattice_count as L
 from adideals.rootsys import Root, RootSystem, build
 from helpers import (
-    affine_inverse, affine_product, brute_bilinear, laurent_coefficient_by_dp,
-    level_scan_inversions,
+    affine_inverse, affine_product, brute_bilinear, brute_is_abelian,
+    laurent_coefficient_by_dp, level_scan_inversions,
     peel_element_from_inversions, peel_reduced_word, prescribed_inversions,
     sp_restriction_by_support, sp_root_to_pair_by_search, symmetrize_by_search,
     systems_up_to, tuple_root_system, two_table_is_minimax,
@@ -97,6 +97,12 @@ def test_element_record_round_trip(ideal):
 @given(st.one_of(ideals(LARGE_SYSTEMS), ideals(LARGE_SYSTEMS, strictly_positive=True)))
 def test_is_minimax_matches_two_table_oracle_on_e7_e8(ideal):
     assert I.is_minimax(ideal) == two_table_is_minimax(ideal)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.one_of(ideals(LARGE_SYSTEMS), ideals(LARGE_SYSTEMS, strictly_positive=True)))
+def test_is_abelian_matches_member_pairs_on_e7_e8(ideal):
+    assert I.is_abelian(ideal) == brute_is_abelian(ideal)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)

@@ -11,7 +11,7 @@ import pytest
 
 import adideals
 from adideals.rootsys import Root, RootSystem, build
-from adideals.ideals import heisenberg_root_mask
+from adideals.ideals import enumerate_ideals, heisenberg_root_mask, is_abelian
 from helpers import (
     ROOT_SYSTEM_TABLES, _invert, brute_bilinear, brute_pairing, cartan_data_by_cases,
     decompositions_by_pairs, fraction_gram, heisenberg_mask_by_pairing,
@@ -253,9 +253,7 @@ def test_heisenberg_mask_matches_pairing_oracle(label, rank):
 @pytest.mark.parametrize("label,rank", systems_up_to(8))
 def test_decompositions_match_pair_addition_oracle(label, rank):
     rs = build(label, rank)
-    decs, partners = decompositions_by_pairs(rs)
-    assert rs.decompositions == tuple(decs)
-    assert rs.partner_masks == tuple(partners)
+    assert rs.decompositions == tuple(decompositions_by_pairs(rs))
 
 
 @pytest.mark.parametrize("label,rank", systems_up_to(30))
@@ -266,9 +264,7 @@ def test_packed_build_matches_tuple_oracle(label, rank):
     for name in ROOT_SYSTEM_TABLES:
         assert getattr(rs, name) == getattr(oracle, name), name
     if rank <= 12 or label in ("A", "D"):
-        decs, partners = decompositions_by_pairs(oracle)
-        assert rs.decompositions == tuple(decs)
-        assert rs.partner_masks == tuple(partners)
+        assert rs.decompositions == tuple(decompositions_by_pairs(oracle))
 
 
 @pytest.mark.parametrize("label,rank", [("A", 5), ("D", 6), ("G2", 2), ("F4", 4), ("E8", 8)])
@@ -276,8 +272,12 @@ def test_fresh_build_holds_only_the_listed_tables(label, rank):
     # a new eager table needs an oracle in `tuple_root_system`; the lazy
     # properties are not stored before their first read
     rs = RootSystem(label, rank)
-    assert set(vars(rs)) == set(ROOT_SYSTEM_TABLES) | {
-        "rank", "type_label", "_keys", "_coroot_moduli"}
+    fresh = set(ROOT_SYSTEM_TABLES) | {"rank", "type_label", "_keys", "_coroot_moduli"}
+    assert set(vars(rs)) == fresh
+    # the abelian test reads the decompositions and no table of its own
+    for ideal in enumerate_ideals(rs):
+        is_abelian(ideal)
+    assert set(vars(rs)) == fresh | {"decompositions"}
 
 
 def test_rank_100_builds_in_seconds():
