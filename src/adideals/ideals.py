@@ -24,12 +24,14 @@ in root-index order.  So does l, and on an ideal whose members below m
 all have l = k - 1, l(m) is read off the k-values of the member-member
 splits of m.  `_first_minimax_failure` therefore scans the members in
 index order with the k-table alone and stops at the first member where
-k - 1 != l.  `is_minimax` is that scan from the lowest root, and
-`enumerate_ideals` runs it inside its walk, where a child shares its
-parent's k-values below the generator it adds and a failure prunes the
-children that cannot mend it.  The full tables, `_l_table` and
-`_k_table`, are kept: `w_min`, `w_max` and `power` read them, and they
-are the oracle the scan is checked against.
+k - 1 != l.  `is_minimax` is that scan over every member, and
+`enumerate_ideals` runs it inside its walk.  There a child shares its
+parent's k-values on every root not above the generator it adds, since
+the splits of such a root are not above it either, and rescans only the
+roots above that generator and the members the parent left unscanned;
+a failure prunes the children that cannot mend it.  The full tables,
+`_l_table` and `_k_table`, are kept: `w_min`, `w_max` and `power` read
+them, and they are the oracle the scan is checked against.
 """
 
 from collections import namedtuple
@@ -79,7 +81,11 @@ class Ideal:
         return [self.rs.positive_roots[i] for i in _iter_bits(self.mask)]
 
     def __contains__(self, root: Root) -> bool:
-        i = self.rs._index.get(root.coords)
+        """False for anything that is not a positive root of the system."""
+        try:
+            i = self.rs._index.get(root.coords)
+        except (AttributeError, TypeError):
+            return False
         return i is not None and self.mask >> i & 1 == 1
 
     def __eq__(self, other) -> bool:
@@ -248,20 +254,20 @@ def k_value(gamma: Root, ideal: Ideal) -> int:
     return _k_table(ideal)[ideal.rs.index_of(gamma)]
 
 
-def _first_minimax_failure(decs, k, mask, start):
-    """The first member at index >= start where k - 1 != l, or -1 if none.
+def _first_minimax_failure(decs, k, todo):
+    """The lowest member in the bitmask todo where k - 1 != l, or -1 if none.
 
-    k holds the k-values of the roots below start and 1 at and above it;
-    the scan fills in the members it passes.  Every member it has passed,
-    or that lies below start, satisfies l = k - 1, and a split has both
-    parts in the ideal iff both k-values exceed 1 (k is 1 off the ideal,
-    at least 2 on a strictly positive one), so l needs no table of its own:
+    k holds the k-value of every member outside todo and 1 on every root
+    off the ideal; the scan fills in the members of todo it passes.  Every
+    member it has passed, or that lies outside todo, satisfies l = k - 1,
+    and a split has both parts in the ideal iff both k-values exceed 1 (k
+    is 1 off the ideal, at least 2 on a strictly positive one), so l needs
+    no table of its own:
     l(m) = max(1, k[a] + k[b] - 2 over the member-member splits (a, b)).
     """
-    rest = mask >> start << start
-    while rest:
-        low = rest & -rest
-        rest ^= low
+    while todo:
+        low = todo & -todo
+        todo ^= low
         m = low.bit_length() - 1
         # k(m) = kmin, the least k[a] + k[b]; l(m) = top - 2, where top is
         # the largest k[a] + k[b] over member-member splits, or 3 if larger
@@ -288,7 +294,7 @@ def is_minimax(ideal: Ideal) -> bool:
     rs, mask = ideal.rs, ideal.mask
     if mask & rs.simple_mask:
         return False
-    return _first_minimax_failure(rs.decompositions, [1] * rs.num_positive, mask, 0) < 0
+    return _first_minimax_failure(rs.decompositions, [1] * rs.num_positive, mask) < 0
 
 
 @lru_cache(maxsize=None)
@@ -336,10 +342,13 @@ def enumerate_ideals(rs: RootSystem, which="all"):
     only its roots are tried as generators.  Every ideal above a
     non-abelian one is non-abelian, so when abelian is asked for, a
     non-abelian node ends its subtree.  For minimax, k and l of a root
-    read only the roots below it: a child inherits its parent's k-values
-    below j and scans from j, and if the node fails first at member f, so
-    does every descendant that adds no generator below f, so only the
-    children that can add one are entered.
+    read only the roots below it, so they change only on the roots above
+    the added generator j.  A child inherits its parent's whole k-table
+    and scans the roots above j together with the parent's members from
+    its first failure f on, the ones the parent did not pass; every other
+    member passed in the parent and still does.  If the node fails first
+    at f, so does every descendant that adds no generator below f, so
+    only the children that can add one are entered.
     """
     names = {which} if isinstance(which, str) else set(which)
     unknown = sorted(names.difference(CLASSES))
@@ -361,26 +370,29 @@ def enumerate_ideals(rs: RootSystem, which="all"):
     non_abelian = "non_abelian" in names
     minimax = "minimax" in names
     decs = rs.decompositions if minimax else None
-    ones = [1] * n
 
     # depth-first with an explicit stack: a node's children are pushed
     # highest generator first, so they pop in generator-index order
-    stack = [(0, cand, ones[:], 0)]
+    stack = [(0, cand, [1] * n, 0)]
     push = stack.append
     while stack:
-        mask, cand, k, start = stack.pop()
+        mask, cand, k, todo = stack.pop()
         # a union of up-sets is upward closed, so the check in Ideal is skipped
         ideal = object.__new__(Ideal)
         ideal.rs = rs
         ideal.mask = mask
         if abelian and not is_abelian(ideal):
             continue
-        f = _first_minimax_failure(decs, k, mask, start) if minimax else -1
+        f = _first_minimax_failure(decs, k, todo) if minimax else -1
         if f < 0 and (mask or not nontrivial) and not (non_abelian and is_abelian(ideal)):
             yield ideal
         # a subtree fails at f unless it adds a generator below f; with no
-        # failure, every child meets -1
-        rescue = below[f] if f >= 0 else -1
+        # failure, every child meets -1.  The members from f on are the ones
+        # the scan left unchecked.
+        if f >= 0:
+            rescue, unscanned = below[f], mask >> f << f
+        else:
+            rescue, unscanned = -1, 0
         higher = 0
         while cand:
             j = cand.bit_length() - 1
@@ -389,7 +401,8 @@ def enumerate_ideals(rs: RootSystem, which="all"):
             sub = higher & not_above[j]
             higher |= bit
             if rescue & (bit | sub):
-                push((mask | up[j], sub, k[:j] + ones[j:] if minimax else None, j))
+                push((mask | up[j], sub, k[:], up[j] | unscanned) if minimax
+                     else (mask | up[j], sub, None, 0))
 
 
 ShiConstraint = namedtuple("ShiConstraint", "root relation bound")

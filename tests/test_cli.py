@@ -344,6 +344,16 @@ def test_verify_under_optimize_matches_in_process_run(capsys):
         assert proc.stdout == out
 
 
+def test_minimax_enumeration_under_optimize_matches_in_process_run(capsys):
+    # the minimax walk's pruning must not rest on an assert
+    argv = ["enumerate", "--type", "E7", "--rank", "7", "--class", "minimax",
+            "--format", "json"]
+    proc = _python(["-O", "-m", "adideals.cli"] + argv, stdout=subprocess.PIPE)
+    code, out, _ = run(argv, capsys)
+    assert proc.returncode == code == 0, proc.stderr
+    assert proc.stdout == out
+
+
 def test_tables(capsys):
     code, out, _ = run(["tables", "--which", "f4"], capsys)
     assert code == 0

@@ -67,6 +67,11 @@ def test_roots_without_hashable_coords_rejected(root):
         I.l_value(root, I.full_ideal(rs))
 
 
+@pytest.mark.parametrize("root", [(1, 0), None, Root([0, 1]), Root((9, 9))])
+def test_membership_of_non_roots_is_false(root):
+    assert root not in I.full_ideal(build("A", 2))
+
+
 @pytest.mark.parametrize("label,rank", systems_up_to(4))
 def test_generator_round_trip(label, rank):
     rs = build(label, rank)
@@ -225,6 +230,18 @@ def test_is_minimax_matches_two_table_oracle(label, rank):
         assert I.is_minimax(ideal) == two_table_is_minimax(ideal)
 
 
+@pytest.mark.parametrize("label,rank", systems_up_to(5))
+def test_first_minimax_failure_is_lowest_two_table_mismatch(label, rank):
+    # the pruning of the minimax walk rests on the scan stopping exactly at
+    # the lowest member where the full tables disagree
+    rs = build(label, rank)
+    for ideal in I.enumerate_ideals(rs, "strictly_positive"):
+        lt, kt = I._l_table(ideal), I._k_table(ideal)
+        lowest = next((m for m in I._iter_bits(ideal.mask) if kt[m] - 1 != lt[m]), -1)
+        scan = I._first_minimax_failure(rs.decompositions, [1] * rs.num_positive, ideal.mask)
+        assert scan == lowest
+
+
 def test_e8_minimax_enumeration_matches_two_table_filter():
     rs = build("E8", 8)
     fast = [ideal.mask for ideal in I.enumerate_ideals(rs, "minimax")]
@@ -248,6 +265,8 @@ PRUNED_CLASSES = [
     ("minimax", "non_abelian"), ("minimax", "abelian"),
     ("heisenberg_contained", "nontrivial"), ("abelian", "heisenberg_contained"),
     ("nontrivial",), ("non_abelian",), ("nontrivial", "non_abelian"),
+    ("minimax", "heisenberg_contained"), ("minimax", "nontrivial"),
+    ("minimax", "strictly_positive"),
 ]
 
 
@@ -259,6 +278,15 @@ def unpruned_ideals(label, rank):
 @pytest.mark.parametrize("classes", PRUNED_CLASSES, ids=",".join)
 @pytest.mark.parametrize("label,rank", systems_up_to(6) + [("E7", 7)])
 def test_pruned_walk_matches_filtered_unpruned_walk(label, rank, classes):
+    assert_pruned_walk_matches_filtered(label, rank, classes)
+
+
+@pytest.mark.parametrize("label,rank", [("B", 7), ("C", 7), ("D", 7)])
+def test_pruned_minimax_walk_matches_filtered_unpruned_walk_at_rank_7(label, rank):
+    assert_pruned_walk_matches_filtered(label, rank, ("minimax",))
+
+
+def assert_pruned_walk_matches_filtered(label, rank, classes):
     pruned = [ideal.mask for ideal in I.enumerate_ideals(build(label, rank), classes)]
     filtered = [ideal.mask for ideal in unpruned_ideals(label, rank)
                 if all(ORACLES[name](ideal) for name in classes)]
