@@ -24,8 +24,26 @@ element of a strictly positive I uses k(gamma, I) - 1 instead.  Both
 are grown straight from the l- or k-table: a step may add a root
 m*delta - gamma exactly when m is within the table's value at gamma, so
 these inversion sets are never listed.
+
+An ideal's record needs only three fields of w = w_min(I): the rootlet,
+x = v(r) and its coweight coordinates y.  `w_min_fields` reads them off
+the p+1 images beta_j = w^{-1}(alpha_j), which `_grow_images` grows by
+`_grow`'s steps and wanted test while updating no rows of v and no r.
+Since w^{-1} = v^{-1} . t_{-x},
+
+    w^{-1}(alpha_j) = (alpha_j, x)*delta + v^{-1}(alpha_j),
+    w(alpha_0) = (1 + (theta, r))*delta - v(theta),
+
+so y_j is the level of beta_j, and nu = -v(theta) pairs with alpha_k as
+-(theta, f_k) for the finite part f_k of beta_k, where theta pairs
+nonzero only with the neighbours of alpha_0.  Then x = sum y_k varpi_k^vee
+and the long root nu = sum (alpha_k, nu) varpi_k^vee, and the rootlet
+level is -1 - (theta, r) = (nu, x) - 1.
+`w_min`, `rootlet`, `lattice_image` and `y_coordinates` stay the route
+through the element, and the oracle the fields are tested against.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -42,7 +60,7 @@ __all__ = [
     "act_affine_root", "act_point", "inversion_set", "length",
     "is_dominant", "is_minimal", "is_maximal", "is_minimax_element",
     "is_minimax", "reduced_word", "element_from_word",
-    "element_from_inversions", "w_min", "w_max", "rootlet",
+    "element_from_inversions", "w_min", "w_min_fields", "w_max", "rootlet",
     "first_layer_ideal", "generators_via_w", "xi_via_w", "lattice_image", "y_coordinates",
     "alcove_barycenter", "alcove_image_barycenter",
     "element_to_record", "element_from_record",
@@ -425,10 +443,9 @@ def element_from_inversions(rs: RootSystem, affine_roots) -> AffineWeylElement:
     return _grow(rs, wanted=target.__contains__, size=len(target))
 
 
-def _grow_to_levels(rs: RootSystem, levels) -> AffineWeylElement:
-    """The element whose inversion set is {m*delta - gamma_k : 1 <= m <= levels[k]}.
-
-    A positive packed root b is such a root iff its level digit m (rounded,
+def _level_test(rs: RootSystem, levels):
+    """The test, on packed positive affine roots b, for membership in
+    {m*delta - gamma_k : 1 <= m <= levels[k]}: b's level digit m (rounded,
     since the finite digits below it are signed) and its finite part, looked
     up as -gamma_k, satisfy m <= levels[k]."""
     shift = _SHIFT * rs.rank
@@ -440,7 +457,84 @@ def _grow_to_levels(rs: RootSystem, levels) -> AffineWeylElement:
         k = minus.get(b - (m << shift))
         return k is not None and m <= levels[k]
 
-    return _grow(rs, wanted=wanted, size=sum(levels))
+    return wanted
+
+
+def _grow_to_levels(rs: RootSystem, levels) -> AffineWeylElement:
+    """The element whose inversion set is {m*delta - gamma_k : 1 <= m <= levels[k]}."""
+    return _grow(rs, wanted=_level_test(rs, levels), size=sum(levels))
+
+
+def _grow_images(rs: RootSystem, wanted, size):
+    """The packed images beta_j = u^{-1}(alpha_j), j = 0..p, of the element u
+    that `_grow(rs, wanted=wanted, size=size)` builds, by the same steps and
+    with the same ValueError, but with no rows of v and no r: a record needs
+    only the images, and element builds keep a loop without this branch."""
+    simples = _affine_simple_data(rs)[1]
+    beta = [packed for packed, _, _, _ in simples]
+    ready = {j for j, b in enumerate(beta) if b > 0 and wanted(b)}
+    for _ in range(size):
+        if not ready:
+            raise ValueError(
+                "the given set is not bi-convex (no simple reflection adds a root of it)"
+            )
+        i = ready.pop()
+        b = beta[i]
+        for j, a in simples[i][3]:
+            bj = beta[j] = beta[j] - a * b
+            if bj > 0 and wanted(bj):
+                ready.add(j)
+            else:
+                ready.discard(j)
+        beta[i] = -b
+    return beta
+
+
+@lru_cache(maxsize=None)
+def _image_record_data(rs: RootSystem):
+    """What `w_min_fields` reads the images with: the shift of the level
+    digit; per neighbour alpha_i of alpha_0, the shift of coordinate i's
+    digit, half of it (the rounding) and (alpha_i, theta); a denominator D
+    and the columns of the integer matrix D * varpi^vee, whose row k holds
+    the root coordinates of D varpi_k^vee."""
+    p = rs.rank
+    neighbours = []
+    for i, a in enumerate(rs.simple_roots()):
+        c = rs.pair_root_coroot(a.coords, rs.theta_coords)
+        if c:
+            s = _SHIFT * (p - 1 - i)
+            neighbours.append((s, (1 << s) >> 1, c))
+    basis = rs.coweight_basis
+    den = math.lcm(*(x.denominator for row in basis for x in row))
+    columns = tuple(zip(*((int(den * x) for x in row) for row in basis)))
+    return _SHIFT * p, tuple(neighbours), den, columns
+
+
+def w_min_fields(ideal: Ideal, l_table=None):
+    """`rootlet(w)`, `lattice_image(w)` and its `y_coordinates` for
+    w = `w_min(ideal)`, read off w's images without building w, as the
+    module docstring derives; `l_table`, if given, is
+    `ideals._l_table(ideal)`, already computed."""
+    rs = ideal.rs
+    if l_table is None:
+        l_table = _ideals._l_table(ideal)
+    levels = [m or 0 for m in l_table]
+    beta = _grow_images(rs, _level_test(rs, levels), sum(levels))
+    shift, neighbours, den, columns = _image_record_data(rs)
+    half = 1 << (shift - 1)
+    y, pairs = [], []
+    for b in beta[1:]:
+        m = (b + half) >> shift
+        fin = b - (m << shift)
+        t = 0
+        for s, hs, c in neighbours:
+            # the signed digit of coordinate s, rounded as the level digit is
+            t += c * ((((fin + hs) >> s) + _HALF & _MASK) - _HALF)
+        y.append(m)
+        pairs.append(-t)
+    point = tuple(sum(map(mul, y, col)) // den for col in columns)
+    nu = tuple(sum(map(mul, pairs, col)) // den for col in columns)
+    return (Root(nu), sum(map(mul, nu, y)) - 1), point, y
 
 
 def w_min(ideal: Ideal, l_table=None) -> AffineWeylElement:

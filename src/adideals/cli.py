@@ -75,9 +75,7 @@ MAX_CLASSIFY_WORK = 100_000_000
 def ideal_record(ideal: I.Ideal) -> dict:
     """Full classification record of one ideal (schema ideal-record/v1)."""
     lt = I._l_table(ideal)
-    w = A.w_min(ideal, lt)
-    nu, level = A.rootlet(w)
-    point = A.lattice_image(w)
+    (nu, level), point, y = A.w_min_fields(ideal, lt)
     return {
         "generators": [list(r.coords) for r in I.generators(ideal).roots],
         "size": ideal.size,
@@ -90,7 +88,7 @@ def ideal_record(ideal: I.Ideal) -> dict:
         # m*delta - gamma as an inversion for each 1 <= m <= l(gamma, I)
         "length_min": sum(filter(None, lt)),
         "lattice_image": list(point),
-        "y": A.y_coordinates(ideal.rs, point),
+        "y": y,
     }
 
 
@@ -138,7 +136,8 @@ class _CountingWriter:
 def _stats_records(records, seconds, counters):
     """Yield the records, adding the seconds spent making them to
     seconds["walk_and_records"] and counting them and their growth steps;
-    w_min takes one step per unit of its length, `length_min`."""
+    a record grows the images of w_min one step per unit of its length,
+    `length_min`."""
     records = iter(records)
     while True:
         start = perf_counter()
@@ -173,11 +172,11 @@ def cmd_enumerate(args, out) -> int:
                  "minimax": lambda: L.count_minimax(rs).value}
         expected = min([size() for t, size in sizes.items() if t in tokens]
                        or [L.count_AD(rs).value])
-        # building an element takes one step per unit of length, and lengths are
-        # bounded by the summed root heights; a step updates and tests against
-        # the l-table the images of its affine simple root and of that node's
-        # neighbours in the affine Dynkin diagram, and updates at most rank
-        # rows of v, about rank + 1 integer updates in all
+        # a record grows the images of its minimal element one step per unit of
+        # length, and lengths are bounded by the summed root heights; a step
+        # updates and tests against the l-table the images of its affine simple
+        # root and of that node's neighbours in the affine Dynkin diagram, at
+        # most rank + 1 integer updates
         work = expected * sum(r.height for r in rs.positive_roots) * (rs.rank + 1)
         if work > MAX_CLASSIFY_WORK:
             print(

@@ -160,12 +160,16 @@ def ideal_from_roots(rs: RootSystem, roots) -> Ideal:
 def generators(ideal: Ideal) -> Antichain:
     """The minimal elements of the ideal."""
     rs = ideal.rs
-    gens = [
+    # the minimal elements are an antichain, listed in index order, so the
+    # checks in Antichain are skipped
+    gens = object.__new__(Antichain)
+    gens.rs = rs
+    gens.roots = tuple(
         rs.positive_roots[i]
         for i in _iter_bits(ideal.mask)
         if not rs.strict_down_masks[i] & ideal.mask
-    ]
-    return Antichain(rs, gens)
+    )
+    return gens
 
 
 def ideal_of(gamma: Antichain) -> Ideal:

@@ -365,13 +365,6 @@ class RootSystem:
         except (KeyError, AttributeError, TypeError):
             raise ValueError("%r is not a positive root of %s" % (root, self)) from None
 
-    def is_positive_root(self, coords) -> bool:
-        return tuple(coords) in self._index
-
-    def is_root(self, coords) -> bool:
-        c = tuple(coords)
-        return c in self._index or tuple(-x for x in c) in self._index
-
     def root_order_leq(self, mu: Root, gamma: Root) -> bool:
         """mu <= gamma iff gamma - mu has nonnegative coordinates."""
         return all(b - a >= 0 for a, b in zip(mu.coords, gamma.coords))

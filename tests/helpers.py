@@ -436,11 +436,22 @@ def decompositions_by_pairs(rs):
     return [tuple(d) for d in decs]
 
 
+def is_positive_root(rs, coords):
+    """Whether the coordinate sequence is that of a positive root of rs."""
+    return tuple(coords) in rs._index
+
+
+def is_root(rs, coords):
+    """Whether the coordinate sequence is that of a root of rs."""
+    c = tuple(coords)
+    return c in rs._index or tuple(-x for x in c) in rs._index
+
+
 def brute_is_abelian(ideal):
     """No two members (repeats allowed) sum to a root, pair by pair."""
     rs = ideal.rs
     members = [r.coords for r in ideal.members()]
-    return not any(rs.is_positive_root(tuple(x + y for x, y in zip(a, b)))
+    return not any(is_positive_root(rs, tuple(x + y for x, y in zip(a, b)))
                    for a in members for b in members)
 
 
@@ -451,7 +462,7 @@ def brute_power_mask(ideal, k):
     cur = set(base)
     for _ in range(k - 1):
         cur = {tuple(x + y for x, y in zip(a, b)) for a in cur for b in base}
-        cur = {c for c in cur if rs.is_positive_root(c)}
+        cur = {c for c in cur if is_positive_root(rs, c)}
     return sum(1 << rs._index[c] for c in cur)
 
 

@@ -12,7 +12,7 @@ from adideals import affine as A
 from adideals import ideals as I
 from adideals import lattice_count as L
 from helpers import (
-    affine_inverse, affine_product, all_words, full_weyl_group, in_weyl_group_by_columns,
+    affine_inverse, affine_product, all_words, full_weyl_group, in_weyl_group_by_columns, is_root,
     matrix_element_from_word, matrix_inverse, matrix_product, matrix_simple_reflection,
     peel_element_from_inversions, peel_reduced_word, prescribed_inversions, systems_up_to,
 )
@@ -229,14 +229,14 @@ def _assert_biconvex(rs, inv):
     items = {(b.level, b.finite) for b in inv}
     for (k1, m1), (k2, m2) in itertools.combinations(items, 2):
         s = tuple(a + b for a, b in zip(m1, m2))
-        if rs.is_root(s):
+        if is_root(rs, s):
             assert (k1 + k2, s) in items, "inversion set not closed under addition"
     max_level = max((k for k, _ in items), default=0) + 1
     window = _window_roots(rs, max_level)
     comp = window - items
     for (k1, m1), (k2, m2) in itertools.combinations(comp, 2):
         s = tuple(a + b for a, b in zip(m1, m2))
-        if rs.is_root(s):
+        if is_root(rs, s):
             assert (k1 + k2, s) not in items, "complement not closed under addition"
 
 
@@ -341,6 +341,28 @@ def test_element_from_inversions_rejects_non_biconvex_set():
 def test_element_from_inversions_rejects_non_inversion_sets(roots):
     with pytest.raises(ValueError, match="bi-convex"):
         A.element_from_inversions(build("A", 2), roots)
+
+
+def test_image_walk_rejects_a_level_table_that_is_no_inversion_set():
+    rs = build("A", 2)
+    # {delta - alpha_1} again, as levels
+    levels = [int(mu == rs.alpha(0)) for mu in rs.positive_roots]
+    with pytest.raises(ValueError, match="bi-convex"):
+        A._grow_images(rs, A._level_test(rs, levels), 1)
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(4))
+def test_image_walk_ends_at_the_images_of_the_grown_inverse(label, rank):
+    # w_max's k-table levels: the record route only ever walks w_min's
+    rs = build(label, rank)
+    weights = A._affine_simple_data(rs)[0]
+    for ideal in I.enumerate_ideals(rs, "strictly_positive"):
+        levels = [k - 1 for k in I._k_table(ideal)]
+        w_inv = A._grow_to_levels(rs, levels).inverse()
+        images = [A.act_affine_root(w_inv, A.simple_affine_root(rs, j))
+                  for j in range(rank + 1)]
+        assert A._grow_images(rs, A._level_test(rs, levels), sum(levels)) == [
+            sum(map(mul, (b.level,) + b.finite, weights)) for b in images]
 
 
 @pytest.mark.parametrize("label,rank", systems_up_to(4))

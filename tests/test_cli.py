@@ -526,11 +526,30 @@ def test_filter_before_build_equals_build_then_filter(label, rank, klass, capsys
     assert payload["count"] == len(expected)
 
 
+def _assert_record_fields_match_w_min(ideal):
+    # ideal_record reads length_min off the l-table and the other fields off
+    # the images of w_min; the element w_min builds is the oracle
+    rec = cli.ideal_record(ideal)
+    w = A.w_min(ideal)
+    nu, level = A.rootlet(w)
+    point = A.lattice_image(w)
+    assert rec["rootlet"] == {"level": level, "root": list(nu.coords)}
+    assert rec["lattice_image"] == list(point)
+    assert rec["y"] == A.y_coordinates(ideal.rs, point)
+    assert rec["length_min"] == A.length(w)
+
+
 @pytest.mark.parametrize("label,rank", systems_up_to(5) + [("E6", 6)])
 def test_length_min_is_the_length_of_w_min(label, rank):
-    # ideal_record reads length_min off the l-table; affine.length is the oracle
     for ideal in I.enumerate_ideals(build(label, rank)):
-        assert cli.ideal_record(ideal)["length_min"] == A.length(A.w_min(ideal))
+        _assert_record_fields_match_w_min(ideal)
+
+
+@pytest.mark.parametrize("label,rank", [("E7", 7), ("E8", 8)])
+def test_record_fields_match_w_min_on_every_tenth_ideal(label, rank):
+    for n, ideal in enumerate(I.enumerate_ideals(build(label, rank))):
+        if n % 10 == 0:
+            _assert_record_fields_match_w_min(ideal)
 
 
 def _outcomes(argvs, capsys):

@@ -79,6 +79,8 @@ def test_generator_round_trip(label, rank):
         gamma = I.generators(ideal)
         assert I.ideal_of(gamma) == ideal
         assert I.generators(I.ideal_of(gamma)) == gamma
+        # generators skips the constructor's checks; they must pass, in order
+        assert I.Antichain(rs, reversed(gamma.roots)) == gamma
 
 
 def test_strictly_positive_and_abelian():

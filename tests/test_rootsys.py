@@ -14,7 +14,7 @@ from adideals.rootsys import Root, RootSystem, build
 from adideals.ideals import enumerate_ideals, heisenberg_root_mask, is_abelian
 from helpers import (
     ROOT_SYSTEM_TABLES, _invert, brute_bilinear, brute_pairing, cartan_data_by_cases,
-    decompositions_by_pairs, fraction_gram, heisenberg_mask_by_pairing,
+    decompositions_by_pairs, fraction_gram, heisenberg_mask_by_pairing, is_positive_root,
     order_masks_by_coordinates, systems_up_to, tuple_root_system,
 )
 
@@ -232,7 +232,7 @@ def test_every_nonsimple_root_descends(label, rank):
         if r.height == 1:
             continue
         assert any(
-            rs.is_positive_root((r - rs.alpha(i)).coords) for i in range(rank)
+            is_positive_root(rs, (r - rs.alpha(i)).coords) for i in range(rank)
         )
 
 
