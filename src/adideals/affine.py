@@ -26,7 +26,7 @@ m*delta - gamma exactly when m is within the table's value at gamma, so
 these inversion sets are never listed.
 
 An ideal's record needs only three fields of w = w_min(I): the rootlet,
-x = v(r) and its coweight coordinates y.  `w_min_fields` reads them off
+x = v(r) and its coweight coordinates y.  `_w_min_fields` reads them off
 the p+1 images beta_j = w^{-1}(alpha_j), which `_grow_images` grows by
 `_grow`'s steps and wanted test while updating no rows of v and no r.
 Since w^{-1} = v^{-1} . t_{-x},
@@ -60,7 +60,7 @@ __all__ = [
     "act_affine_root", "act_point", "inversion_set", "length",
     "is_dominant", "is_minimal", "is_maximal", "is_minimax_element",
     "is_minimax", "reduced_word", "element_from_word",
-    "element_from_inversions", "w_min", "w_min_fields", "w_max", "rootlet",
+    "element_from_inversions", "w_min", "w_max", "rootlet",
     "first_layer_ideal", "generators_via_w", "xi_via_w", "lattice_image", "y_coordinates",
     "alcove_barycenter", "alcove_image_barycenter",
     "element_to_record", "element_from_record",
@@ -492,7 +492,7 @@ def _grow_images(rs: RootSystem, wanted, size):
 
 @lru_cache(maxsize=None)
 def _image_record_data(rs: RootSystem):
-    """What `w_min_fields` reads the images with: the shift of the level
+    """What `_w_min_fields` reads the images with: the shift of the level
     digit; per neighbour alpha_i of alpha_0, the shift of coordinate i's
     digit, half of it (the rounding) and (alpha_i, theta); a denominator D
     and the columns of the integer matrix D * varpi^vee, whose row k holds
@@ -510,14 +510,11 @@ def _image_record_data(rs: RootSystem):
     return _SHIFT * p, tuple(neighbours), den, columns
 
 
-def w_min_fields(ideal: Ideal, l_table=None):
+def _w_min_fields(ideal: Ideal, l_table):
     """`rootlet(w)`, `lattice_image(w)` and its `y_coordinates` for
     w = `w_min(ideal)`, read off w's images without building w, as the
-    module docstring derives; `l_table`, if given, is
-    `ideals._l_table(ideal)`, already computed."""
+    module docstring derives; `l_table` is `ideals._l_table(ideal)`."""
     rs = ideal.rs
-    if l_table is None:
-        l_table = _ideals._l_table(ideal)
     levels = [m or 0 for m in l_table]
     beta = _grow_images(rs, _level_test(rs, levels), sum(levels))
     shift, neighbours, den, columns = _image_record_data(rs)

@@ -75,7 +75,7 @@ MAX_CLASSIFY_WORK = 100_000_000
 def ideal_record(ideal: I.Ideal) -> dict:
     """Full classification record of one ideal (schema ideal-record/v1)."""
     lt = I._l_table(ideal)
-    (nu, level), point, y = A.w_min_fields(ideal, lt)
+    (nu, level), point, y = A._w_min_fields(ideal, lt)
     return {
         "generators": [list(r.coords) for r in I.generators(ideal).roots],
         "size": ideal.size,

@@ -545,10 +545,11 @@ def test_length_min_is_the_length_of_w_min(label, rank):
         _assert_record_fields_match_w_min(ideal)
 
 
-@pytest.mark.parametrize("label,rank", [("E7", 7), ("E8", 8)])
-def test_record_fields_match_w_min_on_every_tenth_ideal(label, rank):
+@pytest.mark.parametrize("label,rank,stride", [("E7", 7, 10), ("E8", 8, 25)])
+def test_record_fields_match_w_min_on_sampled_ideals(label, rank, stride):
+    # every stride-th ideal in walk order; E8's stride keeps the test near 2 s
     for n, ideal in enumerate(I.enumerate_ideals(build(label, rank))):
-        if n % 10 == 0:
+        if n % stride == 0:
             _assert_record_fields_match_w_min(ideal)
 
 
