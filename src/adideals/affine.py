@@ -10,26 +10,28 @@ and the affine-linear action on V is w * x = v(x + r).  Inversion sets,
 lengths, dominance and first layers are read off one shift per positive
 root mu, s(mu) = (mu, r) + [v(mu) < 0], with no level scanning.
 
-One kernel, `_grow`, grows u from the identity by left multiplications
-u -> s_i u along a given word or one inversion at a time, so the same
-loop serves words, inversion sets, products, inverses and the elements
-of ideals.  One peel, `_peel`, walks the other way: it takes the lowest
-right descent off the images w(alpha_j) of the affine simple roots, moved
-by the same Cartan-column step, and so serves both reduced words and the
-test that a matrix lies in the finite Weyl group W.
+Two loops grow elements, one per job.  `_grow` replays a word: it
+builds u from the identity by left multiplications u -> s_i u, updating
+only the integer rows of v and summing the translations that the s_0
+steps add, so it serves words, products, inverses and the elements of
+ideals.  `_walk` grows an inversion set one root at a time on the p+1
+images u^{-1}(alpha_j) alone and returns them with the steps it took,
+which `_grow` then replays.  One peel, `_peel`, walks the other way: it
+takes the lowest right descent off the images w(alpha_j), moved by the
+walk's Cartan-column step, and so serves both reduced words and the test
+that a matrix lies in the finite Weyl group W.
 
 The minimal element of an ideal I is the one whose inversion set is
 {m*delta - gamma : gamma in I, 1 <= m <= l(gamma, I)}; the maximal
 element of a strictly positive I uses k(gamma, I) - 1 instead.  Both
-are grown straight from the l- or k-table: a step may add a root
+are walked straight from the l- or k-table: a step may add a root
 m*delta - gamma exactly when m is within the table's value at gamma, so
 these inversion sets are never listed.
 
 An ideal's record needs only three fields of w = w_min(I): the rootlet,
 x = v(r) and its coweight coordinates y.  `_w_min_fields` reads them off
-the p+1 images beta_j = w^{-1}(alpha_j), which `_grow_images` grows by
-`_grow`'s steps and wanted test while updating no rows of v and no r.
-Since w^{-1} = v^{-1} . t_{-x},
+the p+1 images beta_j = w^{-1}(alpha_j) that `_walk` ends at, so no
+word is replayed.  Since w^{-1} = v^{-1} . t_{-x},
 
     w^{-1}(alpha_j) = (alpha_j, x)*delta + v^{-1}(alpha_j),
     w(alpha_0) = (1 + (theta, r))*delta - v(theta),
@@ -289,7 +291,7 @@ def _peel(rs: RootSystem, beta, bound=None):
     w s_i.  Returns the peeled indices, or None after more than `bound` peels.
 
     Only the p+1 images, a list updated in place, are kept; s_i moves them
-    by `_grow`'s step, since w s_i(alpha_j) = beta_j - (alpha_j, alpha_i^vee)
+    by `_walk`'s step, since w s_i(alpha_j) = beta_j - (alpha_j, alpha_i^vee)
     beta_i.  Each peel shortens w by one, and only the identity has no
     negative image, so an affine Weyl group element is peeled in length(w)
     steps, and w = s_{i_k} ... s_{i_1} = `_grow(rs, peeled)`.
@@ -305,7 +307,7 @@ def _peel(rs: RootSystem, beta, bound=None):
         if len(peeled) == bound:
             return None
         peeled.append(i)
-        for j, a in simples[i][3]:
+        for j, a in simples[i][2]:
             beta[j] -= a * b
         beta[i] = -b
 
@@ -319,13 +321,14 @@ def element_from_word(rs: RootSystem, word) -> AffineWeylElement:
     return _grow(rs, word[::-1])
 
 
-# `_grow` and `_peel` pack each vector they update into one integer
-# whose signed base-2^64 digits are the entries, most significant first.
-# Packing is linear, so every update is one integer multiply-add, and a
-# packed affine root (level, coords...) is positive exactly when the integer
-# is.  This needs every entry below the leading one to be under 2^63 in
-# size: such entries are root coordinates, entries of v, or coordinates of
-# r, which are bounded by a multiple of the number of steps.
+# `_grow`, `_walk` and `_peel` pack each vector they update into one
+# integer whose signed base-2^64 digits are the entries, most significant
+# first.  Packing is linear, so every update is one integer multiply-add,
+# and a packed affine root (level, coords...) is positive exactly when the
+# integer is.  This needs every entry below the leading one to be under
+# 2^63 in size: such entries are root coordinates, entries of v, or
+# coweight coordinates of r, which are bounded by a multiple of the number
+# of steps.
 _SHIFT = 64
 _HALF = 1 << (_SHIFT - 1)
 _MASK = (1 << _SHIFT) - 1
@@ -345,11 +348,10 @@ def _unpack(x: int, n: int):
 @lru_cache(maxsize=None)
 def _affine_simple_data(rs: RootSystem):
     """The packing weights (2^(64 p), ..., 2^64, 1) and, per affine simple
-    root alpha_i (i = 0..p), the data of s_i as a 4-tuple: alpha_i packed;
-    the nonzero coordinates (k, f_k) of its finite part f; the nonzero
-    pairings (m, (alpha_m, f^vee)) with the finite simple roots; and the
-    nonzero off-diagonal entries (j, (alpha_j, alpha_i^vee)) of column i of
-    the affine Cartan matrix."""
+    root alpha_i (i = 0..p), the data of s_i as a triple: alpha_i packed;
+    the nonzero pairings (m, (alpha_m, f^vee)) of its finite part f with
+    the finite simple roots; and the nonzero off-diagonal entries
+    (j, (alpha_j, alpha_i^vee)) of column i of the affine Cartan matrix."""
     p = rs.rank
     weights = tuple(1 << (_SHIFT * (p - k)) for k in range(p + 1))
     roots = [simple_affine_root(rs, i) for i in range(p + 1)]
@@ -360,7 +362,6 @@ def _affine_simple_data(rs: RootSystem):
         cartan = ((j, rs.pairing(g, f)) for j, g in enumerate(finite) if j != i)
         simples.append((
             sum(map(mul, (roots[i].level,) + f.coords, weights)),
-            tuple((k, c) for k, c in enumerate(f.coords) if c),
             tuple((m, c) for m, c in pairs if c),
             tuple((j, a) for j, a in cartan if a),
         ))
@@ -375,63 +376,90 @@ def _negative_root_index(rs: RootSystem):
     return {-sum(map(mul, mu.coords, low)): idx for idx, mu in enumerate(rs.positive_roots)}
 
 
-def _grow(rs: RootSystem, word=(), wanted=None, size=0):
-    """u = s_{i_k} ... s_{i_1}, grown from the identity by the left
-    multiplications u -> s_i u of its steps i_1, ..., i_k.
+@lru_cache(maxsize=None)
+def _coweight_matrix(rs: RootSystem):
+    """A denominator D and the columns of the integer matrix D * varpi^vee,
+    whose row k holds the root coordinates of D varpi_k^vee."""
+    basis = rs.coweight_basis
+    den = math.lcm(*(x.denominator for row in basis for x in row))
+    return den, tuple(zip(*((int(den * x) for x in row) for row in basis)))
 
-    Without `wanted` the steps are the given word.  With it, a test on
-    packed positive affine roots that holds for exactly `size` of them, the
-    growth adds those roots one per step: s_i adds exactly
-    beta_i = u^{-1}(alpha_i) when it is positive, since then
-    N(s_i u) = N(u) + {beta_i}, so the steps take any i with beta_i positive
-    and wanted, and raise ValueError when there is none before `size` steps,
-    i.e. when the wanted roots form no inversion set.  Only the p+1 images
-    beta_j = u^{-1}(alpha_j) are kept; s_i moves them by
-    beta_j -> beta_j - (alpha_j, alpha_i^vee) beta_i, whatever the length of
-    u; beta_i turns negative, so only its Cartan-column neighbours are
-    tested again.  The order of the steps does not matter: an element is
-    fixed by its inversion set.  The parts of u = v . t_r follow by integer
-    row updates: s_i u = (s_i v) . t_r for i >= 1, and
-    s_0 u = (s_theta v) . t_{r + f} with f the finite part of beta_0.
-    `_peel` peels words off w(alpha_j) with the same step.
+
+def _from_coweights(rs: RootSystem, y):
+    """The root coordinates of sum y_k varpi_k^vee, a vector with integer
+    coordinates (a coroot-lattice point or a root)."""
+    den, columns = _coweight_matrix(rs)
+    return tuple(sum(map(mul, y, col)) // den for col in columns)
+
+
+def _grow(rs: RootSystem, word) -> AffineWeylElement:
+    """u = s_{i_k} ... s_{i_1}, grown from the identity by the left
+    multiplications u -> s_i u of the word's letters i_1, ..., i_k.
+
+    Only the rows of v are kept: s_i(x) = x - (x, f^vee) f for the finite
+    part f of alpha_i, so s_i v first takes z_b = (v(alpha_b), f^vee).  For
+    i >= 1, f = alpha_i and s_i u = (s_i v) . t_r.  For i = 0, f = -theta
+    = -theta^vee, so z holds the coweight coordinates of v^{-1}(-theta), and
+    s_0 u = (s_theta v) . t_{r + v^{-1}(-theta)}; r is read off their sum
+    once, at the end.
     """
     weights, simples = _affine_simple_data(rs)
-    beta = [packed for packed, _, _, _ in simples]
-    if wanted is not None:
-        ready = {j for j, b in enumerate(beta) if b > 0 and wanted(b)}
+    theta = [(k, t) for k, t in enumerate(rs.theta_coords) if t]
     p = rs.rank
     v = list(weights[1:])  # the rows of the identity matrix
-    r = 0  # the finite part sits in the p lowest digits
-    for n in range(len(word) if wanted is None else size):
-        if wanted is None:
-            i = word[n]
-        elif ready:
-            i = ready.pop()
-        else:
-            raise ValueError(
-                "the given set is not bi-convex (no simple reflection adds a root of it)"
-            )
-        b = beta[i]
-        _, support, pairs, column = simples[i]
-        if i == 0:
-            r += b
-        # v -> s_i v, where s_i(x) = x - (x, f^vee) f
+    y = 0  # the coweight coordinates of r
+    for i in word:
         z = 0
-        for m, c in pairs:
+        for m, c in simples[i][1]:
             z += c * v[m]
-        for k, fk in support:
-            v[k] -= fk * z
-        for j, a in column:
-            bj = beta[j] = beta[j] - a * b
-            if wanted is not None:
+        if i:
+            v[i - 1] -= z
+        else:
+            y += z
+            for k, t in theta:
+                v[k] += t * z
+    w = object.__new__(AffineWeylElement)  # unchecked: in W and Q^vee by construction
+    w.rs, w.v = rs, FiniteWeylElement([_unpack(row, p) for row in v])
+    w.r = _from_coweights(rs, _unpack(y, p)) if y else (0,) * p
+    return w
+
+
+def _walk(rs: RootSystem, wanted, size):
+    """The images beta_j = u^{-1}(alpha_j), j = 0..p, and the steps of
+    u = `_grow(rs, steps)`, the element whose inversion set is the `size`
+    packed positive affine roots that `wanted` holds for; ValueError when
+    they form none.
+
+    u grows from the identity by one root per step: s_i adds exactly beta_i
+    when it is positive, since then N(s_i u) = N(u) + {beta_i}, so any
+    wanted positive beta_i will do, in any order, and the set is no
+    inversion set when none is left before `size` steps.  s_i moves the
+    images by beta_j -> beta_j - (alpha_j, alpha_i^vee) beta_i; beta_i turns
+    negative, so only its Cartan-column neighbours are tested again.  The
+    walk ends on the KeyError of `ready.pop()`, so `wanted` must raise none.
+    """
+    simples = _affine_simple_data(rs)[1]
+    beta = [packed for packed, _, _ in simples]
+    ready = {j for j, b in enumerate(beta) if b > 0 and wanted(b)}
+    steps = []
+    step = steps.append
+    try:
+        for _ in range(size):
+            i = ready.pop()
+            step(i)
+            b = beta[i]
+            for j, a in simples[i][2]:
+                bj = beta[j] = beta[j] - a * b
                 if bj > 0 and wanted(bj):
                     ready.add(j)
                 else:
                     ready.discard(j)
-        beta[i] = -b
-    w = object.__new__(AffineWeylElement)  # unchecked: in W and Q^vee by construction
-    w.rs, w.v, w.r = rs, FiniteWeylElement([_unpack(row, p) for row in v]), tuple(_unpack(r, p))
-    return w
+            beta[i] = -b
+    except KeyError:
+        raise ValueError(
+            "the given set is not bi-convex (no simple reflection adds a root of it)"
+        ) from None
+    return beta, steps
 
 
 def element_from_inversions(rs: RootSystem, affine_roots) -> AffineWeylElement:
@@ -440,7 +468,7 @@ def element_from_inversions(rs: RootSystem, affine_roots) -> AffineWeylElement:
     weights = _affine_simple_data(rs)[0]
     top, low = weights[0], weights[1:]
     target = {sum(map(mul, b.finite, low), b.level * top) for b in affine_roots}
-    return _grow(rs, wanted=target.__contains__, size=len(target))
+    return _grow(rs, _walk(rs, target.__contains__, len(target))[1])
 
 
 def _level_test(rs: RootSystem, levels):
@@ -462,41 +490,14 @@ def _level_test(rs: RootSystem, levels):
 
 def _grow_to_levels(rs: RootSystem, levels) -> AffineWeylElement:
     """The element whose inversion set is {m*delta - gamma_k : 1 <= m <= levels[k]}."""
-    return _grow(rs, wanted=_level_test(rs, levels), size=sum(levels))
-
-
-def _grow_images(rs: RootSystem, wanted, size):
-    """The packed images beta_j = u^{-1}(alpha_j), j = 0..p, of the element u
-    that `_grow(rs, wanted=wanted, size=size)` builds, by the same steps and
-    with the same ValueError, but with no rows of v and no r: a record needs
-    only the images, and element builds keep a loop without this branch."""
-    simples = _affine_simple_data(rs)[1]
-    beta = [packed for packed, _, _, _ in simples]
-    ready = {j for j, b in enumerate(beta) if b > 0 and wanted(b)}
-    for _ in range(size):
-        if not ready:
-            raise ValueError(
-                "the given set is not bi-convex (no simple reflection adds a root of it)"
-            )
-        i = ready.pop()
-        b = beta[i]
-        for j, a in simples[i][3]:
-            bj = beta[j] = beta[j] - a * b
-            if bj > 0 and wanted(bj):
-                ready.add(j)
-            else:
-                ready.discard(j)
-        beta[i] = -b
-    return beta
+    return _grow(rs, _walk(rs, _level_test(rs, levels), sum(levels))[1])
 
 
 @lru_cache(maxsize=None)
 def _image_record_data(rs: RootSystem):
     """What `_w_min_fields` reads the images with: the shift of the level
-    digit; per neighbour alpha_i of alpha_0, the shift of coordinate i's
-    digit, half of it (the rounding) and (alpha_i, theta); a denominator D
-    and the columns of the integer matrix D * varpi^vee, whose row k holds
-    the root coordinates of D varpi_k^vee."""
+    digit and, per neighbour alpha_i of alpha_0, the shift of coordinate
+    i's digit, half of it (the rounding) and (alpha_i, theta)."""
     p = rs.rank
     neighbours = []
     for i, a in enumerate(rs.simple_roots()):
@@ -504,10 +505,7 @@ def _image_record_data(rs: RootSystem):
         if c:
             s = _SHIFT * (p - 1 - i)
             neighbours.append((s, (1 << s) >> 1, c))
-    basis = rs.coweight_basis
-    den = math.lcm(*(x.denominator for row in basis for x in row))
-    columns = tuple(zip(*((int(den * x) for x in row) for row in basis)))
-    return _SHIFT * p, tuple(neighbours), den, columns
+    return _SHIFT * p, tuple(neighbours)
 
 
 def _w_min_fields(ideal: Ideal, l_table):
@@ -516,8 +514,8 @@ def _w_min_fields(ideal: Ideal, l_table):
     module docstring derives; `l_table` is `ideals._l_table(ideal)`."""
     rs = ideal.rs
     levels = [m or 0 for m in l_table]
-    beta = _grow_images(rs, _level_test(rs, levels), sum(levels))
-    shift, neighbours, den, columns = _image_record_data(rs)
+    beta = _walk(rs, _level_test(rs, levels), sum(levels))[0]
+    shift, neighbours = _image_record_data(rs)
     half = 1 << (shift - 1)
     y, pairs = [], []
     for b in beta[1:]:
@@ -529,9 +527,8 @@ def _w_min_fields(ideal: Ideal, l_table):
             t += c * ((((fin + hs) >> s) + _HALF & _MASK) - _HALF)
         y.append(m)
         pairs.append(-t)
-    point = tuple(sum(map(mul, y, col)) // den for col in columns)
-    nu = tuple(sum(map(mul, pairs, col)) // den for col in columns)
-    return (Root(nu), sum(map(mul, nu, y)) - 1), point, y
+    nu = _from_coweights(rs, pairs)
+    return (Root(nu), sum(map(mul, nu, y)) - 1), _from_coweights(rs, y), y
 
 
 def w_min(ideal: Ideal, l_table=None) -> AffineWeylElement:

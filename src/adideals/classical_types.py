@@ -25,7 +25,7 @@ from .lattice_count import catalan
 
 __all__ = [
     "PairAntichain", "to_pairs", "from_pairs", "has_non_meeting_generators",
-    "count_non_meeting", "ballot_count", "count_sp_minimax",
+    "count_non_meeting", "count_sp_minimax",
     "sp_pair_to_root", "sp_root_to_pair", "fold_pair",
     "symmetrize", "sp_restriction", "is_self_conjugate", "sp_is_minimax",
     "generating_function_Fmm", "minimax_generator_distribution",
@@ -101,11 +101,6 @@ def count_non_meeting(n: int, k: int) -> int:
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     return math.comb(n, 2 * k) * catalan(k)
-
-
-def ballot_count(k: int) -> int:
-    """Number of +-1 sequences of length k with all partial sums >= 0."""
-    return math.comb(k, k // 2)
 
 
 def count_sp_minimax(n: int, q: int) -> int:

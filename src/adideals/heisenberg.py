@@ -61,25 +61,27 @@ def _require_sign(sign) -> None:
 
 
 def _w_nu_word(rs: RootSystem, nu: Root):
-    """A reduced word (affine indices 1..p) of w_nu, by ascent: while
-    nu != theta, take the lowest i with (nu, alpha_i^vee) < 0 and replace nu
-    by s_i nu, which is higher.  Each step removes exactly one positive
-    beta with (nu, beta^vee) < 0, so the word s_{i_1} ... s_{i_k}, which takes
-    theta to nu, is reduced, and its element is the unique shortest one
-    (the minimal coset representative of the stabiliser of theta)."""
+    """A reduced word (affine indices 1..p) of w_nu, by ascent: while some
+    pairing (nu, alpha_i^vee) is negative, take the lowest such i and replace
+    nu by s_i nu, which is higher; the ascent ends at theta, the one dominant
+    long root.  Each step removes exactly one positive beta with
+    (nu, beta^vee) < 0, so the word s_{i_1} ... s_{i_k}, which takes theta
+    to nu, is reduced, and its element is the unique shortest one (the
+    minimal coset representative of the stabiliser of theta).  Only the
+    pairings are kept: s_i nu = nu - c alpha_i, c = (nu, alpha_i^vee),
+    moves them by c times row i of the Cartan matrix."""
     _require_long_positive(rs, nu)
     cartan = rs.cartan
-    cur = list(nu.coords)
+    pair = [sum(map(mul, nu.coords, col)) for col in zip(*cartan)]
     word = []
-    while tuple(cur) != rs.theta_coords:
-        for i in range(rs.rank):
-            # s_i(x) = x - (x, alpha_i^vee) alpha_i
-            c = sum(x * cartan[k][i] for k, x in enumerate(cur) if x)
+    while True:
+        for i, c in enumerate(pair):
             if c < 0:
                 break
+        else:
+            return word
         word.append(i + 1)
-        cur[i] -= c
-    return word
+        pair = [x - c * a for x, a in zip(pair, cartan[i])]
 
 
 def w_nu(rs: RootSystem, nu: Root) -> FiniteWeylElement:

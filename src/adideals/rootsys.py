@@ -186,29 +186,6 @@ def _positive_root_keys(cartan, sq):
             [[position[c] for c in covers[k]] for k in keys], sizes)
 
 
-def _det_int(m):
-    """Exact integer determinant (Bareiss)."""
-    a = [list(row) for row in m]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot, tail = a[k][k], a[k][k + 1:]
-        for i in range(k + 1, n):
-            row, f = a[i], a[i][k]
-            row[k + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1:], tail)]
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
 def _invert_fraction_matrix(m):
     """Inverse of a square matrix over the rationals (Gauss-Jordan)."""
     n = len(m)
@@ -311,9 +288,8 @@ class RootSystem:
         self.exponents = tuple(exps)
         assert sum(exps) == n and max(exps) == hmax
 
-        self.index_of_connection = _det_int(cartan)
-        ones = 1 + sum(1 for c in self.theta_coords if c == 1)
-        assert self.index_of_connection == ones, "det(Cartan) != number of marks equal to 1"
+        # det(Cartan) = 1 + the number of marks of theta equal to 1
+        self.index_of_connection = 1 + sum(1 for c in self.theta_coords if c == 1)
 
         assert max(norms) == norms[self.theta_index] == 2 * den
         self.long_mask = sum(1 << i for i, q in enumerate(norms) if q == 2 * den)
@@ -365,10 +341,6 @@ class RootSystem:
         except (KeyError, AttributeError, TypeError):
             raise ValueError("%r is not a positive root of %s" % (root, self)) from None
 
-    def root_order_leq(self, mu: Root, gamma: Root) -> bool:
-        """mu <= gamma iff gamma - mu has nonnegative coordinates."""
-        return all(b - a >= 0 for a, b in zip(mu.coords, gamma.coords))
-
     # -- exact arithmetic --------------------------------------------------
 
     def _gram_product(self, x, y):
@@ -415,23 +387,6 @@ class RootSystem:
             raise ValueError("a coroot-lattice test in %s needs %d int or Fraction "
                              "coordinates, not %r" % (self, self.rank, x))
         return not any(c % m for c, m in zip(coords, self._coroot_moduli))
-
-    # -- debug dump ---------------------------------------------------------
-
-    def describe(self) -> str:
-        """Structured text dump of Delta^+ with indices, heights and lengths."""
-        lines = [
-            "%s (rank %d): %d positive roots, h=%d, exponents=%s, f=%d"
-            % (self.type_label, self.rank, self.num_positive, self.coxeter_number,
-               list(self.exponents), self.index_of_connection)
-        ]
-        for i, r in enumerate(self.positive_roots):
-            tag = "long" if self.long_mask >> i & 1 else "short"
-            lines.append(
-                "%3d  [%s]  height=%d  norm2=%s  %s"
-                % (i, ",".join(map(str, r.coords)), r.height, self.norm2(r), tag)
-            )
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return "RootSystem(%s, rank=%d)" % (self.type_label, self.rank)

@@ -447,6 +447,32 @@ def is_root(rs, coords):
     return c in rs._index or tuple(-x for x in c) in rs._index
 
 
+def root_order_leq(mu, gamma):
+    """mu <= gamma iff gamma - mu has nonnegative coordinates."""
+    return all(b - a >= 0 for a, b in zip(mu.coords, gamma.coords))
+
+
+def describe(rs):
+    """Structured text dump of Delta^+ with indices, heights and lengths."""
+    lines = [
+        "%s (rank %d): %d positive roots, h=%d, exponents=%s, f=%d"
+        % (rs.type_label, rs.rank, rs.num_positive, rs.coxeter_number,
+           list(rs.exponents), rs.index_of_connection)
+    ]
+    for i, r in enumerate(rs.positive_roots):
+        tag = "long" if rs.long_mask >> i & 1 else "short"
+        lines.append(
+            "%3d  [%s]  height=%d  norm2=%s  %s"
+            % (i, ",".join(map(str, r.coords)), r.height, rs.norm2(r), tag)
+        )
+    return "\n".join(lines)
+
+
+def ballot_count(k):
+    """Number of +-1 sequences of length k with all partial sums >= 0."""
+    return math.comb(k, k // 2)
+
+
 def brute_is_abelian(ideal):
     """No two members (repeats allowed) sum to a root, pair by pair."""
     rs = ideal.rs
@@ -492,6 +518,27 @@ def w_nu_word_by_bfs(rs, nu):
     while prev[cur] is not None:
         cur, i = prev[cur]
         word.append(i + 1)
+    return word
+
+
+def w_nu_word_by_ascent(rs, nu):
+    """A reduced word (affine indices 1..p) of w_nu, by the ascent from nu
+    to theta that recomputes every pairing (nu, alpha_i^vee) at each step.
+
+    The ascent that `heisenberg._w_nu_word` replaced by carried pairings,
+    kept as its differential oracle.
+    """
+    cartan = rs.cartan
+    cur = list(nu.coords)
+    word = []
+    while tuple(cur) != rs.theta_coords:
+        for i in range(rs.rank):
+            # s_i(x) = x - (x, alpha_i^vee) alpha_i
+            c = sum(x * cartan[k][i] for k, x in enumerate(cur) if x)
+            if c < 0:
+                break
+        word.append(i + 1)
+        cur[i] -= c
     return word
 
 

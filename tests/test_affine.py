@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -348,7 +349,7 @@ def test_image_walk_rejects_a_level_table_that_is_no_inversion_set():
     # {delta - alpha_1} again, as levels
     levels = [int(mu == rs.alpha(0)) for mu in rs.positive_roots]
     with pytest.raises(ValueError, match="bi-convex"):
-        A._grow_images(rs, A._level_test(rs, levels), 1)
+        A._walk(rs, A._level_test(rs, levels), 1)
 
 
 @pytest.mark.parametrize("label,rank", systems_up_to(4))
@@ -361,7 +362,7 @@ def test_image_walk_ends_at_the_images_of_the_grown_inverse(label, rank):
         w_inv = A._grow_to_levels(rs, levels).inverse()
         images = [A.act_affine_root(w_inv, A.simple_affine_root(rs, j))
                   for j in range(rank + 1)]
-        assert A._grow_images(rs, A._level_test(rs, levels), sum(levels)) == [
+        assert A._walk(rs, A._level_test(rs, levels), sum(levels))[0] == [
             sum(map(mul, (b.level,) + b.finite, weights)) for b in images]
 
 
@@ -415,6 +416,22 @@ def test_element_from_word_matches_matrix_oracle(label, rank, max_len):
     # every word, reduced or not
     rs = build(label, rank)
     for word in all_words(rs, max_len):
+        assert A.element_from_word(rs, word) == matrix_element_from_word(rs, word)
+
+
+@pytest.mark.parametrize("label,rank", [
+    ("A", 30), ("D", 24), ("B", 15), ("C", 15), ("E7", 7), ("E8", 8),
+])
+def test_element_from_word_matches_matrix_oracle_at_high_rank(label, rank):
+    # r is read off the summed coweight coordinates by an exact division by
+    # the coweight denominator (31 on A30), so draw words with several s_0
+    rs = build(label, rank)
+    rng = random.Random("%s%d" % (label, rank))
+    for length in (8, 16, 24, 32, 40):
+        zeros = rng.randint(2, 6)
+        word = [rng.randint(1, rank) for _ in range(length - zeros)]
+        for _ in range(zeros):
+            word.insert(rng.randint(0, len(word)), 0)
         assert A.element_from_word(rs, word) == matrix_element_from_word(rs, word)
 
 

@@ -7,7 +7,7 @@ from adideals import classical_types as C
 from adideals import ideals as I
 from adideals.lattice_count import directed_animals, motzkin
 from helpers import (
-    a_pair_by_support, sp_pair_coords, sp_restriction_by_support,
+    a_pair_by_support, ballot_count, sp_pair_coords, sp_restriction_by_support,
     sp_root_to_pair_by_search, symmetrize_by_search,
 )
 
@@ -217,7 +217,7 @@ def test_ballot_count_against_enumeration():
             for seq in itertools.product((1, -1), repeat=k)
             if all(sum(seq[: m + 1]) >= 0 for m in range(k))
         )
-        assert C.ballot_count(k) == direct
+        assert ballot_count(k) == direct
 
 
 def test_generating_function_examples():

@@ -8,8 +8,8 @@ from adideals import heisenberg as H
 from adideals import ideals as I
 from helpers import (
     affine_product, all_words, brute_pairing, full_weyl_group,
-    heisenberg_type_by_product, matrix_inverse, matrix_product, systems_up_to,
-    w_nu_word_by_bfs,
+    heisenberg_type_by_product, matrix_inverse, matrix_product, root_order_leq,
+    systems_up_to, w_nu_word_by_ascent, w_nu_word_by_bfs,
 )
 
 
@@ -86,6 +86,15 @@ def test_w_nu_ascent_matches_bfs_oracle(label, rank):
         assert len(word) == A.length(w)
 
 
+@pytest.mark.parametrize("label,rank", [
+    ("A", 30), ("D", 24), ("B", 15), ("C", 10), ("E8", 8), ("F4", 4), ("G2", 2),
+])
+def test_w_nu_word_matches_ascent_oracle(label, rank):
+    rs = build(label, rank)
+    for nu in long_positive(rs):
+        assert H._w_nu_word(rs, nu) == w_nu_word_by_ascent(rs, nu)
+
+
 def test_a2_w_nu_length_one():
     rs = build("A", 2)
     assert A.finite_length(rs, H.w_nu(rs, rs.alpha(0))) == 1
@@ -138,7 +147,7 @@ def test_n_s_nu_zero_matches_pairing_oracle(label, rank):
     rs = build(label, rank)
     for nu in rs.positive_roots:
         expected = [g for g in rs.positive_roots if g != nu
-                    and brute_pairing(rs, g, nu) == 1 and rs.root_order_leq(g, nu)]
+                    and brute_pairing(rs, g, nu) == 1 and root_order_leq(g, nu)]
         assert H.n_s_nu_zero(rs, nu) == expected
 
 
