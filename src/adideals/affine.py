@@ -43,6 +43,34 @@ and the long root nu = sum (alpha_k, nu) varpi_k^vee, and the rootlet
 level is -1 - (theta, r) = (nu, x) - 1.
 `w_min`, `rootlet`, `lattice_image` and `y_coordinates` stay the route
 through the element, and the oracle the fields are tested against.
+
+The same fields of every ideal at once come from the other end of the
+Cellini-Papi bijection I -> x = lattice_image(w_min(I)), onto the points
+of D_min cap Q^vee, where D_min = {x : (x, alpha_i) >= -1, (x, theta) <= 2}
+(`_d_min_fields`).  With u_i = y_i + 1 and u_0 = 2 - (x, theta), D_min is
+the simplex u_0 + sum c_i u_i = h + 1, u >= 0, and `_d_min_points` walks
+it, keeping x = sum y_i varpi_i^vee when it lies in Q^vee, by a class in
+P^vee / Q^vee carried down the walk.  For w = w_min(I) = v . t_r and the
+barycenter b of the alcove A, w^{-1} b = v^{-1}(b - x) lies in the
+dominant chamber, so v^{-1} is the element that sorts b - x there.  In
+coweight coordinates scaled by D = (p + 1) lcm(c), the integer vector
+z_j = D (alpha_j, b - x) = D / ((p + 1) c_j) - D y_j is sorted by the
+steps z_j -= (alpha_j, alpha_i^vee) z_i, z_i -> -z_i while some z_i < 0
+(z has no zero entry, since b - x lies on no wall).  After steps
+i_1, ..., i_t the columns of u = s_{i_1} ... s_{i_t} move by the same
+step, as u s_i(alpha_j) = u(alpha_j) - (alpha_j, alpha_i^vee) u(alpha_i), so
+each is packed below z_j as z_j*delta + u(alpha_j) and sorted with it,
+ending at v.  Then z = D w^{-1} b, and its pairings give the rest, one
+addition per root along the parent table gamma = gamma' + alpha_k, as
+(gamma, z) = (gamma', z) + z_k:
+
+    I = {gamma : (gamma, z) > D},   l(gamma, I) = floor((gamma, z) / D),
+    length_min = sum of l,          nu = -v(theta),
+    level = -1 - (v(theta), x) = (nu, x) - 1,
+
+and y and x = `_from_coweights(rs, y)` are the point itself.  No l-table
+is built and no element is grown, so `enumerate` takes this route for
+the classes that keep nearly every ideal.
 """
 
 import math
@@ -390,6 +418,122 @@ def _from_coweights(rs: RootSystem, y):
     coordinates (a coroot-lattice point or a root)."""
     den, columns = _coweight_matrix(rs)
     return tuple(sum(map(mul, y, col)) // den for col in columns)
+
+
+@lru_cache(maxsize=None)
+def _coweight_classes(rs: RootSystem):
+    """P^vee / Q^vee as class indices, 0 the class of Q^vee: per coweight
+    varpi_i^vee, the table mapping a class to that class plus varpi_i^vee.
+    A class is the vector of root coordinates of `_coweight_matrix`, reduced
+    modulo D times `rs._coroot_moduli`, as the coordinate k of a
+    coroot-lattice point is a multiple of its modulus."""
+    den, columns = _coweight_matrix(rs)
+    mods = [den * m for m in rs._coroot_moduli]
+    steps = [[c % n for c, n in zip(row, mods)] for row in zip(*columns)]
+    classes = [(0,) * rs.rank]
+    index = {classes[0]: 0}
+    add = [[] for _ in steps]
+    for cls in classes:  # grows while it is read: a search from 0
+        for table, step in zip(add, steps):
+            nxt = tuple((a + b) % n for a, b, n in zip(cls, step, mods))
+            if nxt not in index:
+                index[nxt] = len(classes)
+                classes.append(nxt)
+            table.append(index[nxt])
+    return tuple(map(tuple, add))
+
+
+def _d_min_points(rs: RootSystem):
+    """The coweight coordinates y of the points of D_min cap Q^vee: the
+    u >= 0 with u_0 + sum c_i u_i = h + 1 and y_i = u_i - 1, kept when
+    x = sum u_i varpi_i^vee - rho^vee is in Q^vee, that is when the class
+    of sum u_i varpi_i^vee, carried down the walk, is that of rho^vee."""
+    marks = rs.theta_coords
+    tables = _coweight_classes(rs)
+    rho = 0
+    for add in tables:
+        rho = add[rho]
+    last = rs.rank - 1
+    y = [0] * rs.rank
+
+    def walk(i, budget, cls):
+        add = tables[i]
+        for u in range(budget // marks[i] + 1):
+            y[i] = u - 1
+            if i < last:
+                yield from walk(i + 1, budget - u * marks[i], cls)
+            elif cls == rho:
+                yield y
+            cls = add[cls]
+
+    return walk(0, rs.coxeter_number + 1, 0)
+
+
+@lru_cache(maxsize=None)
+def _d_min_data(rs: RootSystem):
+    """What `_d_min_fields` reads the points with: D; per j, the packed
+    z_j*delta + alpha_j for z = D b, from which the sort starts; the
+    sort's Cartan columns; the simple root alpha_k at each root index below
+    p; and above it, the parent table (index of gamma - alpha_k, k)."""
+    p = rs.rank
+    lcm = math.lcm(*rs.theta_coords)
+    den = (p + 1) * lcm
+    weights, simples = _affine_simple_data(rs)
+    start = tuple((lcm // c) * weights[0] + weights[1 + j]
+                  for j, c in enumerate(rs.theta_coords))
+    # the finite entries of the affine Cartan columns: (j, (alpha_j, alpha_i^vee))
+    columns = tuple(tuple((j - 1, a) for j, a in simples[i][2] if j) for i in range(1, p + 1))
+    simple_of = tuple(rs.simple_indices.index(s) for s in range(p))
+
+    def parent(mu):
+        for k in range(p):
+            a = rs._index.get(mu[:k] + (mu[k] - 1,) + mu[k + 1:])
+            if a is not None:
+                return a, k
+
+    parents = tuple(parent(mu.coords) for mu in rs.positive_roots[p:])
+    return den, start, columns, simple_of, parents
+
+
+def _d_min_fields(rs: RootSystem):
+    """{mask: (rootlet, lattice_image, y, length_min)} over every ideal, read
+    off the points of D_min cap Q^vee as the module docstring derives,
+    without the l-table or w_min's walk."""
+    den, start, columns, simple_of, parents = _d_min_data(rs)
+    shift = _SHIFT * rs.rank
+    half = 1 << (shift - 1)
+    top = den << shift
+    theta = rs.theta_coords
+    p = rs.rank
+    fields = {}
+    for y in _d_min_points(rs):
+        # z_j delta + v(alpha_j), packed: the sort moves both by one step
+        z = [s - b * top for s, b in zip(start, y)]
+        while True:
+            m = min(z)
+            if m > 0:
+                break
+            i = z.index(m)
+            for j, a in columns[i]:
+                z[j] -= a * m
+            z[i] = -m
+        levels = [(b + half) >> shift for b in z]
+        vals = [levels[k] for k in simple_of]
+        for a, k in parents:
+            vals.append(vals[a] + levels[k])
+        mask = length = 0
+        bit = 1
+        for v in vals:
+            if v > den:
+                mask |= bit
+                length += v // den
+            bit <<= 1
+        # the finite digits of sum theta_j z_j are v(theta) = -nu
+        low = sum(map(mul, theta, z)) - (sum(map(mul, theta, levels)) << shift)
+        nu = [-c for c in _unpack(low, p)]
+        fields[mask] = ((Root(tuple(nu)), sum(map(mul, nu, y)) - 1),
+                        _from_coweights(rs, y), list(y), length)
+    return fields
 
 
 def _grow(rs: RootSystem, word) -> AffineWeylElement:

@@ -10,9 +10,14 @@ text is formatted when printed.  `make_parser` still builds a fresh one.
 
 `enumerate --stats` and `verify --stats` write one JSON object to stderr
 when the command completes: the seconds of enumerate's stages (build, with
-the work guard; walk_and_records; write) and its counters (records written,
-bytes out, growth steps), or the seconds of each verify suite and its
+the work guard; walk_and_records; write), its counters (records written,
+bytes out, growth steps) and the route its records took (`method`:
+"lattice" or "image_walk"), or the seconds of each verify suite and its
 check and failure counts.  Stdout is the same with and without the flag.
+
+JSON output is written by `_json_text`, byte for byte what
+`json.dumps(obj, indent=1, sort_keys=True)` gives, without the
+pure-Python encoder that `indent` selects.
 """
 
 import argparse
@@ -23,6 +28,7 @@ import json
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii as _encode_str
 from time import perf_counter
 
 from .rootsys import TYPES, Root, build
@@ -71,11 +77,22 @@ IDEAL_RECORD_SCHEMA = {
 # refuse unguarded dumps beyond this budget
 MAX_CLASSIFY_WORK = 100_000_000
 
+# the --class tokens whose records `enumerate` reads off D_min
+_LATTICE_CLASSES = {"all", "nontrivial", "non-abelian"}
+
 
 def ideal_record(ideal: I.Ideal) -> dict:
     """Full classification record of one ideal (schema ideal-record/v1)."""
     lt = I._l_table(ideal)
-    (nu, level), point, y = A._w_min_fields(ideal, lt)
+    # l(gamma, I) >= 1 on the members and None off them; w_min has
+    # m*delta - gamma as an inversion for each 1 <= m <= l(gamma, I)
+    return _record(ideal, *A._w_min_fields(ideal, lt), sum(filter(None, lt)))
+
+
+def _record(ideal: I.Ideal, rootlet, point, y, length) -> dict:
+    """The record of an ideal whose minimal element has the given rootlet
+    (nu, level), lattice image, y-coordinates and length."""
+    nu, level = rootlet
     return {
         "generators": [list(r.coords) for r in I.generators(ideal).roots],
         "size": ideal.size,
@@ -84,12 +101,18 @@ def ideal_record(ideal: I.Ideal) -> dict:
         "minimax": I.is_minimax(ideal),
         "heisenberg_contained": I.is_heisenberg_contained(ideal),
         "rootlet": {"level": level, "root": list(nu.coords)},
-        # l(gamma, I) >= 1 on the members and None off them; w_min has
-        # m*delta - gamma as an inversion for each 1 <= m <= l(gamma, I)
-        "length_min": sum(filter(None, lt)),
+        "length_min": length,
         "lattice_image": list(point),
         "y": y,
     }
+
+
+def _lattice_records(rs, kept):
+    """The records of the kept ideals, their fields looked up in one walk
+    over the points of D_min cap Q^vee, taken when the first is asked for."""
+    fields = A._d_min_fields(rs)
+    for ideal in kept:
+        yield _record(ideal, *fields[ideal.mask])
 
 
 def _record_line(rec: dict) -> str:
@@ -135,9 +158,9 @@ class _CountingWriter:
 
 def _stats_records(records, seconds, counters):
     """Yield the records, adding the seconds spent making them to
-    seconds["walk_and_records"] and counting them and their growth steps;
-    a record grows the images of w_min one step per unit of its length,
-    `length_min`."""
+    seconds["walk_and_records"] and counting them and their growth steps,
+    the summed `length_min`: the steps the image route takes to grow the
+    images of w_min, whichever route made the record."""
     records = iter(records)
     while True:
         start = perf_counter()
@@ -150,13 +173,50 @@ def _stats_records(records, seconds, counters):
         yield rec
 
 
+def _json_text(obj, indent=""):
+    """`json.dumps(obj, indent=1, sort_keys=True)`, nested `indent` deep,
+    without the pure-Python encoder that `indent` selects: dicts with str
+    keys, lists, str, int, bool and None are written here, int lists by one
+    join, and any other value by `json.dumps`."""
+    kind = type(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is int:
+        return str(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if kind is list:
+        if not obj:
+            return "[]"
+        inner = indent + " "
+        sep = ",\n" + inner
+        if {*map(type, obj)} == _INT_ONLY:
+            body = sep.join(map(str, obj))
+        else:
+            body = sep.join([_json_text(x, inner) for x in obj])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if kind is dict and obj and {*map(type, obj)} == _STR_ONLY:
+        inner = indent + " "
+        return "{\n" + inner + (",\n" + inner).join([
+            _encode_str(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)
+        ]) + "\n" + indent + "}"
+    # the encoder escapes every newline inside a string, so each "\n" it
+    # writes starts a line, which the nesting indents
+    return json.dumps(obj, indent=1, sort_keys=True).replace("\n", "\n" + indent)
+
+
+_INT_ONLY, _STR_ONLY = frozenset({int}), frozenset({str})
+
+
 def _write_json(out, obj):
-    out.write(json.dumps(obj, indent=1, sort_keys=True) + "\n")
+    out.write(_json_text(obj) + "\n")
 
 
-def _write_stats(command, seconds, counters):
-    print(json.dumps({"command": command, "seconds": seconds, "counters": counters},
-                     sort_keys=True), file=sys.stderr)
+def _write_stats(command, seconds, counters, **fields):
+    print(json.dumps({"command": command, "seconds": seconds, "counters": counters,
+                      **fields}, sort_keys=True), file=sys.stderr)
 
 
 def cmd_enumerate(args, out) -> int:
@@ -172,11 +232,13 @@ def cmd_enumerate(args, out) -> int:
                  "minimax": lambda: L.count_minimax(rs).value}
         expected = min([size() for t, size in sizes.items() if t in tokens]
                        or [L.count_AD(rs).value])
-        # a record grows the images of its minimal element one step per unit of
-        # length, and lengths are bounded by the summed root heights; a step
-        # updates and tests against the l-table the images of its affine simple
-        # root and of that node's neighbours in the affine Dynkin diagram, at
-        # most rank + 1 integer updates
+        # this bounds the image route, which the classes that drop more than
+        # 2^rank ideals take: a record grows the images of its minimal element
+        # one step per unit of length, and lengths are bounded by the summed
+        # root heights; a step updates and tests against the l-table the
+        # images of its affine simple root and of that node's neighbours in
+        # the affine Dynkin diagram, at most rank + 1 integer updates.  The
+        # lattice route costs less per record
         work = expected * sum(r.height for r in rs.positive_roots) * (rs.rank + 1)
         if work > MAX_CLASSIFY_WORK:
             print(
@@ -186,7 +248,11 @@ def cmd_enumerate(args, out) -> int:
                 file=sys.stderr)
             return 2
     kept = I.enumerate_ideals(rs, [t.replace("-", "_") for t in tokens])
-    records = (ideal_record(idl) for idl in kept)
+    # classes that drop at most 2^rank ideals read every record off the
+    # points of D_min; the others grow the images of w_min per kept ideal
+    lattice = set(tokens) <= _LATTICE_CLASSES
+    records = (_lattice_records(rs, kept) if lattice
+               else (ideal_record(idl) for idl in kept))
     if args.stats:
         seconds = {"build": perf_counter() - start, "walk_and_records": 0.0}
         counters = {"records_written": 0, "growth_steps": 0}
@@ -230,7 +296,8 @@ def cmd_enumerate(args, out) -> int:
     if args.stats:
         seconds["write"] = perf_counter() - start - seconds["walk_and_records"]
         counters["bytes_out"] = out.bytes
-        _write_stats("enumerate", seconds, counters)
+        _write_stats("enumerate", seconds, counters,
+                     method="lattice" if lattice else "image_walk")
     return 0
 
 

@@ -372,9 +372,6 @@ class RootSystem:
             raise ValueError("%r is not in the coroot lattice of %s" % (tuple(r), self))
         return q
 
-    def norm2(self, root: Root) -> Fraction:
-        return self.bilinear(root.coords, root.coords)
-
     def in_coroot_lattice(self, x) -> bool:
         """Whether x, rank many int or Fraction coordinates, lies in the coroot
         lattice; ValueError for any other x."""

@@ -452,6 +452,11 @@ def root_order_leq(mu, gamma):
     return all(b - a >= 0 for a, b in zip(mu.coords, gamma.coords))
 
 
+def norm2(rs, root):
+    """(root, root), the squared length of a root."""
+    return rs.bilinear(root.coords, root.coords)
+
+
 def describe(rs):
     """Structured text dump of Delta^+ with indices, heights and lengths."""
     lines = [
@@ -463,7 +468,7 @@ def describe(rs):
         tag = "long" if rs.long_mask >> i & 1 else "short"
         lines.append(
             "%3d  [%s]  height=%d  norm2=%s  %s"
-            % (i, ",".join(map(str, r.coords)), r.height, rs.norm2(r), tag)
+            % (i, ",".join(map(str, r.coords)), r.height, norm2(rs, r), tag)
         )
     return "\n".join(lines)
 

@@ -366,6 +366,36 @@ def test_image_walk_ends_at_the_images_of_the_grown_inverse(label, rank):
             sum(map(mul, (b.level,) + b.finite, weights)) for b in images]
 
 
+@pytest.mark.parametrize("label,rank", systems_up_to(6) + [("E7", 7)])
+def test_d_min_walk_matches_the_dfs_and_the_image_route(label, rank):
+    # one point per ideal, and every field as the image route and the
+    # l-table give it, which stay the oracle
+    rs = build(label, rank)
+    fields = A._d_min_fields(rs)
+    ideals = list(I.enumerate_ideals(rs))
+    assert sum(1 for _ in A._d_min_points(rs)) == len(fields) == L.count_AD(rs).value
+    assert set(fields) == {ideal.mask for ideal in ideals}
+    for ideal in ideals:
+        lt = I._l_table(ideal)
+        assert fields[ideal.mask] == A._w_min_fields(ideal, lt) + (sum(filter(None, lt)),)
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(4))
+def test_d_min_points_are_the_coroot_points_of_d_min(label, rank):
+    # against a sweep of the coweight box, filtered by the polytope test and
+    # by the per-type congruences
+    rs = build(label, rank)
+    h, marks = rs.coxeter_number, rs.theta_coords
+    box = itertools.product(*(range(-1, (h + 1) // c) for c in marks))
+    swept = sorted(
+        y for y in box
+        if L.d_min_contains(rs, L.coweight_point(rs, y))
+        and L.congruence_filter(rs, (None,) + y))
+    walked = [tuple(y) for y in A._d_min_points(rs)]
+    assert sorted(walked) == swept
+    assert all(rs.in_coroot_lattice(L.coweight_point(rs, y)) for y in walked)
+
+
 @pytest.mark.parametrize("label,rank", systems_up_to(4))
 def test_element_from_inversions_matches_peel_oracle(label, rank):
     rs = build(label, rank)

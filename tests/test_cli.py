@@ -303,12 +303,59 @@ def test_enumerate_stats_go_to_stderr_only(fmt, capsys):
     assert stats["command"] == "enumerate"
     assert sorted(stats["seconds"]) == ["build", "walk_and_records", "write"]
     assert all(isinstance(s, float) for s in stats["seconds"].values())
+    assert stats["method"] == "lattice"
     ideals = list(I.enumerate_ideals(build("B", 4)))
     assert stats["counters"] == {
         "records_written": len(ideals),
         "bytes_out": len(out.encode()),
         "growth_steps": sum(A.length(A.w_min(ideal)) for ideal in ideals),
     }
+
+
+@pytest.mark.parametrize("klass,method", [
+    ("all", "lattice"), ("non-abelian,nontrivial", "lattice"),
+    ("minimax", "image_walk"), ("all,abelian", "image_walk"),
+    ("strictly-positive", "image_walk"),
+])
+def test_enumerate_stats_name_the_record_route(klass, method, capsys):
+    # growth_steps is the summed length of w_min on either route
+    argv = ["enumerate", "--type", "C", "--rank", "4", "--class", klass]
+    code, out, _ = run(argv, capsys)
+    stats_code, stats_out, stats_err = run(argv + ["--stats"], capsys)
+    assert code == stats_code == 0 and stats_out == out
+    stats = json.loads(stats_err)
+    assert stats["method"] == method
+    kept = list(I.enumerate_ideals(build("C", 4), [t.replace("-", "_") for t in klass.split(",")]))
+    assert stats["counters"]["records_written"] == len(kept)
+    assert stats["counters"]["growth_steps"] == sum(A.length(A.w_min(i)) for i in kept)
+
+
+LATTICE_CLASS_SETS = ["all", "nontrivial", "non-abelian", "all,nontrivial",
+                      "all,non-abelian", "nontrivial,non-abelian"]
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(5) + [("E6", 6)])
+def test_lattice_records_equal_the_image_route(label, rank, capsys, monkeypatch):
+    # the records read off D_min against `ideal_record` of each kept ideal,
+    # and every format against the image route's output
+    rs = build(label, rank)
+    for klass in LATTICE_CLASS_SETS:
+        kept = I.enumerate_ideals(rs, [t.replace("-", "_") for t in klass.split(",")])
+        expected = [cli.ideal_record(ideal) for ideal in kept]
+        argvs = [["enumerate", "--type", label, "--rank", str(rank), "--class", klass,
+                  "--format", fmt, "--stats"] for fmt in ("text", "json", "csv")]
+        outs = []
+        for argv in argvs:
+            code, out, err = run(argv, capsys)
+            assert code == 0 and json.loads(err)["method"] == "lattice"
+            outs.append(out)
+        assert json.loads(outs[1])["records"] == expected
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_LATTICE_CLASSES", set())
+            for argv, out in zip(argvs, outs):
+                code, image_out, err = run(argv, capsys)
+                assert json.loads(err)["method"] == "image_walk"
+                assert image_out == out
 
 
 @pytest.mark.parametrize("suite,fmt", [("f4table", "text"), ("f4table", "json"),
@@ -348,6 +395,15 @@ def test_minimax_enumeration_under_optimize_matches_in_process_run(capsys):
     # the minimax walk's pruning must not rest on an assert
     argv = ["enumerate", "--type", "E7", "--rank", "7", "--class", "minimax",
             "--format", "json"]
+    proc = _python(["-O", "-m", "adideals.cli"] + argv, stdout=subprocess.PIPE)
+    code, out, _ = run(argv, capsys)
+    assert proc.returncode == code == 0, proc.stderr
+    assert proc.stdout == out
+
+
+def test_lattice_enumeration_under_optimize_matches_in_process_run(capsys):
+    # the D_min walk and the JSON writer must not rest on an assert
+    argv = ["enumerate", "--type", "E6", "--rank", "6", "--format", "json"]
     proc = _python(["-O", "-m", "adideals.cli"] + argv, stdout=subprocess.PIPE)
     code, out, _ = run(argv, capsys)
     assert proc.returncode == code == 0, proc.stderr

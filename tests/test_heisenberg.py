@@ -8,7 +8,7 @@ from adideals import heisenberg as H
 from adideals import ideals as I
 from helpers import (
     affine_product, all_words, brute_pairing, full_weyl_group,
-    heisenberg_type_by_product, matrix_inverse, matrix_product, root_order_leq,
+    heisenberg_type_by_product, matrix_inverse, matrix_product, norm2, root_order_leq,
     systems_up_to, w_nu_word_by_ascent, w_nu_word_by_bfs,
 )
 
@@ -53,7 +53,7 @@ def test_w_nu_theta_is_identity():
 
 def test_w_nu_rejects_bad_input():
     rs = build("C", 2)
-    short = next(r for r in rs.positive_roots if rs.norm2(r) != 2)
+    short = next(r for r in rs.positive_roots if norm2(rs, r) != 2)
     with pytest.raises(ValueError, match="long"):
         H.w_nu(rs, short)
     with pytest.raises(ValueError, match="not a positive root"):
@@ -327,7 +327,7 @@ def test_w_max_can_leave_heisenberg_type(label, rank):
     if sorted(pairings) != [0] * (rank - 1) + [1]:
         pytest.skip("theta is not a fundamental weight here")
     nu = rs.simple_roots()[pairings.index(1)]
-    assert rs.norm2(nu) == 2
+    assert norm2(rs, nu) == 2
     minus = H.heisenberg_element(rs, H.HeisenbergElementDescriptor(nu, -1))
     assert A.is_dominant(minus)
     assert not A.is_minimal(minus) and not A.is_maximal(minus)

@@ -4,7 +4,8 @@ and abelian tests, and of C_n, n <= 8, for the type C pair coordinates;
 over random affine Weyl elements of every type of rank <= 4 (G2 and F4
 included) for their inversion data; over random roots of every type of
 rank <= 30 for the packed root-system build; and over random Laurent
-products, with congruence forms, for the packed lattice count.
+products, with congruence forms, for the packed lattice count; and over
+random nested JSON values for the CLI's JSON writer.
 
 Derandomised, so every run draws the same examples.
 """
@@ -12,9 +13,10 @@ Derandomised, so every run draws the same examples.
 import json
 from operator import ge, le
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adideals import affine as A
+from adideals import cli
 from adideals import classical_types as C
 from adideals import heisenberg as H
 from adideals import ideals as I
@@ -208,3 +210,24 @@ def laurent_inputs(draw):
 def test_packed_laurent_matches_dp_oracle(case):
     cs, k, forms = case
     assert L.laurent_coefficient(cs, k, forms) == laurent_coefficient_by_dp(cs, k, forms)
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.integers(min_value=-2 ** 200, max_value=2 ** 200) | st.text())
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(st.integers(), max_size=5)
+                   | st.dictionaries(st.text(), inner, max_size=5)
+                   | st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=20)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_JSON_VALUES)
+@example({})
+@example([])
+@example({"": [], "a": {}, "b": [[]], "c": [{}]})
+@example([1, True, -2 ** 100, 2 ** 100, None, 0.5])
+@example({"\u00e9\n\x00\t\u2028\U0001f600": "\x1f\"\\\u00ff\ud800"})
+def test_json_writer_equals_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=1, sort_keys=True)

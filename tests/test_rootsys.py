@@ -15,8 +15,8 @@ from adideals.ideals import enumerate_ideals, heisenberg_root_mask, is_abelian
 from helpers import (
     ROOT_SYSTEM_TABLES, _invert, brute_bilinear, brute_pairing, cartan_data_by_cases,
     decompositions_by_pairs, describe, fraction_gram, heisenberg_mask_by_pairing,
-    is_positive_root, order_masks_by_coordinates, root_order_leq, systems_up_to,
-    tuple_root_system,
+    is_positive_root, norm2, order_masks_by_coordinates, root_order_leq,
+    systems_up_to, tuple_root_system,
 )
 
 # standard exponent tables, kept as an oracle against the computed values
@@ -311,9 +311,9 @@ def test_inner_products_match_fraction_gram_oracle(label, rank):
     for gamma, nu in itertools.product(rs.positive_roots[::5], repeat=2):
         assert rs.pairing(gamma, nu) == brute_pairing(rs, gamma, nu)
     for i, r in enumerate(rs.positive_roots):
-        norm2 = brute_bilinear(rs, r.coords, r.coords)
-        assert rs.norm2(r) == norm2
-        assert (rs.long_mask >> i & 1) == (norm2 == 2)
+        length2 = brute_bilinear(rs, r.coords, r.coords)
+        assert norm2(rs, r) == length2
+        assert (rs.long_mask >> i & 1) == (length2 == 2)
     inv = _invert(fraction_gram(rs))
     assert rs.coweight_basis == tuple(
         tuple(inv[j][i] for j in range(rank)) for i in range(rank))
@@ -374,9 +374,9 @@ def test_long_roots():
     longs = set(c3.long_positive_roots())
     for r in c3.positive_roots:
         if r in longs:
-            assert c3.norm2(r) == 2
+            assert norm2(c3, r) == 2
         else:
-            assert 2 * c3.norm2(r) == 2
+            assert 2 * norm2(c3, r) == 2
     for label, rank in systems_up_to(5):
         rs = build(label, rank)
         assert rs.theta in rs.long_positive_roots()
