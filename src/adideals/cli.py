@@ -4,9 +4,14 @@ Exit codes: 0 on success, 1 on a verification mismatch, 2 on usage
 errors (including refused oversized dumps) and on a closed stdout.
 Output is deterministic: identical invocations produce identical bytes.
 
-`main` builds the argument parser on its first call and reuses it for the
-rest of the process: `parse_args` leaves the parser unchanged, and help
-text is formatted when printed.  `make_parser` still builds a fresh one.
+The grammar is one table, `_COMMANDS`, from which `make_parser` builds the
+argparse tree.  `main` reads a well-formed call (a command followed by exact
+option strings, each with one value or standing alone as a flag) straight off
+the table, into the namespace argparse would return.  Every other call (help,
+abbreviations, `--opt=value`, usage errors) goes to argparse, whose tree `main`
+builds the first time it needs one and reuses for the rest of the process:
+`parse_args` leaves the parser unchanged, and help text is formatted when
+printed.  `make_parser` still builds a fresh one.
 
 `enumerate --stats` and `verify --stats` write one JSON object to stderr
 when the command completes: the seconds of enumerate's stages (build, with
@@ -26,6 +31,7 @@ import functools
 import io
 import json
 import os
+import stat
 import sys
 import tempfile
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -406,9 +412,47 @@ def cmd_tables(args, out) -> int:
     return 0
 
 
-def _add_system_args(p):
-    p.add_argument("--type", required=True, choices=list(TYPES))
-    p.add_argument("--rank", required=True, type=int)
+# the grammar of every command: its help and its options in the order of its
+# usage line, each (option string, dest, kind, default, required, help), where
+# kind is a tuple of choices, int, str, or None for a flag; `make_parser` builds
+# argparse's tree from it and `_read_args` reads well-formed calls off it
+_SYSTEM = (("--type", "type", tuple(TYPES), None, True, None),
+           ("--rank", "rank", int, None, True, None))
+_OUT = ("--out", "out", str, None, False, None)
+_COMMANDS = {
+    "enumerate": ("stream classified ideal records", _SYSTEM + (
+        ("--class", "klass", str, "all", False,
+         "comma-joined filters: " + ", ".join(_class_tokens())),
+        ("--format", "format", ("text", "json", "csv"), "text", False, None),
+        _OUT,
+        ("--force", "force", None, False, False, "allow oversized dumps"),
+        ("--stats", "stats", None, False, False,
+         "write seconds per stage and counters as JSON to stderr"),
+    )),
+    "classify": ("classify one ideal given its generators", _SYSTEM + (
+        ("--generators", "generators", str, None, True,
+         "JSON list of coordinate vectors, e.g. [[1,1,0],[0,1,1]]"),
+        ("--format", "format", ("text", "json"), "text", False, None),
+        _OUT,
+    )),
+    "count": ("count a quantity with method provenance", _SYSTEM + (
+        ("--quantity", "quantity", ("AD", "AD0", "minimax", "heisenberg_nontrivial"),
+         None, True, None),
+        ("--format", "format", ("text", "json", "csv"), "text", False, None),
+        _OUT,
+    )),
+    "verify": ("run the verification suites", (
+        ("--suite", "suite", ("all",) + V.SUITE_NAMES, "all", False, None),
+        ("--format", "format", ("text", "json"), "text", False, None),
+        _OUT,
+        ("--stats", "stats", None, False, False,
+         "write seconds per suite and counters as JSON to stderr"),
+    )),
+    "tables": ("print the reproduced tables", (
+        ("--which", "which", ("all", "sequences", "f4", "fmm"), "all", False, None),
+        _OUT,
+    )),
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -417,49 +461,67 @@ def make_parser() -> argparse.ArgumentParser:
         description="Ideals of positive root posets: enumeration, minimax "
                     "classification, and lattice-point counts.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enumerate", help="stream classified ideal records")
-    _add_system_args(p)
-    p.add_argument("--class", dest="klass", default="all",
-                   help="comma-joined filters: " + ", ".join(_class_tokens()))
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--out", default=None)
-    p.add_argument("--force", action="store_true",
-                   help="allow oversized dumps")
-    p.add_argument("--stats", action="store_true",
-                   help="write seconds per stage and counters as JSON to stderr")
-
-    p = sub.add_parser("classify", help="classify one ideal given its generators")
-    _add_system_args(p)
-    p.add_argument("--generators", required=True,
-                   help="JSON list of coordinate vectors, e.g. [[1,1,0],[0,1,1]]")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("count", help="count a quantity with method provenance")
-    _add_system_args(p)
-    p.add_argument("--quantity", required=True,
-                   choices=["AD", "AD0", "minimax", "heisenberg_nontrivial"])
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("verify", help="run the verification suites")
-    p.add_argument("--suite", default="all", choices=("all",) + V.SUITE_NAMES)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out", default=None)
-    p.add_argument("--stats", action="store_true",
-                   help="write seconds per suite and counters as JSON to stderr")
-
-    p = sub.add_parser("tables", help="print the reproduced tables")
-    p.add_argument("--which", default="all",
-                   choices=["all", "sequences", "f4", "fmm"])
-    p.add_argument("--out", default=None)
+    for command, (summary, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for option, dest, kind, default, required, text in options:
+            if kind is None:
+                p.add_argument(option, dest=dest, action="store_true", help=text)
+            else:
+                p.add_argument(option, dest=dest, default=default, required=required,
+                               help=text, type=int if kind is int else None,
+                               choices=kind if type(kind) is tuple else None)
     return parser
 
 
-# built on the first `main` call, not at import; a functools cache, so that
-# clearing the package's caches makes the next call build it afresh
+# built on the first `main` call that needs it, not at import; a functools
+# cache, so that clearing the package's caches makes the next call build it afresh
 _parser = functools.cache(make_parser)
+
+# each command's (dest, kind) by option string, its defaults, and the dests of
+# its required options, whose defaults are None
+_READER = {
+    command: ({o[0]: o[1:3] for o in options}, {o[1]: o[3] for o in options},
+              [o[1] for o in options if o[4]])
+    for command, (_, options) in _COMMANDS.items()
+}
+
+
+def _read_args(argv):
+    """The namespace `_parser().parse_args(argv)` returns, read off `_COMMANDS`
+    when argv is a command followed by exact option strings, each with one value
+    that does not start with "-" or standing alone as a flag; None for any other
+    argv (help, abbreviations, --opt=value, usage errors), which argparse reads."""
+    if not argv or type(argv[0]) is not str or argv[0] not in _READER:
+        return None
+    lookup, defaults, required = _READER[argv[0]]
+    args = argparse.Namespace(command=argv[0])
+    values = vars(args)
+    values.update(defaults)
+    tokens = iter(argv)
+    next(tokens)
+    for token in tokens:
+        if type(token) is not str or token not in lookup:
+            return None
+        dest, kind = lookup[token]
+        if kind is None:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if type(value) is not str or value.startswith("-"):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        values[dest] = value
+    # a value read is a str or an int, so a required option left at None is missing
+    for dest in required:
+        if values[dest] is None:
+            return None
+    return args
 
 
 _HANDLERS = {
@@ -471,13 +533,24 @@ _HANDLERS = {
 }
 
 
-def _write_atomically(path: str, text: str) -> None:
-    """Write text to path through a temporary file renamed over it, so that
-    path holds either its old content or all of text."""
-    umask = os.umask(0)
-    os.umask(umask)
+def _write_out(path: str, text: str) -> None:
+    """Write text to path, following symlinks.  A regular file, or a path that
+    does not exist yet, is written through a temporary file in its directory that
+    is renamed over it, so that it holds either its old content or all of text;
+    anything else, such as a FIFO, is written directly."""
+    target = os.path.realpath(path)
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+        try:
+            regular = stat.S_ISREG(os.stat(target).st_mode)
+        except FileNotFoundError:
+            regular = True
+        if not regular:
+            with open(target, "w") as fh:
+                fh.write(text)
+            return
+        umask = os.umask(0)
+        os.umask(umask)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
                                    prefix=".adideals-", suffix=".tmp")
     except OSError as exc:
         raise ValueError("cannot write %s: %s" % (path, exc.strerror)) from None
@@ -485,7 +558,7 @@ def _write_atomically(path: str, text: str) -> None:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except OSError as exc:
         os.unlink(tmp)
         raise ValueError("cannot write %s: %s" % (path, exc.strerror)) from None
@@ -494,12 +567,15 @@ def _write_atomically(path: str, text: str) -> None:
 def main(argv=None) -> int:
     """Run one command; return its exit code.  If stdout's reader has gone, fd 1
     stays on devnull for the rest of the process, to silence the exit flush."""
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_args(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     try:
         if args.out:
             buf = io.StringIO()
             code = _HANDLERS[args.command](args, buf)
-            _write_atomically(args.out, buf.getvalue())
+            _write_out(args.out, buf.getvalue())
         elif sys.stdout is None:
             raise ValueError("standard output is closed")
         else:

@@ -162,13 +162,11 @@ def generators(ideal: Ideal) -> Antichain:
     rs = ideal.rs
     # the minimal elements are an antichain, listed in index order, so the
     # checks in Antichain are skipped
+    mask, roots, below = ideal.mask, rs.positive_roots, rs.strict_down_masks
     gens = object.__new__(Antichain)
     gens.rs = rs
-    gens.roots = tuple(
-        rs.positive_roots[i]
-        for i in _iter_bits(ideal.mask)
-        if not rs.strict_down_masks[i] & ideal.mask
-    )
+    gens.roots = tuple([roots[i] for i in range(mask.bit_length())
+                        if mask >> i & 1 and not below[i] & mask])
     return gens
 
 

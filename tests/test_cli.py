@@ -2,12 +2,15 @@ import argparse
 import errno
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import time
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adideals import affine as A
 from adideals import cli
@@ -545,6 +548,51 @@ def test_out_file_is_written_whole_or_not_at_all(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == [target]
 
 
+_AD_A2 = "type=A rank=2 quantity=AD value=5 method=closed_form congruence_applied=False\n"
+
+
+def _count_to(out, capsys):
+    return run(["count", "--type", "A", "--rank", "2", "--quantity", "AD", "--out", out],
+               capsys)
+
+
+def test_out_follows_a_symlink_to_a_file(tmp_path, capsys):
+    target, link = tmp_path / "report.txt", tmp_path / "link"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert _count_to(str(link), capsys) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == _AD_A2
+    assert sorted(tmp_path.iterdir()) == [link, target]  # no temporary file is left
+
+
+def test_out_through_a_dangling_symlink_creates_its_target(tmp_path, capsys):
+    target, link = tmp_path / "new.txt", tmp_path / "link"
+    link.symlink_to(target)
+    assert _count_to(str(link), capsys) == (0, "", "")
+    assert link.is_symlink() and target.read_text() == _AD_A2
+
+
+def test_out_symlink_loop_exits_2(tmp_path, capsys):
+    link = tmp_path / "loop"
+    link.symlink_to(link)
+    code, out, err = _count_to(str(link), capsys)
+    assert code == 2 and out == "" and err.startswith("error: cannot write %s: " % link)
+    assert link.is_symlink() and list(tmp_path.iterdir()) == [link]
+
+
+def test_out_writes_into_a_fifo(tmp_path, capsys):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert _count_to(str(fifo), capsys) == (0, "", "")
+    reader.join(timeout=60)
+    assert received == [_AD_A2]
+    assert stat.S_ISFIFO(fifo.stat().st_mode) and list(tmp_path.iterdir()) == [fifo]
+
+
 # the record flag each --class token keeps, read off an unfiltered sweep
 RECORD_CLASSES = {
     "all": lambda rec: True,
@@ -636,9 +684,17 @@ def test_main_builds_one_parser_tree_for_many_calls(capsys, monkeypatch):
     assert tree == 1 + len(cli._HANDLERS)  # the top level and one per subcommand
     made.clear()
     cli._parser.cache_clear()
+    # well-formed calls are read without argparse
     argvs = [["count", "--type", "A", "--rank", "3", "--quantity", q]
              for q in ("AD", "AD0", "minimax")]
     assert [code for code, _, _ in _outcomes(argvs, capsys)] == [0, 0, 0]
+    assert made == []
+    assert cli._parser.cache_info().misses == 0
+    # calls that need argparse share one tree
+    argvs = [["count", "--type", "A", "--rank=3", "--quantity", "AD"],
+             ["count", "--type", "A", "--rank", "x", "--quantity", "AD"],
+             ["count", "--type=A", "--rank", "4", "--quantity", "AD0"]]
+    assert [code for code, _, _ in _outcomes(argvs, capsys)] == [0, 2, 0]
     assert len(made) == tree
     assert cli._parser.cache_info().misses == 1
 
@@ -699,3 +755,112 @@ def test_parser_cache_is_lazy_and_cleared_with_the_package_caches():
         if callable(getattr(value, "cache_clear", None)):
             value.cache_clear()
     assert cli._parser.cache_info().currsize == 0
+
+
+# a valid call of every command, with its required options
+WELL_FORMED = [
+    ["enumerate", "--type", "B", "--rank", "3"],
+    ["enumerate", "--rank", "4", "--type", "C", "--class", "minimax,abelian",
+     "--format", "json", "--force", "--stats", "--out", "x.json", "--force"],
+    ["classify", "--type", "A", "--rank", "2", "--generators", "[[1,1]]",
+     "--format", "json"],
+    ["count", "--type", "E8", "--rank", " 8", "--quantity", "heisenberg_nontrivial",
+     "--format", "csv"],
+    ["count", "--type", "A", "--rank", "+1_0", "--quantity", "AD", "--type", "D"],
+    ["verify", "--suite", "all", "--stats", "--out", ""],
+    ["tables"],
+    ["tables", "--which", "fmm", "--out", "t.txt"],
+]
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED)
+def test_read_args_reads_well_formed_calls_as_argparse_does(argv):
+    args = cli._read_args(argv)
+    assert args is not None
+    assert vars(args) == vars(cli.make_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    [b"count"],  # not a str
+    ["count", "--type", "A", "--rank", 3, "--quantity", "AD"],
+    ["bogus", "--type", "A"],  # not a command
+    ["--type", "A", "count"],
+    ["count", "--type", "A", "--rank", "3", "--quantity", "AD", "--class", "all"],
+    ["count", "--ty", "A", "--rank", "3", "--quantity", "AD"],  # abbreviated
+    ["count", "--type=A", "--rank", "3", "--quantity", "AD"],
+    ["count", "-h"],
+    ["count", "--help"],
+    ["count", "--", "--type", "A", "--rank", "3", "--quantity", "AD"],
+    ["count", "--type", "A", "--rank", "3", "--quantity"],  # missing value
+    ["count", "--type", "A", "--rank", "-3", "--quantity", "AD"],  # value starts with -
+    ["enumerate", "--type", "A", "--rank", "3", "--out", "-"],
+    ["count", "--type", "X", "--rank", "3", "--quantity", "AD"],  # outside the choices
+    ["count", "--type", "A", "--rank", "x", "--quantity", "AD"],  # int() fails
+    ["count", "--type", "A", "--rank", "", "--quantity", "AD"],
+    ["count", "--type", "A", "--quantity", "AD"],  # missing required option
+    ["classify", "--type", "A", "--rank", "2"],
+    ["tables", "--which", "all", "sequences"],  # a stray value
+    ["enumerate", "--type", "A", "--rank", "2", "--force", "yes"],
+])
+def test_read_args_leaves_every_other_argv_to_argparse(argv):
+    assert cli._read_args(argv) is None
+
+
+_OPTION_STRINGS = sorted({o[0] for _, options in cli._COMMANDS.values() for o in options})
+_VALUES = ["A", "D", "E8", "G2", "X", "a", "3", "0", " 5", "-3", "+4", "1_0", "", "x",
+           "json", "text", "csv", "xml", "AD", "AD0", "minimax", "heisenberg_nontrivial",
+           "all", "abelian,minimax", "sequences", "f4", "fmm", "[[1,1]]", "[]",
+           '[[1,0],[0,1]]', "[[1,", "out.txt"] + list(V.SUITE_NAMES)
+_DASHED = ["-3", "-", "-h", "--help", "--", "--ty", "--stats", "--type"]
+_NOISE = ["--ty", "--ra", "--quant", "--form", "--rank=3", "--type=A", "--format=json",
+          "-h", "--help", "--", "count", "tables"]
+# (option, value) pairs that some command reads, and its flags alone
+_GOOD = [["--type", "A"], ["--type", "E8"], ["--rank", "3"], ["--rank", " 5"],
+         ["--rank", "+4"], ["--rank", "1_0"], ["--quantity", "AD0"],
+         ["--quantity", "heisenberg_nontrivial"], ["--generators", "[[1,1]]"],
+         ["--class", "abelian,minimax"], ["--format", "json"], ["--format", "csv"],
+         ["--out", "out.txt"], ["--out", ""], ["--suite", V.SUITE_NAMES[0]],
+         ["--which", "f4"], ["--force"], ["--stats"]]
+# valid pairs that give every option a command requires
+_SYSTEM = [["--type", "A"], ["--rank", "3"]]
+_REQUIRED = {"enumerate": _SYSTEM, "classify": _SYSTEM + [["--generators", "[[1,1]]"]],
+             "count": _SYSTEM + [["--quantity", "AD"]]}
+
+
+@st.composite
+def _argvs(draw):
+    """A command, most of the options it requires, pairs that some command reads,
+    and now and then a pair or token from the whole vocabulary, shuffled."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS) + ["bogus", "-h", "--help"]))
+    required = _REQUIRED.get(command, [])
+    pairs = draw(st.permutations(required))[:draw(st.sampled_from([3, 3, 3, 2, 0]))]
+    pairs += draw(st.lists(st.sampled_from(_GOOD), max_size=4))
+    if draw(st.booleans()):
+        pairs += draw(st.lists(st.one_of(
+            st.tuples(st.sampled_from(_OPTION_STRINGS), st.sampled_from(_VALUES)),
+            st.tuples(st.sampled_from(_OPTION_STRINGS), st.sampled_from(_DASHED)),
+            st.tuples(st.sampled_from(_OPTION_STRINGS + _NOISE + _VALUES))),
+            min_size=1, max_size=2))
+    return [command] + [t for pair in draw(st.permutations(pairs)) for t in pair]
+
+
+_ORACLE = cli.make_parser()
+
+
+@given(_argvs())
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+def test_read_args_agrees_with_argparse(argv):
+    args = cli._read_args(argv)
+    if args is not None:
+        # a SystemExit here is a usage error that the reader let through
+        assert vars(args) == vars(_ORACLE.parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", MIXED_CALLS + [["--help"], ["-h"]] + [
+    [command, flag] for command in cli._COMMANDS for flag in ("--help", "-h")])
+def test_main_gives_the_same_bytes_with_and_without_the_reader(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    direct = _outcomes([argv], capsys)
+    monkeypatch.setattr(cli, "_read_args", lambda argv: None)
+    assert _outcomes([argv], capsys) == direct
