@@ -24,9 +24,8 @@ that a matrix lies in the finite Weyl group W.
 The minimal element of an ideal I is the one whose inversion set is
 {m*delta - gamma : gamma in I, 1 <= m <= l(gamma, I)}; the maximal
 element of a strictly positive I uses k(gamma, I) - 1 instead.  Both
-are walked straight from the l- or k-table: a step may add a root
-m*delta - gamma exactly when m is within the table's value at gamma, so
-these inversion sets are never listed.
+are walked from the l- or k-table, packed into one set of integers
+(`_level_set`): a step may add a root exactly when it is in the set.
 
 An ideal's record needs only three fields of w = w_min(I): the rootlet,
 x = v(r) and its coweight coordinates y.  `_w_min_fields` reads them off
@@ -74,7 +73,6 @@ the classes that keep nearly every ideal.
 """
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
@@ -238,6 +236,7 @@ def act_affine_root(w: AffineWeylElement, beta: AffineRoot) -> AffineRoot:
 
 def act_point(w: AffineWeylElement, x):
     """The affine-linear action on V: w * x = v(x + r)."""
+    from fractions import Fraction
     shifted = tuple(Fraction(a) + b for a, b in zip(x, w.r))
     return w.v.act(shifted)
 
@@ -397,11 +396,11 @@ def _affine_simple_data(rs: RootSystem):
 
 
 @lru_cache(maxsize=None)
-def _negative_root_index(rs: RootSystem):
-    """{-gamma packed: the index of gamma} over the positive roots gamma,
-    packed as the finite part of an affine root (the p lowest digits)."""
+def _packed_positive_roots(rs: RootSystem):
+    """The positive roots in root order, each packed as the finite part of an
+    affine root (the p lowest digits)."""
     low = _affine_simple_data(rs)[0][1:]
-    return {-sum(map(mul, mu.coords, low)): idx for idx, mu in enumerate(rs.positive_roots)}
+    return tuple(sum(map(mul, mu.coords, low)) for mu in rs.positive_roots)
 
 
 @lru_cache(maxsize=None)
@@ -568,33 +567,32 @@ def _grow(rs: RootSystem, word) -> AffineWeylElement:
     return w
 
 
-def _walk(rs: RootSystem, wanted, size):
+def _walk(rs: RootSystem, target):
     """The images beta_j = u^{-1}(alpha_j), j = 0..p, and the steps of
-    u = `_grow(rs, steps)`, the element whose inversion set is the `size`
-    packed positive affine roots that `wanted` holds for; ValueError when
-    they form none.
+    u = `_grow(rs, steps)`, the element whose inversion set is the set
+    `target` of packed positive affine roots; ValueError when it is none.
 
     u grows from the identity by one root per step: s_i adds exactly beta_i
     when it is positive, since then N(s_i u) = N(u) + {beta_i}, so any
-    wanted positive beta_i will do, in any order, and the set is no
-    inversion set when none is left before `size` steps.  s_i moves the
+    positive beta_i in `target` will do, in any order, and the set is no
+    inversion set when none is left before |target| steps.  s_i moves the
     images by beta_j -> beta_j - (alpha_j, alpha_i^vee) beta_i; beta_i turns
     negative, so only its Cartan-column neighbours are tested again.  The
-    walk ends on the KeyError of `ready.pop()`, so `wanted` must raise none.
+    walk ends on the KeyError of `ready.pop()`.
     """
     simples = _affine_simple_data(rs)[1]
     beta = [packed for packed, _, _ in simples]
-    ready = {j for j, b in enumerate(beta) if b > 0 and wanted(b)}
+    ready = {j for j, b in enumerate(beta) if b > 0 and b in target}
     steps = []
     step = steps.append
     try:
-        for _ in range(size):
+        for _ in range(len(target)):
             i = ready.pop()
             step(i)
             b = beta[i]
             for j, a in simples[i][2]:
                 bj = beta[j] = beta[j] - a * b
-                if bj > 0 and wanted(bj):
+                if bj > 0 and bj in target:
                     ready.add(j)
                 else:
                     ready.discard(j)
@@ -612,29 +610,21 @@ def element_from_inversions(rs: RootSystem, affine_roots) -> AffineWeylElement:
     weights = _affine_simple_data(rs)[0]
     top, low = weights[0], weights[1:]
     target = {sum(map(mul, b.finite, low), b.level * top) for b in affine_roots}
-    return _grow(rs, _walk(rs, target.__contains__, len(target))[1])
+    return _grow(rs, _walk(rs, target)[1])
 
 
-def _level_test(rs: RootSystem, levels):
-    """The test, on packed positive affine roots b, for membership in
-    {m*delta - gamma_k : 1 <= m <= levels[k]}: b's level digit m (rounded,
-    since the finite digits below it are signed) and its finite part, looked
-    up as -gamma_k, satisfy m <= levels[k]."""
-    shift = _SHIFT * rs.rank
-    half = 1 << (shift - 1)
-    minus = _negative_root_index(rs)
-
-    def wanted(b):
-        m = (b + half) >> shift
-        k = minus.get(b - (m << shift))
-        return k is not None and m <= levels[k]
-
-    return wanted
+def _level_set(rs: RootSystem, levels):
+    """The packed set {m*delta - gamma_k : 1 <= m <= levels[k]}, where a level
+    of None, as in an l-table, counts as 0."""
+    top = _affine_simple_data(rs)[0][0]
+    return {m * top - g for g, level in zip(_packed_positive_roots(rs), levels)
+            if level for m in range(1, level + 1)}
 
 
 def _grow_to_levels(rs: RootSystem, levels) -> AffineWeylElement:
-    """The element whose inversion set is {m*delta - gamma_k : 1 <= m <= levels[k]}."""
-    return _grow(rs, _walk(rs, _level_test(rs, levels), sum(levels))[1])
+    """The element whose inversion set is {m*delta - gamma_k : 1 <= m <= levels[k]},
+    a level of None counting as 0."""
+    return _grow(rs, _walk(rs, _level_set(rs, levels))[1])
 
 
 @lru_cache(maxsize=None)
@@ -657,8 +647,7 @@ def _w_min_fields(ideal: Ideal, l_table):
     w = `w_min(ideal)`, read off w's images without building w, as the
     module docstring derives; `l_table` is `ideals._l_table(ideal)`."""
     rs = ideal.rs
-    levels = [m or 0 for m in l_table]
-    beta = _walk(rs, _level_test(rs, levels), sum(levels))[0]
+    beta = _walk(rs, _level_set(rs, l_table))[0]
     shift, neighbours = _image_record_data(rs)
     half = 1 << (shift - 1)
     y, pairs = [], []
@@ -680,7 +669,7 @@ def w_min(ideal: Ideal, l_table=None) -> AffineWeylElement:
     is `ideals._l_table(ideal)`, already computed."""
     if l_table is None:
         l_table = _ideals._l_table(ideal)
-    return _grow_to_levels(ideal.rs, [m or 0 for m in l_table])
+    return _grow_to_levels(ideal.rs, l_table)
 
 
 def w_max(ideal: Ideal) -> AffineWeylElement:
@@ -733,6 +722,7 @@ def lattice_image(w: AffineWeylElement):
 
 def alcove_barycenter(rs: RootSystem):
     """Barycenter of the fundamental alcove (vertices 0 and varpi_i^vee / c_i)."""
+    from fractions import Fraction
     p = rs.rank
     total = [Fraction(0)] * p
     for i in range(p):

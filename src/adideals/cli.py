@@ -7,11 +7,17 @@ Output is deterministic: identical invocations produce identical bytes.
 The grammar is one table, `_COMMANDS`, from which `make_parser` builds the
 argparse tree.  `main` reads a well-formed call (a command followed by exact
 option strings, each with one value or standing alone as a flag) straight off
-the table, into the namespace argparse would return.  Every other call (help,
-abbreviations, `--opt=value`, usage errors) goes to argparse, whose tree `main`
-builds the first time it needs one and reuses for the rest of the process:
-`parse_args` leaves the parser unchanged, and help text is formatted when
-printed.  `make_parser` still builds a fresh one.
+the table: `_read_args` returns a `types.SimpleNamespace` holding the vars
+argparse would give.  Every other call (help, abbreviations, `--opt=value`,
+usage errors) goes to argparse, whose tree `main` builds the first time it
+needs one and reuses for the rest of the process: `parse_args` leaves the
+parser unchanged, and help text is formatted when printed.  `make_parser`
+still builds a fresh one.
+
+argparse is imported only when a call needs it, and so are `csv` (`--format
+csv`), `tempfile` (`--out`), `json` (JSON output, `--stats` and classify's
+`--generators`) and `classical_types` (`tables --which fmm|all`), so that a
+cold import loads none of them and a well-formed call only what it uses.
 
 `enumerate --stats` and `verify --stats` write one JSON object to stderr
 when the command completes: the seconds of enumerate's stages (build, with
@@ -25,22 +31,17 @@ JSON output is written by `_json_text`, byte for byte what
 pure-Python encoder that `indent` selects.
 """
 
-import argparse
-import csv
 import functools
 import io
-import json
 import os
 import stat
 import sys
-import tempfile
-from json.encoder import encode_basestring_ascii as _encode_str
 from time import perf_counter
+from types import SimpleNamespace
 
 from .rootsys import TYPES, Root, build
 from . import ideals as I
 from . import affine as A
-from . import classical_types as C
 from . import lattice_count as L
 from . import verify as V
 
@@ -179,14 +180,20 @@ def _stats_records(records, seconds, counters):
         yield rec
 
 
-def _json_text(obj, indent=""):
-    """`json.dumps(obj, indent=1, sort_keys=True)`, nested `indent` deep,
-    without the pure-Python encoder that `indent` selects: dicts with str
-    keys, lists, str, int, bool and None are written here, int lists by one
-    join, and any other value by `json.dumps`."""
+def _json_text(obj):
+    """`json.dumps(obj, indent=1, sort_keys=True)`, without the pure-Python
+    encoder that `indent` selects."""
+    from json.encoder import encode_basestring_ascii
+    return _json_nested(obj, "", encode_basestring_ascii)
+
+
+def _json_nested(obj, indent, encode_str):
+    """`_json_text(obj)` nested `indent` deep, strings written by `encode_str`:
+    dicts with str keys, lists, str, int, bool and None are written here, int
+    lists by one join, and any other value by `json.dumps`."""
     kind = type(obj)
     if kind is str:
-        return _encode_str(obj)
+        return encode_str(obj)
     if kind is int:
         return str(obj)
     if kind is bool:
@@ -201,13 +208,15 @@ def _json_text(obj, indent=""):
         if {*map(type, obj)} == _INT_ONLY:
             body = sep.join(map(str, obj))
         else:
-            body = sep.join([_json_text(x, inner) for x in obj])
+            body = sep.join([_json_nested(x, inner, encode_str) for x in obj])
         return "[\n" + inner + body + "\n" + indent + "]"
     if kind is dict and obj and {*map(type, obj)} == _STR_ONLY:
         inner = indent + " "
         return "{\n" + inner + (",\n" + inner).join([
-            _encode_str(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)
+            encode_str(k) + ": " + _json_nested(obj[k], inner, encode_str)
+            for k in sorted(obj)
         ]) + "\n" + indent + "}"
+    import json
     # the encoder escapes every newline inside a string, so each "\n" it
     # writes starts a line, which the nesting indents
     return json.dumps(obj, indent=1, sort_keys=True).replace("\n", "\n" + indent)
@@ -221,6 +230,7 @@ def _write_json(out, obj):
 
 
 def _write_stats(command, seconds, counters, **fields):
+    import json
     print(json.dumps({"command": command, "seconds": seconds, "counters": counters,
                       **fields}, sort_keys=True), file=sys.stderr)
 
@@ -276,6 +286,7 @@ def cmd_enumerate(args, out) -> int:
         payload["count"] = len(payload["records"])
         _write_json(out, payload)
     elif args.format == "csv":
+        import csv
         writer = csv.writer(out)
         writer.writerow(["generators", "size", "strictly_positive", "abelian",
                          "minimax", "heisenberg_contained", "rootlet_level",
@@ -308,6 +319,7 @@ def cmd_enumerate(args, out) -> int:
 
 
 def cmd_classify(args, out) -> int:
+    import json
     rs = build(args.type, args.rank)
     try:
         gens = json.loads(args.generators)
@@ -331,6 +343,7 @@ def cmd_count(args, out) -> int:
     if args.format == "json":
         _write_json(out, report._asdict())
     elif args.format == "csv":
+        import csv
         writer = csv.writer(out)
         writer.writerow(["type", "rank", "quantity", "value", "method",
                          "congruence_applied"])
@@ -400,6 +413,7 @@ def cmd_tables(args, out) -> int:
                 " ".join("[%s]" % ",".join(map(str, g)) for g in row["generators"]),
                 row["size"], row["size2"], row["w_alpha0"], row["y"]))
     if which in ("fmm", "all"):
+        from . import classical_types as C
         for n in range(1, 7):
             out.write("F_mm(A%d) = %s\n" % (n, C.generating_function_Fmm("A", n)))
         for n in range(2, 7):
@@ -455,7 +469,8 @@ _COMMANDS = {
 }
 
 
-def make_parser() -> argparse.ArgumentParser:
+def make_parser() -> "argparse.ArgumentParser":
+    import argparse
     parser = argparse.ArgumentParser(
         prog="adideals",
         description="Ideals of positive root posets: enumeration, minimax "
@@ -487,14 +502,14 @@ _READER = {
 
 
 def _read_args(argv):
-    """The namespace `_parser().parse_args(argv)` returns, read off `_COMMANDS`
+    """A namespace with the vars of `_parser().parse_args(argv)`, read off `_COMMANDS`
     when argv is a command followed by exact option strings, each with one value
     that does not start with "-" or standing alone as a flag; None for any other
     argv (help, abbreviations, --opt=value, usage errors), which argparse reads."""
     if not argv or type(argv[0]) is not str or argv[0] not in _READER:
         return None
     lookup, defaults, required = _READER[argv[0]]
-    args = argparse.Namespace(command=argv[0])
+    args = SimpleNamespace(command=argv[0])
     values = vars(args)
     values.update(defaults)
     tokens = iter(argv)
@@ -537,19 +552,21 @@ def _write_out(path: str, text: str) -> None:
     """Write text to path, following symlinks.  A regular file, or a path that
     does not exist yet, is written through a temporary file in its directory that
     is renamed over it, so that it holds either its old content or all of text;
-    anything else, such as a FIFO, is written directly."""
+    the file keeps its mode, and a new one gets 0666 less the umask.  Anything
+    else, such as a FIFO, is written directly."""
+    import tempfile
     target = os.path.realpath(path)
     try:
         try:
-            regular = stat.S_ISREG(os.stat(target).st_mode)
+            mode = os.stat(target).st_mode
         except FileNotFoundError:
-            regular = True
-        if not regular:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = stat.S_IFREG | 0o666 & ~umask
+        if not stat.S_ISREG(mode):
             with open(target, "w") as fh:
                 fh.write(text)
             return
-        umask = os.umask(0)
-        os.umask(umask)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
                                    prefix=".adideals-", suffix=".tmp")
     except OSError as exc:
@@ -557,7 +574,7 @@ def _write_out(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        os.chmod(tmp, 0o666 & ~umask)
+        os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, target)
     except OSError as exc:
         os.unlink(tmp)

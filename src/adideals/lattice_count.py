@@ -21,7 +21,6 @@ products of integer fractions divided once, with a remainder raising.
 import itertools
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .rootsys import RootSystem
 from .ideals import enumerate_ideals
@@ -71,6 +70,7 @@ def d_mm_contains(rs: RootSystem, x) -> bool:
 
 def coweight_point(rs: RootSystem, y):
     """sum y_i varpi_i^vee as a coordinate vector over the simple roots."""
+    from fractions import Fraction
     out = [Fraction(0)] * rs.rank
     for i, yi in enumerate(y):
         if yi:

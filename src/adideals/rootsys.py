@@ -34,7 +34,6 @@ import math
 import struct
 from bisect import bisect_right
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property
 from operator import add
 
@@ -188,6 +187,7 @@ def _positive_root_keys(cartan, sq):
 
 def _invert_fraction_matrix(m):
     """Inverse of a square matrix over the rationals (Gauss-Jordan)."""
+    from fractions import Fraction
     n = len(m)
     a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(m)]
@@ -232,16 +232,16 @@ class RootSystem:
     """Immutable Cartan/root data for one simple type.
 
     Computed once at construction: the positive roots in their
-    deterministic order, the highest root, exponents, the root lengths and
-    two order tables: `up_masks` (the roots at or above each root) and
-    `strict_down_masks`.  Every other order set (Xi, incomparable roots,
-    the Heisenberg ideal) is read off them by its user.  The roots, their
-    norms (for `long_mask`) and their covers (for the order tables) come
-    from `_positive_root_keys` on packed keys; the keys are kept in
-    `_keys`, the carried pairings stay local to the constructor, and
-    `_index` maps coordinate tuples.  The two-root decompositions (probed
-    on the kept keys) and the fundamental coweights are computed on first
-    use, since counting reads neither.
+    deterministic order, the highest root, exponents and two order tables:
+    `up_masks` (the roots at or above each root) and `strict_down_masks`.
+    Every other order set (Xi, incomparable roots, the Heisenberg ideal) is
+    read off them by its user.  The roots, their norms (for `long_mask`)
+    and their covers (for the order tables) come from `_positive_root_keys`
+    on packed keys; the keys are kept in `_keys`, the carried pairings stay
+    local to the constructor, and `_index` maps coordinate tuples.  The
+    two-root decompositions (probed on the kept keys), the fundamental
+    coweights and the simple root lengths are computed on first use, since
+    counting reads none of them, and a build makes no Fraction.
     Inner products and pairings are computed on demand from one integer
     Gram matrix, read off the type's row of `TYPES`.  Use the module-level
     `build` (which caches) rather than the constructor.
@@ -253,7 +253,6 @@ class RootSystem:
         self.rank = rank
         self._gram_num = gram
         self._gram_den = den
-        self.lengths = tuple(Fraction(2, r) for r in ratios)
         # x_j alpha_j = (x_j / r_j) alpha_j^vee is in the coroot lattice iff r_j | x_j
         self._coroot_moduli = ratios
         sq = [gram[i][i] for i in range(rank)]
@@ -317,6 +316,12 @@ class RootSystem:
                                self.strict_down_masks)
 
     @cached_property
+    def lengths(self):
+        """The squared lengths |alpha_i|^2 = 2 / r_i of the simple roots."""
+        from fractions import Fraction
+        return tuple(Fraction(2, r) for r in self._coroot_moduli)
+
+    @cached_property
     def coweight_basis(self):
         """The fundamental coweights varpi_i^vee in root coordinates."""
         # varpi_i^vee is the i-th column of gram^{-1} = _gram_den * _gram_num^{-1}
@@ -353,8 +358,9 @@ class RootSystem:
                 num += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
         return num
 
-    def bilinear(self, x, y) -> Fraction:
+    def bilinear(self, x, y) -> "Fraction":
         """Invariant inner product of two rational coordinate vectors."""
+        from fractions import Fraction
         return Fraction(self._gram_product(x, y), self._gram_den)
 
     def pairing(self, gamma: Root, nu: Root) -> int:
@@ -379,6 +385,7 @@ class RootSystem:
             coords = tuple(x)
         except TypeError:
             coords = ()
+        from fractions import Fraction
         if len(coords) != self.rank or not all(
                 type(c) is int or isinstance(c, Fraction) for c in coords):
             raise ValueError("a coroot-lattice test in %s needs %d int or Fraction "

@@ -349,7 +349,7 @@ def test_image_walk_rejects_a_level_table_that_is_no_inversion_set():
     # {delta - alpha_1} again, as levels
     levels = [int(mu == rs.alpha(0)) for mu in rs.positive_roots]
     with pytest.raises(ValueError, match="bi-convex"):
-        A._walk(rs, A._level_test(rs, levels), 1)
+        A._walk(rs, A._level_set(rs, levels))
 
 
 @pytest.mark.parametrize("label,rank", systems_up_to(4))
@@ -362,7 +362,7 @@ def test_image_walk_ends_at_the_images_of_the_grown_inverse(label, rank):
         w_inv = A._grow_to_levels(rs, levels).inverse()
         images = [A.act_affine_root(w_inv, A.simple_affine_root(rs, j))
                   for j in range(rank + 1)]
-        assert A._walk(rs, A._level_test(rs, levels), sum(levels))[0] == [
+        assert A._walk(rs, A._level_set(rs, levels))[0] == [
             sum(map(mul, (b.level,) + b.finite, weights)) for b in images]
 
 

@@ -593,6 +593,19 @@ def test_out_writes_into_a_fifo(tmp_path, capsys):
     assert stat.S_ISFIFO(fifo.stat().st_mode) and list(tmp_path.iterdir()) == [fifo]
 
 
+def test_out_keeps_the_mode_of_an_existing_file(tmp_path, capsys):
+    target, hard = tmp_path / "report.txt", tmp_path / "hard.txt"
+    target.write_text("old\n")
+    target.chmod(0o600)
+    os.link(target, hard)
+    assert _count_to(str(target), capsys) == (0, "", "")
+    assert target.read_text() == _AD_A2
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    # the file is replaced, not rewritten in place, so a hard link keeps the old content
+    assert hard.read_text() == "old\n"
+    assert sorted(tmp_path.iterdir()) == [hard, target]
+
+
 # the record flag each --class token keeps, read off an unfiltered sweep
 RECORD_CLASSES = {
     "all": lambda rec: True,

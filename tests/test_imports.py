@@ -43,6 +43,38 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout == "[]\n"
 
 
+# modules that a well-formed count and the counting and enumeration paths never
+# use, imported by the functions that need them
+DEFERRED = ("argparse", "gettext", "csv", "tempfile", "fractions", "decimal", "numbers",
+            "json", "adideals.classical_types")
+
+_COLD_CALLS = """
+import io, sys
+sys.path.insert(0, sys.argv[1])
+deferred = set(sys.argv[2:])
+before = set(sys.modules)
+import adideals.cli
+print(sorted(deferred & set(sys.modules) - before))
+from adideals import cli, enumerate_ideals, build
+sys.stdout, out = io.StringIO(), sys.stdout
+code = cli.main(["count", "--type", "E8", "--rank", "8", "--quantity", "minimax"])
+text, sys.stdout = sys.stdout.getvalue(), out
+print(code, text.split()[3], len(list(enumerate_ideals(build("E8", 8), "minimax"))))
+print(sorted(deferred & set(sys.modules) - before))
+"""
+
+
+def test_cli_import_and_counting_load_no_deferred_module():
+    # a cold, isolated interpreter; a module its start-up already loaded
+    # is not counted against the package
+    src = os.path.dirname(os.path.dirname(os.path.abspath(adideals.__file__)))
+    proc = subprocess.run([sys.executable, "-I", "-c", _COLD_CALLS, src, *DEFERRED],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # E8 has 834 minimax ideals, counted and enumerated
+    assert proc.stdout.splitlines() == ["[]", "0 value=834 834", "[]"]
+
+
 def test_value_classes_are_immutable_tuples_with_field_reprs():
     rs = build("A", 2)
     report = L.count_AD(rs)

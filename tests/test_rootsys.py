@@ -271,14 +271,17 @@ def test_packed_build_matches_tuple_oracle(label, rank):
 @pytest.mark.parametrize("label,rank", [("A", 5), ("D", 6), ("G2", 2), ("F4", 4), ("E8", 8)])
 def test_fresh_build_holds_only_the_listed_tables(label, rank):
     # a new eager table needs an oracle in `tuple_root_system`; the lazy
-    # properties are not stored before their first read
+    # properties, `lengths` among them, are not stored before their first read
     rs = RootSystem(label, rank)
-    fresh = set(ROOT_SYSTEM_TABLES) | {"rank", "type_label", "_keys", "_coroot_moduli"}
+    fresh = (set(ROOT_SYSTEM_TABLES) - {"lengths"}
+             | {"rank", "type_label", "_keys", "_coroot_moduli"})
     assert set(vars(rs)) == fresh
     # the abelian test reads the decompositions and no table of its own
     for ideal in enumerate_ideals(rs):
         is_abelian(ideal)
     assert set(vars(rs)) == fresh | {"decompositions"}
+    assert rs.lengths == tuple_root_system(label, rank).lengths
+    assert set(vars(rs)) == fresh | {"decompositions", "lengths"}
 
 
 def test_rank_100_builds_in_seconds():
