@@ -70,6 +70,9 @@ addition per root along the parent table gamma = gamma' + alpha_k, as
 and y and x = `_from_coweights(rs, y)` are the point itself.  No l-table
 is built and no element is grown, so `enumerate` takes this route for
 the classes that keep nearly every ideal.
+
+Both routes read root coordinates off the integer table h^vee varpi^vee
+of `RootSystem._coweights`, so a record makes no Fraction.
 """
 
 import math
@@ -403,32 +406,23 @@ def _packed_positive_roots(rs: RootSystem):
     return tuple(sum(map(mul, mu.coords, low)) for mu in rs.positive_roots)
 
 
-@lru_cache(maxsize=None)
-def _coweight_matrix(rs: RootSystem):
-    """A denominator D and the columns of the integer matrix D * varpi^vee,
-    whose row k holds the root coordinates of D varpi_k^vee."""
-    basis = rs.coweight_basis
-    den = math.lcm(*(x.denominator for row in basis for x in row))
-    return den, tuple(zip(*((int(den * x) for x in row) for row in basis)))
-
-
 def _from_coweights(rs: RootSystem, y):
     """The root coordinates of sum y_k varpi_k^vee, a vector with integer
-    coordinates (a coroot-lattice point or a root)."""
-    den, columns = _coweight_matrix(rs)
-    return tuple(sum(map(mul, y, col)) // den for col in columns)
+    coordinates (a coroot-lattice point or a root), by `RootSystem._coweights`."""
+    dual, table = rs._coweights
+    return tuple(sum(map(mul, y, col)) // dual for col in table)
 
 
 @lru_cache(maxsize=None)
 def _coweight_classes(rs: RootSystem):
     """P^vee / Q^vee as class indices, 0 the class of Q^vee: per coweight
     varpi_i^vee, the table mapping a class to that class plus varpi_i^vee.
-    A class is the vector of root coordinates of `_coweight_matrix`, reduced
-    modulo D times `rs._coroot_moduli`, as the coordinate k of a
-    coroot-lattice point is a multiple of its modulus."""
-    den, columns = _coweight_matrix(rs)
-    mods = [den * m for m in rs._coroot_moduli]
-    steps = [[c % n for c, n in zip(row, mods)] for row in zip(*columns)]
+    A class is row i of `RootSystem._coweights`, reduced modulo h^vee times
+    `rs._coroot_moduli`, as the coordinate k of a coroot-lattice point is a
+    multiple of its modulus."""
+    dual, rows = rs._coweights
+    mods = [dual * m for m in rs._coroot_moduli]
+    steps = [[c % n for c, n in zip(row, mods)] for row in rows]
     classes = [(0,) * rs.rank]
     index = {classes[0]: 0}
     add = [[] for _ in steps]
@@ -723,12 +717,11 @@ def lattice_image(w: AffineWeylElement):
 def alcove_barycenter(rs: RootSystem):
     """Barycenter of the fundamental alcove (vertices 0 and varpi_i^vee / c_i)."""
     from fractions import Fraction
-    p = rs.rank
-    total = [Fraction(0)] * p
-    for i in range(p):
-        for j in range(p):
-            total[j] += rs.coweight_basis[i][j] / rs.theta_coords[i]
-    return tuple(x / (p + 1) for x in total)
+    dual, table = rs._coweights
+    marks = rs.theta_coords
+    lcm = math.lcm(*marks)
+    return tuple(Fraction(sum(x * (lcm // c) for x, c in zip(col, marks)),
+                          dual * (rs.rank + 1) * lcm) for col in table)
 
 
 def alcove_image_barycenter(w: AffineWeylElement):

@@ -21,6 +21,7 @@ products of integer fractions divided once, with a remainder raising.
 import itertools
 import math
 from collections import namedtuple
+from operator import mul
 
 from .rootsys import RootSystem
 from .ideals import enumerate_ideals
@@ -69,14 +70,12 @@ def d_mm_contains(rs: RootSystem, x) -> bool:
 
 
 def coweight_point(rs: RootSystem, y):
-    """sum y_i varpi_i^vee as a coordinate vector over the simple roots."""
+    """sum y_i varpi_i^vee as a Fraction vector over the simple roots; y must
+    hold rank many int or Fraction coordinates (ValueError otherwise)."""
     from fractions import Fraction
-    out = [Fraction(0)] * rs.rank
-    for i, yi in enumerate(y):
-        if yi:
-            for j in range(rs.rank):
-                out[j] += yi * rs.coweight_basis[i][j]
-    return tuple(out)
+    y = rs._rational_coords(y, "a coweight point")
+    dual, table = rs._coweights
+    return tuple(Fraction(sum(map(mul, y, col)), dual) for col in table)
 
 
 # -- the {-1,0,1} systems ---------------------------------------------------

@@ -35,7 +35,7 @@ import struct
 from bisect import bisect_right
 from collections import namedtuple
 from functools import cached_property
-from operator import add
+from operator import add, mul
 
 __all__ = ["TYPES", "Root", "AffineRoot", "RootSystem", "build"]
 
@@ -185,24 +185,6 @@ def _positive_root_keys(cartan, sq):
             [[position[c] for c in covers[k]] for k in keys], sizes)
 
 
-def _invert_fraction_matrix(m):
-    """Inverse of a square matrix over the rationals (Gauss-Jordan)."""
-    from fractions import Fraction
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
-
-
 def _decompositions(keys, heights, strict_down):
     """Per root k, the pairs (a, b), a <= b, with root a + root b = root k.
 
@@ -241,7 +223,9 @@ class RootSystem:
     local to the constructor, and `_index` maps coordinate tuples.  The
     two-root decompositions (probed on the kept keys), the fundamental
     coweights and the simple root lengths are computed on first use, since
-    counting reads none of them, and a build makes no Fraction.
+    counting reads none of them, and a build makes no Fraction.  The
+    coweights take no inverse: h^vee varpi_k^vee = sum_{beta > 0} beta_k beta,
+    h^vee = 1 + sum c_i / r_i (Kac, 6.1 and Table Aff; `_coweights`).
     Inner products and pairings are computed on demand from one integer
     Gram matrix, read off the type's row of `TYPES`.  Use the module-level
     `build` (which caches) rather than the constructor.
@@ -322,11 +306,23 @@ class RootSystem:
         return tuple(Fraction(2, r) for r in self._coroot_moduli)
 
     @cached_property
+    def _coweights(self):
+        """(h^vee, M), M[k][j] = sum_{beta > 0} beta_k beta_j: row k of M holds
+        h^vee varpi_k^vee.  The Killing form is 2 h^vee times the normalised
+        form (Kac, Infinite-dimensional Lie algebras, 6.1 and Table Aff), so
+        sum_{beta > 0} (x, beta) beta = h^vee x, and (varpi_k^vee, beta) = beta_k.
+        h^vee = 1 + sum c_i / r_i, one more than the height of theta^vee."""
+        columns = tuple(zip(*(r.coords for r in self.positive_roots)))
+        dual = 1 + sum(c // r for c, r in zip(self.theta_coords, self._coroot_moduli))
+        return dual, tuple(tuple(sum(map(mul, a, b)) for b in columns) for a in columns)
+
+    @cached_property
     def coweight_basis(self):
-        """The fundamental coweights varpi_i^vee in root coordinates."""
-        # varpi_i^vee is the i-th column of gram^{-1} = _gram_den * _gram_num^{-1}
-        inv = _invert_fraction_matrix(self._gram_num)
-        return tuple(tuple(self._gram_den * x for x in col) for col in zip(*inv))
+        """The fundamental coweights varpi_i^vee in root coordinates, the
+        rows of `_coweights` over h^vee."""
+        from fractions import Fraction
+        dual, table = self._coweights
+        return tuple(tuple(Fraction(x, dual) for x in row) for row in table)
 
     # -- basic queries ----------------------------------------------------
 
@@ -378,9 +374,9 @@ class RootSystem:
             raise ValueError("%r is not in the coroot lattice of %s" % (tuple(r), self))
         return q
 
-    def in_coroot_lattice(self, x) -> bool:
-        """Whether x, rank many int or Fraction coordinates, lies in the coroot
-        lattice; ValueError for any other x."""
+    def _rational_coords(self, x, use):
+        """x as a tuple of rank many int or Fraction coordinates; ValueError,
+        naming the use, for any other x."""
         try:
             coords = tuple(x)
         except TypeError:
@@ -388,8 +384,14 @@ class RootSystem:
         from fractions import Fraction
         if len(coords) != self.rank or not all(
                 type(c) is int or isinstance(c, Fraction) for c in coords):
-            raise ValueError("a coroot-lattice test in %s needs %d int or Fraction "
-                             "coordinates, not %r" % (self, self.rank, x))
+            raise ValueError("%s in %s needs %d int or Fraction coordinates, not %r"
+                             % (use, self, self.rank, x))
+        return coords
+
+    def in_coroot_lattice(self, x) -> bool:
+        """Whether x, rank many int or Fraction coordinates, lies in the coroot
+        lattice; ValueError for any other x."""
+        coords = self._rational_coords(x, "a coroot-lattice test")
         return not any(c % m for c, m in zip(coords, self._coroot_moduli))
 
     def __repr__(self) -> str:

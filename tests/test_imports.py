@@ -16,20 +16,42 @@ from adideals import verify as V
 from adideals.rootsys import AffineRoot, build
 
 
-def test_package_imports_only_the_standard_library():
-    allowed = set(sys.stdlib_module_names) | {"adideals"}
+def _package_files():
     files = sorted(pathlib.Path(adideals.__file__).parent.glob("*.py"))
     assert files
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                assert name.split(".")[0] in allowed, "%s imports %s" % (path.name, name)
+    return files
+
+
+def _imported_modules(nodes):
+    """The module names of the Import and absolute ImportFrom nodes among nodes."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module
+
+
+def _import_time_nodes(node):
+    """The nodes below node outside function bodies; a class body runs at import."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def test_package_imports_only_the_standard_library():
+    allowed = set(sys.stdlib_module_names) | {"adideals"}
+    for path in _package_files():
+        for name in _imported_modules(ast.walk(ast.parse(path.read_text(), str(path)))):
+            assert name.split(".")[0] in allowed, "%s imports %s" % (path.name, name)
+
+
+def test_no_module_imports_fractions_at_import_time():
+    # the functions that need it import it when called, so that no record loads it
+    for path in _package_files():
+        tree = ast.parse(path.read_text(), str(path))
+        for name in _imported_modules(_import_time_nodes(tree)):
+            assert name.split(".")[0] != "fractions", path.name
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -90,3 +112,32 @@ def test_value_classes_are_immutable_tuples_with_field_reprs():
     assert repr(report) == ("CountReport(type_label='A', rank=2, quantity='AD', value=5, "
                             "method='closed_form', congruence_applied=False)")
     assert repr(values[4]) == "HeisenbergElementDescriptor(nu=Root[1,1], sign=1)"
+
+
+# a classify call and the two enumerate routes: B5 reads every record off the
+# points of D_min, the minimax, non-abelian class of C5 grows the images of w_min
+_RECORD_CALLS = """
+import io, sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+from adideals import cli
+for argv in (["classify", "--type", "E7", "--rank", "7", "--generators",
+              "[[1,2,3,4,3,2,2]]", "--format", "json"],
+             ["enumerate", "--type", "B", "--rank", "5", "--format", "json"],
+             ["enumerate", "--type", "C", "--rank", "5", "--class", "minimax,non-abelian"]):
+    sys.stdout, out = io.StringIO(), sys.stdout
+    code = cli.main(argv)
+    text, sys.stdout = sys.stdout.getvalue(), out
+    print(code, len(text.splitlines()))
+print(sorted({"fractions", "decimal", "numbers"} & set(sys.modules) - before))
+"""
+
+
+def test_records_load_no_fractions():
+    # a cold, isolated interpreter: both record routes are integer-only
+    src = os.path.dirname(os.path.dirname(os.path.abspath(adideals.__file__)))
+    proc = subprocess.run([sys.executable, "-I", "-c", _RECORD_CALLS, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # exit code and output lines per call: C5 has 20 minimax, non-abelian ideals
+    assert proc.stdout.splitlines() == ["0 52", "0 12986", "0 20", "[]"]

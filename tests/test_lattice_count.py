@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,6 +24,24 @@ def test_membership_examples():
     x = tuple(3 * Fraction(c) / theta_norm for c in rs.theta_coords)
     assert rs.bilinear(x, rs.theta_coords) == 3
     assert not L.d_mm_contains(rs, x)
+
+
+@pytest.mark.parametrize("label,rank", [("A", 20), ("B", 15), ("C", 15), ("D", 16), ("E8", 8)])
+def test_coweight_point_pairs_with_the_simple_roots_to_its_coordinates(label, rank):
+    # (varpi_i^vee, alpha_j) = delta_ij, paired by the Gram matrix
+    rs = build(label, rank)
+    rng = random.Random(rank)
+    for _ in range(4):
+        y = [rng.randint(-9, 9) for _ in range(rank)]
+        x = L.coweight_point(rs, y)
+        assert [rs.bilinear(x, rs.alpha(j).coords) for j in range(rank)] == y
+
+
+@pytest.mark.parametrize("y", [(0, 0, 0, 1), (0, 0), (), (0, 1.0, 0), (0, True, 0),
+                               (0, "1", 0), 3])
+def test_coweight_point_rejects_malformed_coordinates(y):
+    with pytest.raises(ValueError, match=r"a coweight point in .* needs 3 int or Fraction"):
+        L.coweight_point(build("A", 3), y)
 
 
 def test_base_system_examples():

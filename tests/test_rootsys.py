@@ -354,6 +354,20 @@ def test_coweight_basis_is_computed_on_first_use():
     assert rs.__dict__["coweight_basis"] is basis
 
 
+# the dual Coxeter numbers of the literature (Kac, Infinite-dimensional Lie
+# algebras, Table Aff), an oracle for the h^vee of `_coweights`
+DUAL_COXETER = {"A": lambda n: n + 1, "B": lambda n: 2 * n - 1, "C": lambda n: n + 1,
+                "D": lambda n: 2 * n - 2, "E6": lambda n: 12, "E7": lambda n: 18,
+                "E8": lambda n: 30, "F4": lambda n: 9, "G2": lambda n: 4}
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(30))
+def test_coweight_table_holds_the_dual_coxeter_number_and_is_symmetric(label, rank):
+    dual, table = build(label, rank)._coweights
+    assert dual == DUAL_COXETER[label](rank)
+    assert table == tuple(zip(*table))
+
+
 def test_pairing_examples():
     a2 = build("A", 2)
     assert a2.pairing(a2.theta, a2.theta) == 2
