@@ -10,16 +10,18 @@ and the affine-linear action on V is w * x = v(x + r).  Inversion sets,
 lengths, dominance and first layers are read off one shift per positive
 root mu, s(mu) = (mu, r) + [v(mu) < 0], with no level scanning.
 
-Two loops grow elements, one per job.  `_grow` replays a word: it
-builds u from the identity by left multiplications u -> s_i u, updating
-only the integer rows of v and summing the translations that the s_0
-steps add, so it serves words, products, inverses and the elements of
-ideals.  `_walk` grows an inversion set one root at a time on the p+1
-images u^{-1}(alpha_j) alone and returns them with the steps it took,
-which `_grow` then replays.  One peel, `_peel`, walks the other way: it
-takes the lowest right descent off the images w(alpha_j), moved by the
-walk's Cartan-column step, and so serves both reduced words and the test
-that a matrix lies in the finite Weyl group W.
+Three loops act by simple reflections, one per job.  `_grow` replays a
+word: it builds u from the identity by left multiplications u -> s_i u,
+updating only the integer rows of v and summing the translations that
+the s_0 steps add, so it serves words, products, inverses and the
+elements of ideals.  `_walk` grows u to a target inversion set one root
+at a time on the p+1 images u^{-1}(alpha_j) alone, returning them with
+the steps, which `_grow` then replays.  `_peel` sorts a vector into the
+dominant chamber by reflecting at its lowest negative entry (the numbers
+game): on the images w(alpha_j) it peels right descents, for reduced
+words and the test that a matrix lies in W; it also sorts the points of
+D_min below and ascends long roots for `heisenberg`.  `_walk` and
+`_peel` read one table, the Cartan columns of `_affine_simple_data`.
 
 The minimal element of an ideal I is the one whose inversion set is
 {m*delta - gamma : gamma in I, 1 <= m <= l(gamma, I)}; the maximal
@@ -55,7 +57,8 @@ dominant chamber, so v^{-1} is the element that sorts b - x there.  In
 coweight coordinates scaled by D = (p + 1) lcm(c), the integer vector
 z_j = D (alpha_j, b - x) = D / ((p + 1) c_j) - D y_j is sorted by the
 steps z_j -= (alpha_j, alpha_i^vee) z_i, z_i -> -z_i while some z_i < 0
-(z has no zero entry, since b - x lies on no wall).  After steps
+(`_peel`; z has no zero entry, since b - x lies on no wall, so any choice
+of steps ends at the same vector in l(v) steps).  After steps
 i_1, ..., i_t the columns of u = s_{i_1} ... s_{i_t} move by the same
 step, as u s_i(alpha_j) = u(alpha_j) - (alpha_j, alpha_i^vee) u(alpha_i), so
 each is packed below z_j as z_j*delta + u(alpha_j) and sorted with it,
@@ -156,10 +159,10 @@ def _in_weyl_group(rs: RootSystem, v) -> bool:
     if not (isinstance(v, FiniteWeylElement)
             and [[type(x) for x in row] for row in v.matrix] == [[int] * rs.rank] * rs.rank):
         return False
-    weights = _affine_simple_data(rs)[0]
+    weights, _, (columns, _) = _affine_simple_data(rs)
     cols = [sum(map(mul, col, weights[1:])) for col in zip(*v.matrix)]
     # v(alpha_0) = delta - v(theta), and packing is linear
-    word = _peel(rs, [weights[0] - sum(map(mul, rs.theta_coords, cols))] + cols,
+    word = _peel(columns, [weights[0] - sum(map(mul, rs.theta_coords, cols))] + cols,
                  rs.num_positive)
     return word is not None and _grow(rs, word).v == v
 
@@ -238,8 +241,10 @@ def act_affine_root(w: AffineWeylElement, beta: AffineRoot) -> AffineRoot:
 
 
 def act_point(w: AffineWeylElement, x):
-    """The affine-linear action on V: w * x = v(x + r)."""
+    """The affine-linear action on V: w * x = v(x + r); x holds rank many
+    int or Fraction coordinates (ValueError otherwise)."""
     from fractions import Fraction
+    x = w.rs._rational_coords(x, "an affine action")
     shifted = tuple(Fraction(a) + b for a, b in zip(x, w.r))
     return w.v.act(shifted)
 
@@ -309,24 +314,24 @@ def reduced_word(w: AffineWeylElement):
     """A reduced word for w: the indices `_peel` takes off the packed images
     w(alpha_j), reversed."""
     rs = w.rs
-    weights = _affine_simple_data(rs)[0]
+    weights, _, (columns, _) = _affine_simple_data(rs)
     beta = [sum(map(mul, (b.level,) + b.finite, weights))
             for b in (act_affine_root(w, simple_affine_root(rs, j)) for j in range(rs.rank + 1))]
-    return _peel(rs, beta)[::-1]
+    return _peel(columns, beta)[::-1]
 
 
-def _peel(rs: RootSystem, beta, bound=None):
-    """Peel the lowest right descent first: while some packed image
-    beta_i = w(alpha_i) is negative, take the lowest such i and replace w by
-    w s_i.  Returns the peeled indices, or None after more than `bound` peels.
+def _peel(columns, beta, bound=None):
+    """Sort the list beta into the dominant chamber, in place: while some
+    beta_i is negative, take the lowest such i and reflect, beta_j -=
+    (alpha_j, alpha_i^vee) beta_i for the entries of `columns[i]` and
+    beta_i -> -beta_i.  Returns the indices taken, or None after more than
+    `bound` steps.
 
-    Only the p+1 images, a list updated in place, are kept; s_i moves them
-    by `_walk`'s step, since w s_i(alpha_j) = beta_j - (alpha_j, alpha_i^vee)
-    beta_i.  Each peel shortens w by one, and only the identity has no
-    negative image, so an affine Weyl group element is peeled in length(w)
-    steps, and w = s_{i_k} ... s_{i_1} = `_grow(rs, peeled)`.
+    On the affine columns and the packed images beta_j = w(alpha_j) a step
+    is w -> w s_i, which peels a right descent off w.  Only the identity
+    has no negative image, so w is peeled in length(w) steps, and
+    w = s_{i_k} ... s_{i_1} = `_grow(rs, peeled)`.
     """
-    simples = _affine_simple_data(rs)[1]
     peeled = []
     while True:
         for i, b in enumerate(beta):
@@ -337,7 +342,7 @@ def _peel(rs: RootSystem, beta, bound=None):
         if len(peeled) == bound:
             return None
         peeled.append(i)
-        for j, a in simples[i][2]:
+        for j, a in columns[i]:
             beta[j] -= a * b
         beta[i] = -b
 
@@ -377,25 +382,25 @@ def _unpack(x: int, n: int):
 
 @lru_cache(maxsize=None)
 def _affine_simple_data(rs: RootSystem):
-    """The packing weights (2^(64 p), ..., 2^64, 1) and, per affine simple
-    root alpha_i (i = 0..p), the data of s_i as a triple: alpha_i packed;
-    the nonzero pairings (m, (alpha_m, f^vee)) of its finite part f with
-    the finite simple roots; and the nonzero off-diagonal entries
-    (j, (alpha_j, alpha_i^vee)) of column i of the affine Cartan matrix."""
+    """The packing weights (2^(64 p), ..., 2^64, 1); per affine simple root
+    alpha_i (i = 0..p), alpha_i packed and the nonzero pairings
+    (m, (alpha_m, f^vee)) of its finite part f with the finite simple roots;
+    and the Cartan columns that `_walk` and `_peel` read: the nonzero
+    off-diagonal entries (j, (alpha_j, alpha_i^vee)) of each affine column
+    i, and their finite restriction (i, j >= 1, shifted down by one)."""
     p = rs.rank
     weights = tuple(1 << (_SHIFT * (p - k)) for k in range(p + 1))
     roots = [simple_affine_root(rs, i) for i in range(p + 1)]
     finite = [Root(b.finite) for b in roots]
-    simples = []
+    simples, columns = [], []
     for i, f in enumerate(finite):
         pairs = ((m, rs.pairing(a, f)) for m, a in enumerate(rs.simple_roots()))
         cartan = ((j, rs.pairing(g, f)) for j, g in enumerate(finite) if j != i)
-        simples.append((
-            sum(map(mul, (roots[i].level,) + f.coords, weights)),
-            tuple((m, c) for m, c in pairs if c),
-            tuple((j, a) for j, a in cartan if a),
-        ))
-    return weights, tuple(simples)
+        simples.append((sum(map(mul, (roots[i].level,) + f.coords, weights)),
+                        tuple((m, c) for m, c in pairs if c)))
+        columns.append(tuple((j, a) for j, a in cartan if a))
+    restricted = tuple(tuple((j - 1, a) for j, a in col if j) for col in columns[1:])
+    return weights, tuple(simples), (tuple(columns), restricted)
 
 
 @lru_cache(maxsize=None)
@@ -465,17 +470,15 @@ def _d_min_points(rs: RootSystem):
 @lru_cache(maxsize=None)
 def _d_min_data(rs: RootSystem):
     """What `_d_min_fields` reads the points with: D; per j, the packed
-    z_j*delta + alpha_j for z = D b, from which the sort starts; the
-    sort's Cartan columns; the simple root alpha_k at each root index below
-    p; and above it, the parent table (index of gamma - alpha_k, k)."""
+    z_j*delta + alpha_j for z = D b, from which the sort starts; the simple
+    root alpha_k at each root index below p; and above it, the parent table
+    (index of gamma - alpha_k, k)."""
     p = rs.rank
     lcm = math.lcm(*rs.theta_coords)
     den = (p + 1) * lcm
-    weights, simples = _affine_simple_data(rs)
+    weights = _affine_simple_data(rs)[0]
     start = tuple((lcm // c) * weights[0] + weights[1 + j]
                   for j, c in enumerate(rs.theta_coords))
-    # the finite entries of the affine Cartan columns: (j, (alpha_j, alpha_i^vee))
-    columns = tuple(tuple((j - 1, a) for j, a in simples[i][2] if j) for i in range(1, p + 1))
     simple_of = tuple(rs.simple_indices.index(s) for s in range(p))
 
     def parent(mu):
@@ -485,14 +488,15 @@ def _d_min_data(rs: RootSystem):
                 return a, k
 
     parents = tuple(parent(mu.coords) for mu in rs.positive_roots[p:])
-    return den, start, columns, simple_of, parents
+    return den, start, simple_of, parents
 
 
 def _d_min_fields(rs: RootSystem):
     """{mask: (rootlet, lattice_image, y, length_min)} over every ideal, read
     off the points of D_min cap Q^vee as the module docstring derives,
     without the l-table or w_min's walk."""
-    den, start, columns, simple_of, parents = _d_min_data(rs)
+    den, start, simple_of, parents = _d_min_data(rs)
+    finite = _affine_simple_data(rs)[2][1]
     shift = _SHIFT * rs.rank
     half = 1 << (shift - 1)
     top = den << shift
@@ -502,14 +506,7 @@ def _d_min_fields(rs: RootSystem):
     for y in _d_min_points(rs):
         # z_j delta + v(alpha_j), packed: the sort moves both by one step
         z = [s - b * top for s, b in zip(start, y)]
-        while True:
-            m = min(z)
-            if m > 0:
-                break
-            i = z.index(m)
-            for j, a in columns[i]:
-                z[j] -= a * m
-            z[i] = -m
+        _peel(finite, z)
         levels = [(b + half) >> shift for b in z]
         vals = [levels[k] for k in simple_of]
         for a, k in parents:
@@ -540,7 +537,7 @@ def _grow(rs: RootSystem, word) -> AffineWeylElement:
     s_0 u = (s_theta v) . t_{r + v^{-1}(-theta)}; r is read off their sum
     once, at the end.
     """
-    weights, simples = _affine_simple_data(rs)
+    weights, simples, _ = _affine_simple_data(rs)
     theta = [(k, t) for k, t in enumerate(rs.theta_coords) if t]
     p = rs.rank
     v = list(weights[1:])  # the rows of the identity matrix
@@ -574,8 +571,8 @@ def _walk(rs: RootSystem, target):
     negative, so only its Cartan-column neighbours are tested again.  The
     walk ends on the KeyError of `ready.pop()`.
     """
-    simples = _affine_simple_data(rs)[1]
-    beta = [packed for packed, _, _ in simples]
+    _, simples, (columns, _) = _affine_simple_data(rs)
+    beta = [packed for packed, _ in simples]
     ready = {j for j, b in enumerate(beta) if b > 0 and b in target}
     steps = []
     step = steps.append
@@ -584,7 +581,7 @@ def _walk(rs: RootSystem, target):
             i = ready.pop()
             step(i)
             b = beta[i]
-            for j, a in simples[i][2]:
+            for j, a in columns[i]:
                 bj = beta[j] = beta[j] - a * b
                 if bj > 0 and bj in target:
                     ready.add(j)

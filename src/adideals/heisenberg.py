@@ -7,9 +7,10 @@ dominant elements of the form v.s_0 are classified by a long positive
 root nu: v is either w_nu (the shortest element taking theta to nu) or
 s_nu.w_nu, and the first-layer ideals of w_nu.s_0 and s_nu.w_nu.s_0 are
 exactly the nontrivial ideals contained in h.  A reduced word of w_nu is
-read off the ascent from nu up to theta by simple reflections, one
-lowest non-dominant index at a time.  Closed-form descriptions
-of those ideals are provided and tested against the first layers.
+read off the ascent from nu up to theta by simple reflections, which is
+`affine._peel`'s sort of nu's pairings into the dominant chamber.
+Closed-form descriptions of those ideals are provided and tested
+against the first layers.
 """
 
 from collections import namedtuple
@@ -20,6 +21,8 @@ from .ideals import Ideal, _iter_bits, heisenberg_root_mask
 from .affine import (
     AffineWeylElement,
     FiniteWeylElement,
+    _affine_simple_data,
+    _peel,
     element_from_word,
     inversion_set,
     reflection,
@@ -67,21 +70,12 @@ def _w_nu_word(rs: RootSystem, nu: Root):
     long root.  Each step removes exactly one positive beta with
     (nu, beta^vee) < 0, so the word s_{i_1} ... s_{i_k}, which takes theta
     to nu, is reduced, and its element is the unique shortest one (the
-    minimal coset representative of the stabiliser of theta).  Only the
-    pairings are kept: s_i nu = nu - c alpha_i, c = (nu, alpha_i^vee),
-    moves them by c times row i of the Cartan matrix."""
+    minimal coset representative of the stabiliser of theta).  `_peel`
+    ascends on the pairings (nu, alpha_j), integer Gram rows times nu: they
+    have the signs of the (nu, alpha_j^vee) and move by the same step."""
     _require_long_positive(rs, nu)
-    cartan = rs.cartan
-    pair = [sum(map(mul, nu.coords, col)) for col in zip(*cartan)]
-    word = []
-    while True:
-        for i, c in enumerate(pair):
-            if c < 0:
-                break
-        else:
-            return word
-        word.append(i + 1)
-        pair = [x - c * a for x, a in zip(pair, cartan[i])]
+    pairings = [sum(map(mul, row, nu.coords)) for row in rs._gram_num]
+    return [i + 1 for i in _peel(_affine_simple_data(rs)[2][1], pairings)]
 
 
 def w_nu(rs: RootSystem, nu: Root) -> FiniteWeylElement:

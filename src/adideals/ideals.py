@@ -428,8 +428,10 @@ def shi_inequalities(ideal: Ideal):
 
 
 def shi_region_contains(ideal: Ideal, x) -> bool:
-    """Whether the rational point x satisfies every Shi inequality of I."""
+    """Whether the rational point x, rank many int or Fraction coordinates
+    (ValueError otherwise), satisfies every Shi inequality of I."""
     rs = ideal.rs
+    x = rs._rational_coords(x, "a Shi region test")
     for root, relation, bound in shi_inequalities(ideal):
         val = rs.bilinear(x, root.coords)
         if relation == ">" and not val > bound:

@@ -52,14 +52,18 @@ class CountReport(namedtuple("CountReport", "type_label rank quantity value meth
 
 
 def d_min_contains(rs: RootSystem, x) -> bool:
-    """(x, alpha) >= -1 for simple alpha and (x, theta) <= 2."""
+    """(x, alpha) >= -1 for simple alpha and (x, theta) <= 2; x holds rank
+    many int or Fraction coordinates (ValueError otherwise)."""
+    x = rs._rational_coords(x, "a D_min test")
     if any(rs.bilinear(x, a.coords) < -1 for a in rs.simple_roots()):
         return False
     return rs.bilinear(x, rs.theta_coords) <= 2
 
 
 def d_max_contains(rs: RootSystem, x) -> bool:
-    """(x, alpha) <= 1 for simple alpha and (x, theta) >= 0."""
+    """(x, alpha) <= 1 for simple alpha and (x, theta) >= 0; x holds rank
+    many int or Fraction coordinates (ValueError otherwise)."""
+    x = rs._rational_coords(x, "a D_max test")
     if any(rs.bilinear(x, a.coords) > 1 for a in rs.simple_roots()):
         return False
     return rs.bilinear(x, rs.theta_coords) >= 0

@@ -355,8 +355,10 @@ class RootSystem:
         return num
 
     def bilinear(self, x, y) -> "Fraction":
-        """Invariant inner product of two rational coordinate vectors."""
+        """Invariant inner product of two vectors of rank many int or Fraction
+        coordinates; ValueError for any other x or y."""
         from fractions import Fraction
+        x, y = (self._rational_coords(v, "an inner product") for v in (x, y))
         return Fraction(self._gram_product(x, y), self._gram_den)
 
     def pairing(self, gamma: Root, nu: Root) -> int:

@@ -547,6 +547,26 @@ def w_nu_word_by_ascent(rs, nu):
     return word
 
 
+def most_negative_first_sort(columns, z):
+    """The sorted copy of z and the number of steps, reflecting at the most
+    negative entry first (the lowest index among equals) by the Cartan
+    columns that `affine._peel` reads.
+
+    The rule `affine._d_min_fields` sorted its points by before it called
+    `_peel`, kept as its differential oracle; z must be regular (no entry
+    turns zero), as a point of D_min is.
+    """
+    z = list(z)
+    steps = 0
+    while (m := min(z)) < 0:
+        i = z.index(m)
+        for j, a in columns[i]:
+            z[j] -= a * m
+        z[i] = -m
+        steps += 1
+    return z, steps
+
+
 def heisenberg_mask_by_pairing(rs):
     """Bitmask of the roots gamma with (gamma, theta^vee) > 0, by pairing every
     root with theta: (gamma, theta) = sum_i gamma_i (alpha_i, theta), with the

@@ -366,16 +366,17 @@ def test_image_walk_ends_at_the_images_of_the_grown_inverse(label, rank):
             sum(map(mul, (b.level,) + b.finite, weights)) for b in images]
 
 
-@pytest.mark.parametrize("label,rank", systems_up_to(6) + [("E7", 7)])
+@pytest.mark.parametrize("label,rank", systems_up_to(6) + [("E7", 7), ("E8", 8)])
 def test_d_min_walk_matches_the_dfs_and_the_image_route(label, rank):
     # one point per ideal, and every field as the image route and the
-    # l-table give it, which stay the oracle
+    # l-table give it, which stay the oracle; on E8 the fields of every
+    # 25th ideal in walk order, which keeps the test near 2 s
     rs = build(label, rank)
     fields = A._d_min_fields(rs)
     ideals = list(I.enumerate_ideals(rs))
     assert sum(1 for _ in A._d_min_points(rs)) == len(fields) == L.count_AD(rs).value
     assert set(fields) == {ideal.mask for ideal in ideals}
-    for ideal in ideals:
+    for ideal in ideals[::25 if label == "E8" else 1]:
         lt = I._l_table(ideal)
         assert fields[ideal.mask] == A._w_min_fields(ideal, lt) + (sum(filter(None, lt)),)
 

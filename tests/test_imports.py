@@ -2,6 +2,7 @@
 its import light."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -37,6 +38,21 @@ def _import_time_nodes(node):
         if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             yield child
             yield from _import_time_nodes(child)
+
+
+def test_benchmark_traced_names_resolve_in_the_package():
+    # the span recorder wraps each (module, function) of its TRACED tuple by
+    # getattr, so a renamed or removed function breaks a traced benchmark run
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(), str(path))
+    traced = [ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "TRACED" for t in node.targets)]
+    assert len(traced) == 1 and traced[0]
+    for module, name, kind in traced[0]:
+        fn = getattr(importlib.import_module("adideals." + module), name, None)
+        assert callable(fn), "adideals.%s has no function %s" % (module, name)
+        assert kind in ("call", "gen")
 
 
 def test_package_imports_only_the_standard_library():

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from adideals.rootsys import build
+from adideals import affine as A
+from adideals import ideals as I
 from adideals import lattice_count as L
 from helpers import coroot_points_in_dilated_alcove, laurent_coefficient_by_dp, systems_up_to
 
@@ -42,6 +44,24 @@ def test_coweight_point_pairs_with_the_simple_roots_to_its_coordinates(label, ra
 def test_coweight_point_rejects_malformed_coordinates(y):
     with pytest.raises(ValueError, match=r"a coweight point in .* needs 3 int or Fraction"):
         L.coweight_point(build("A", 3), y)
+
+
+@pytest.mark.parametrize("use,call", [
+    ("an affine action", lambda rs, x: A.act_point(A.identity_element(rs), x)),
+    ("an inner product", lambda rs, x: rs.bilinear(x, rs.theta_coords)),
+    ("an inner product", lambda rs, x: rs.bilinear(rs.theta_coords, x)),
+    ("a D_min test", L.d_min_contains),
+    ("a D_max test", L.d_max_contains),
+    ("a D_min test", L.d_mm_contains),
+    ("a Shi region test", lambda rs, x: I.shi_region_contains(I.empty_ideal(rs), x)),
+], ids=["act_point", "bilinear-x", "bilinear-y", "d_min", "d_max", "d_mm", "shi"])
+@pytest.mark.parametrize("x", [(1,), (1, 2, 3, 4), (), ("a", "b", "c"), (0, 1.5, 0),
+                               (0, True, 0), 3],
+                         ids=["short", "long", "empty", "str", "float", "bool", "int"])
+def test_points_of_the_wrong_length_or_type_are_rejected(use, call, x):
+    # no point is zero-padded, cut short or read past its end
+    with pytest.raises(ValueError, match=r"%s in .* needs 3 int or Fraction" % use):
+        call(build("A", 3), x)
 
 
 def test_base_system_examples():

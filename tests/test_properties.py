@@ -3,17 +3,18 @@
 and abelian tests, and of C_n, n <= 8, for the type C pair coordinates;
 over random affine Weyl elements of every type of rank <= 4 (G2 and F4
 included) for their inversion data; over random roots of every type of
-rank <= 30 for the packed root-system build; and over random Laurent
-products, with congruence forms, for the packed lattice count; and over
-random nested JSON values for the CLI's JSON writer.
+rank <= 30 for the packed root-system build; over random regular
+vectors of every type of rank <= 8 for the chamber sort; over random
+Laurent products, with congruence forms, for the packed lattice count;
+and over random nested JSON values for the CLI's JSON writer.
 
 Derandomised, so every run draws the same examples.
 """
 
 import json
-from operator import ge, le
+from operator import ge, le, mul
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from adideals import affine as A
 from adideals import cli
@@ -24,7 +25,7 @@ from adideals import lattice_count as L
 from adideals.rootsys import Root, RootSystem, build
 from helpers import (
     affine_inverse, affine_product, brute_bilinear, brute_is_abelian,
-    laurent_coefficient_by_dp, level_scan_inversions,
+    laurent_coefficient_by_dp, level_scan_inversions, most_negative_first_sort,
     peel_element_from_inversions, peel_reduced_word, prescribed_inversions,
     sp_restriction_by_support, sp_root_to_pair_by_search, symmetrize_by_search,
     systems_up_to, tuple_root_system, two_table_is_minimax,
@@ -191,6 +192,35 @@ def test_packed_build_matches_oracles_root_by_root(drawn):
     assert rs.up_masks[k] == above
     assert rs.strict_down_masks[k] == below ^ 1 << k
     assert (rs.long_mask >> k & 1) == (brute_bilinear(rs, c, c) == 2)
+
+
+@st.composite
+def regular_vectors(draw, systems=systems_up_to(8)):
+    """(rs, z) for a drawn system and an integer vector z, the coweight
+    coordinates of a point x with (x, gamma) = sum_k gamma_k z_k nonzero
+    for every positive root gamma."""
+    rs = build(*draw(st.sampled_from(systems)))
+    z = draw(st.lists(st.integers(-40, 40), min_size=rs.rank, max_size=rs.rank))
+    assume(all(sum(map(mul, g.coords, z)) for g in rs.positive_roots))
+    return rs, z
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(regular_vectors())
+def test_chamber_sort_of_a_regular_vector(drawn):
+    # _peel on the finite columns ends in the dominant chamber after one
+    # step per positive root x pairs negatively with, at the vector the
+    # most-negative-first rule reaches
+    rs, z = drawn
+    columns = A._affine_simple_data(rs)[2][1]
+    negative = sum(sum(map(mul, g.coords, z)) < 0 for g in rs.positive_roots)
+    sorted_z = list(z)
+    word = A._peel(columns, sorted_z)
+    assert all(c > 0 for c in sorted_z)
+    assert len(word) == negative
+    assert (sorted_z, len(word)) == most_negative_first_sort(columns, z)
+    if negative:
+        assert A._peel(columns, list(z), negative - 1) is None
 
 
 @st.composite
