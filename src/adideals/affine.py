@@ -21,7 +21,8 @@ dominant chamber by reflecting at its lowest negative entry (the numbers
 game): on the images w(alpha_j) it peels right descents, for reduced
 words and the test that a matrix lies in W; it also sorts the points of
 D_min below and ascends long roots for `heisenberg`.  `_walk` and
-`_peel` read one table, the Cartan columns of `_affine_simple_data`.
+`_peel` read one table, the Cartan columns of `_affine_simple_data`,
+which reads the affine Cartan matrix off `rs.cartan` and theta.
 
 The minimal element of an ideal I is the one whose inversion set is
 {m*delta - gamma : gamma in I, 1 <= m <= l(gamma, I)}; the maximal
@@ -50,10 +51,12 @@ Cellini-Papi bijection I -> x = lattice_image(w_min(I)), onto the points
 of D_min cap Q^vee, where D_min = {x : (x, alpha_i) >= -1, (x, theta) <= 2}
 (`_d_min_fields`).  With u_i = y_i + 1 and u_0 = 2 - (x, theta), D_min is
 the simplex u_0 + sum c_i u_i = h + 1, u >= 0, and `_d_min_points` walks
-it, keeping x = sum y_i varpi_i^vee when it lies in Q^vee, by a class in
-P^vee / Q^vee carried down the walk.  For w = w_min(I) = v . t_r and the
-barycenter b of the alcove A, w^{-1} b = v^{-1}(b - x) lies in the
-dominant chamber, so v^{-1} is the element that sorts b - x there.  In
+it, keeping x = sum y_i varpi_i^vee when it lies in Q^vee, that is when
+the forms of `lattice_count.CONGRUENCES` vanish at y, by their residue
+class carried down the walk with `lattice_count`'s stepper.  For
+w = w_min(I) = v . t_r and the barycenter b of the alcove A,
+w^{-1} b = v^{-1}(b - x) lies in the dominant chamber, so v^{-1} is the
+element that sorts b - x there.  In
 coweight coordinates scaled by D = (p + 1) lcm(c), the integer vector
 z_j = D (alpha_j, b - x) = D / ((p + 1) c_j) - D y_j is sorted by the
 steps z_j -= (alpha_j, alpha_i^vee) z_i, z_i -> -z_i while some z_i < 0
@@ -84,6 +87,7 @@ from operator import mul
 
 from .rootsys import AffineRoot, Root, RootSystem
 from . import ideals as _ideals
+from . import lattice_count as _L
 from .ideals import Antichain, Ideal, is_minimax  # noqa: F401  (re-export)
 
 __all__ = [
@@ -387,18 +391,23 @@ def _affine_simple_data(rs: RootSystem):
     (m, (alpha_m, f^vee)) of its finite part f with the finite simple roots;
     and the Cartan columns that `_walk` and `_peel` read: the nonzero
     off-diagonal entries (j, (alpha_j, alpha_i^vee)) of each affine column
-    i, and their finite restriction (i, j >= 1, shifted down by one)."""
+    i, and their finite restriction (i, j >= 1, shifted down by one).
+    The affine column i >= 1 is (-(theta, alpha_i^vee), column i of
+    `rs.cartan`), and column 0 is (2, -(alpha_m, theta)), theta = theta^vee
+    long, where (alpha_m, theta) = (theta, alpha_m^vee) / r_m."""
     p = rs.rank
     weights = tuple(1 << (_SHIFT * (p - k)) for k in range(p + 1))
-    roots = [simple_affine_root(rs, i) for i in range(p + 1)]
-    finite = [Root(b.finite) for b in roots]
+    theta = rs.theta_coords
+    finite = tuple(zip(*rs.cartan))
+    # (theta, alpha_i^vee) = sum_k theta_k (alpha_k, alpha_i^vee)
+    dual = [sum(map(mul, theta, col)) for col in finite]
+    affine = [(2, *(-(t // r) for t, r in zip(dual, rs._coroot_moduli)))]
+    affine += [(-t, *col) for t, col in zip(dual, finite)]
+    packed = [weights[0] - sum(map(mul, theta, weights[1:]))] + list(weights[1:])
     simples, columns = [], []
-    for i, f in enumerate(finite):
-        pairs = ((m, rs.pairing(a, f)) for m, a in enumerate(rs.simple_roots()))
-        cartan = ((j, rs.pairing(g, f)) for j, g in enumerate(finite) if j != i)
-        simples.append((sum(map(mul, (roots[i].level,) + f.coords, weights)),
-                        tuple((m, c) for m, c in pairs if c)))
-        columns.append(tuple((j, a) for j, a in cartan if a))
+    for i, (b, col) in enumerate(zip(packed, affine)):
+        simples.append((b, tuple((m, a) for m, a in enumerate(col[1:]) if a)))
+        columns.append(tuple((j, a) for j, a in enumerate(col) if a and j != i))
     restricted = tuple(tuple((j - 1, a) for j, a in col if j) for col in columns[1:])
     return weights, tuple(simples), (tuple(columns), restricted)
 
@@ -418,53 +427,28 @@ def _from_coweights(rs: RootSystem, y):
     return tuple(sum(map(mul, y, col)) // dual for col in table)
 
 
-@lru_cache(maxsize=None)
-def _coweight_classes(rs: RootSystem):
-    """P^vee / Q^vee as class indices, 0 the class of Q^vee: per coweight
-    varpi_i^vee, the table mapping a class to that class plus varpi_i^vee.
-    A class is row i of `RootSystem._coweights`, reduced modulo h^vee times
-    `rs._coroot_moduli`, as the coordinate k of a coroot-lattice point is a
-    multiple of its modulus."""
-    dual, rows = rs._coweights
-    mods = [dual * m for m in rs._coroot_moduli]
-    steps = [[c % n for c, n in zip(row, mods)] for row in rows]
-    classes = [(0,) * rs.rank]
-    index = {classes[0]: 0}
-    add = [[] for _ in steps]
-    for cls in classes:  # grows while it is read: a search from 0
-        for table, step in zip(add, steps):
-            nxt = tuple((a + b) % n for a, b, n in zip(cls, step, mods))
-            if nxt not in index:
-                index[nxt] = len(classes)
-                classes.append(nxt)
-            table.append(index[nxt])
-    return tuple(map(tuple, add))
-
-
 def _d_min_points(rs: RootSystem):
     """The coweight coordinates y of the points of D_min cap Q^vee: the
     u >= 0 with u_0 + sum c_i u_i = h + 1 and y_i = u_i - 1, kept when
-    x = sum u_i varpi_i^vee - rho^vee is in Q^vee, that is when the class
-    of sum u_i varpi_i^vee, carried down the walk, is that of rho^vee."""
+    x = sum y_i varpi_i^vee is in Q^vee, that is when every form of
+    `lattice_count.CONGRUENCES` vanishes at y: their residue class is
+    carried down the walk by `lattice_count._residue_steps`."""
     marks = rs.theta_coords
-    tables = _coweight_classes(rs)
-    rho = 0
-    for add in tables:
-        rho = add[rho]
+    cls, tables = _L._residue_steps(_L.CONGRUENCES[rs.type_label](rs.rank), rs.rank)
     last = rs.rank - 1
     y = [0] * rs.rank
 
     def walk(i, budget, cls):
-        add = tables[i]
+        step = tables[i]
         for u in range(budget // marks[i] + 1):
             y[i] = u - 1
             if i < last:
                 yield from walk(i + 1, budget - u * marks[i], cls)
-            elif cls == rho:
+            elif not cls:
                 yield y
-            cls = add[cls]
+            cls = step[cls]
 
-    return walk(0, rs.coxeter_number + 1, 0)
+    return walk(0, rs.coxeter_number + 1, cls)
 
 
 @lru_cache(maxsize=None)
@@ -622,15 +606,10 @@ def _grow_to_levels(rs: RootSystem, levels) -> AffineWeylElement:
 def _image_record_data(rs: RootSystem):
     """What `_w_min_fields` reads the images with: the shift of the level
     digit and, per neighbour alpha_i of alpha_0, the shift of coordinate
-    i's digit, half of it (the rounding) and (alpha_i, theta)."""
-    p = rs.rank
-    neighbours = []
-    for i, a in enumerate(rs.simple_roots()):
-        c = rs.pair_root_coroot(a.coords, rs.theta_coords)
-        if c:
-            s = _SHIFT * (p - 1 - i)
-            neighbours.append((s, (1 << s) >> 1, c))
-    return _SHIFT * p, tuple(neighbours)
+    i's digit, half of it (the rounding) and (alpha_i, theta), read off the
+    pairings -(alpha_i, theta) of alpha_0 in `_affine_simple_data`."""
+    shifts = [(_SHIFT * (rs.rank - 1 - i), c) for i, c in _affine_simple_data(rs)[1][0][1]]
+    return _SHIFT * rs.rank, tuple((s, (1 << s) >> 1, -c) for s, c in shifts)
 
 
 def _w_min_fields(ideal: Ideal, l_table):

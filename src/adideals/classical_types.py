@@ -32,15 +32,23 @@ __all__ = [
 ]
 
 
+def _int_pair(entry):
+    """entry, a tuple or list of two ints (no bool), as a tuple; else ValueError."""
+    if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+            and all(type(c) is int for c in entry)):
+        raise ValueError("a pair is two ints, not %r" % (entry,))
+    return tuple(entry)
+
+
 class PairAntichain:
     """An antichain of A_n in pair coordinates, sorted by first entry."""
 
     __slots__ = ("n", "pairs")
 
     def __init__(self, n: int, pairs):
-        pairs = sorted(tuple(p) for p in pairs)
+        pairs = sorted(map(_int_pair, pairs))
         for a, b in pairs:
-            if not 1 <= a < b <= n + 1 or a % 1 or b % 1:
+            if not 1 <= a < b <= n + 1:
                 raise ValueError("pair %r is out of range for A_%d" % ((a, b), n))
         if any(p[0] >= q[0] or p[1] >= q[1] for p, q in zip(pairs, pairs[1:])):
             raise ValueError("pair antichain needs strictly increasing a's and b's")

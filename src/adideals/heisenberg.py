@@ -14,7 +14,7 @@ against the first layers.
 """
 
 from collections import namedtuple
-from operator import mul
+from operator import mul, sub
 
 from .rootsys import Root, RootSystem
 from .ideals import Ideal, _iter_bits, heisenberg_root_mask
@@ -23,8 +23,8 @@ from .affine import (
     FiniteWeylElement,
     _affine_simple_data,
     _peel,
+    _shifts,
     element_from_word,
-    inversion_set,
     reflection,
 )
 
@@ -123,18 +123,17 @@ def heisenberg_ideal_formula(rs: RootSystem, d: HeisenbergElementDescriptor) -> 
     if d.sign == -1 and idx in rs.simple_indices:
         raise ValueError("the sign -1 formula needs a non-simple root")
     word = _w_nu_word(rs, d.nu)
-    theta = rs.theta
-    members = {theta.coords}
-    # w_nu is finite and grown unchecked: its inversion set is N(w_nu) at level 0
-    for b in inversion_set(element_from_word(rs, word)):
-        members.add(tuple(t - c for t, c in zip(theta.coords, b.finite)))
+    theta = rs.theta_coords
+    index = rs._index
+    mask = 1 << rs.theta_index
+    # w_nu is finite: N(w_nu) holds the level-0 roots mu with shift s(mu) > 0
+    for mu, s in zip(rs.positive_roots, _shifts(element_from_word(rs, word))):
+        if s > 0:
+            mask |= 1 << index[tuple(map(sub, theta, mu.coords))]
     if d.sign == -1:
         wv_inv = element_from_word(rs, word[::-1]).v
         for gamma in n_s_nu_zero(rs, d.nu):
-            members.add(tuple(t - c for t, c in zip(theta.coords, wv_inv.act(gamma.coords))))
-    mask = 0
-    for coords in members:
-        mask |= 1 << rs.index_of(Root(coords))
+            mask |= 1 << index[tuple(map(sub, theta, wv_inv.act(gamma.coords)))]
     return Ideal(rs, mask)
 
 

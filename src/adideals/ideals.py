@@ -36,6 +36,7 @@ them, and they are the oracle the scan is checked against.
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import mul
 
 from .rootsys import Root, RootSystem, build
 
@@ -429,16 +430,13 @@ def shi_inequalities(ideal: Ideal):
 
 def shi_region_contains(ideal: Ideal, x) -> bool:
     """Whether the rational point x, rank many int or Fraction coordinates
-    (ValueError otherwise), satisfies every Shi inequality of I."""
+    (ValueError otherwise), satisfies every Shi inequality of I, read off the
+    integers P_j = D (x, alpha_j) as D (x, gamma) = sum_j gamma_j P_j."""
     rs = ideal.rs
-    x = rs._rational_coords(x, "a Shi region test")
-    for root, relation, bound in shi_inequalities(ideal):
-        val = rs.bilinear(x, root.coords)
-        if relation == ">" and not val > bound:
-            return False
-        if relation == "<" and not val < bound:
-            return False
-    return True
+    scale, pairs = rs._scaled_pairings(x, "a Shi region test")
+    vals = (sum(map(mul, root.coords, pairs)) for root in rs.positive_roots)
+    return min(pairs) > 0 and all(v > scale if ideal.mask >> i & 1 else v < scale
+                                  for i, v in enumerate(vals))
 
 
 def ideal_to_record(ideal: Ideal) -> dict:

@@ -13,6 +13,9 @@ count; the two routes are computed independently and must agree.  Both
 read that coefficient off one product of polynomials packed into big
 integers (Kronecker substitution), the second with one packed
 polynomial per congruence residue class.
+`CONGRUENCES` states the coroot lattice in coweight coordinates once, and
+one stepper through its residue classes, `_residue_steps`, serves both the
+count here and the walk of D_min in `affine._d_min_points`.
 
 All arithmetic here is exact: packed integer polynomial products, and
 products of integer fractions divided once, with a remainder raising.
@@ -54,19 +57,15 @@ class CountReport(namedtuple("CountReport", "type_label rank quantity value meth
 def d_min_contains(rs: RootSystem, x) -> bool:
     """(x, alpha) >= -1 for simple alpha and (x, theta) <= 2; x holds rank
     many int or Fraction coordinates (ValueError otherwise)."""
-    x = rs._rational_coords(x, "a D_min test")
-    if any(rs.bilinear(x, a.coords) < -1 for a in rs.simple_roots()):
-        return False
-    return rs.bilinear(x, rs.theta_coords) <= 2
+    scale, pairs = rs._scaled_pairings(x, "a D_min test")
+    return min(pairs) >= -scale and sum(map(mul, rs.theta_coords, pairs)) <= 2 * scale
 
 
 def d_max_contains(rs: RootSystem, x) -> bool:
     """(x, alpha) <= 1 for simple alpha and (x, theta) >= 0; x holds rank
     many int or Fraction coordinates (ValueError otherwise)."""
-    x = rs._rational_coords(x, "a D_max test")
-    if any(rs.bilinear(x, a.coords) > 1 for a in rs.simple_roots()):
-        return False
-    return rs.bilinear(x, rs.theta_coords) >= 0
+    scale, pairs = rs._scaled_pairings(x, "a D_max test")
+    return max(pairs) <= scale and sum(map(mul, rs.theta_coords, pairs)) >= 0
 
 
 def d_mm_contains(rs: RootSystem, x) -> bool:
@@ -106,6 +105,20 @@ def solve_extended_system(rs: RootSystem):
     return out
 
 
+def _residue_steps(forms, n):
+    """The residue classes of the (weights, modulus) forms on n coordinates
+    y, in mixed radix over the moduli (0: every form vanishes): the class of
+    y = (-1, ..., -1), and per i the table of the step y_i -> y_i + 1."""
+    start, stride = 0, 1
+    tables = [[0]] * n
+    for weights, m in forms:
+        start += -sum(weights) % m * stride
+        tables = [[(x + w) % m * stride + r for x in range(m) for r in moved]
+                  for w, moved in zip(weights, tables)]
+        stride *= m
+    return start, tables
+
+
 def laurent_coefficient(cs, k: int, forms=()) -> int:
     """Coefficient of x^k in prod_i (x^-c_i + 1 + x^c_i).
 
@@ -133,24 +146,15 @@ def laurent_coefficient(cs, k: int, forms=()) -> int:
     if not 0 <= target <= 2 * sum(shifts):
         return 0
     s = (3 ** len(cs)).bit_length()
-    # y_i = -1, 0, 1 sits at shift 0, |c_i|, 2|c_i| (reversed if c_i < 0),
-    # so shift j adds j times the weight, negated if c_i < 0, to a class
-    # that starts at minus the sum of those weights
-    mods = [m for _, m in forms]
-    signed = [[-w if c < 0 else w for w, c in zip(weights, cs)] for weights, _ in forms]
-    strides = [math.prod(mods[:j]) for j in range(len(mods))]
-    polys = [0] * math.prod(mods)
-    polys[sum(-sum(ws) % m * st for ws, m, st in zip(signed, mods, strides))] = 1
-    for i, a in enumerate(shifts):
+    # y_i = -1, 0, 1 sits at shift 0, |c_i|, 2|c_i| (reversed, so the weight
+    # is negated, if c_i < 0): a shift by |c_i| is a step y_i -> y_i + 1
+    start, tables = _residue_steps(
+        [([-w if c < 0 else w for w, c in zip(weights, cs)], m) for weights, m in forms],
+        len(cs))
+    polys = [0] * math.prod(m for _, m in forms)
+    polys[start] = 1
+    for a, moved in zip(shifts, tables):
         one, two = a * s, 2 * a * s
-        steps = [ws[i] % m for ws, m in zip(signed, mods)]
-        if not any(steps):
-            polys = [p + (p << one) + (p << two) for p in polys]
-            continue
-        # moved[r]: the class r plus the steps, in the same mixed radix
-        moved = [0]
-        for d, m, st in zip(steps, mods, strides):
-            moved = [(x + d) % m * st + r for x in range(m) for r in moved]
         nxt = polys[:]
         for r, p in enumerate(polys):
             if p:

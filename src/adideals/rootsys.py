@@ -390,6 +390,14 @@ class RootSystem:
                              % (use, self, self.rank, x))
         return coords
 
+    def _scaled_pairings(self, x, use):
+        """Integers D > 0 and P_j = D (x, alpha_j) for x of rank many int or
+        Fraction coordinates (ValueError, naming the use, otherwise)."""
+        coords = self._rational_coords(x, use)
+        lcm = math.lcm(*(c.denominator for c in coords))
+        ints = [c.numerator * (lcm // c.denominator) for c in coords]
+        return lcm * self._gram_den, [sum(map(mul, ints, row)) for row in self._gram_num]
+
     def in_coroot_lattice(self, x) -> bool:
         """Whether x, rank many int or Fraction coordinates, lies in the coroot
         lattice; ValueError for any other x."""

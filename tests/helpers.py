@@ -818,3 +818,51 @@ def tuple_root_system(label, rank):
         up_masks=tuple(up),
         strict_down_masks=tuple(m ^ 1 << i for i, m in enumerate(down)),
     )
+
+
+# The per-root routes that `ideals.shi_region_contains`,
+# `lattice_count.d_min_contains` and `d_max_contains` replaced by one
+# integer pairing of the point with the simple roots, kept as their
+# differential oracles: one validated `rs.bilinear` per constraint.
+
+def shi_region_contains_by_bilinear(ideal, x):
+    rs = ideal.rs
+    for root, relation, bound in I.shi_inequalities(ideal):
+        val = rs.bilinear(x, root.coords)
+        if relation == ">" and not val > bound:
+            return False
+        if relation == "<" and not val < bound:
+            return False
+    return True
+
+
+def d_min_contains_by_bilinear(rs, x):
+    if any(rs.bilinear(x, a.coords) < -1 for a in rs.simple_roots()):
+        return False
+    return rs.bilinear(x, rs.theta_coords) <= 2
+
+
+def d_max_contains_by_bilinear(rs, x):
+    if any(rs.bilinear(x, a.coords) > 1 for a in rs.simple_roots()):
+        return False
+    return rs.bilinear(x, rs.theta_coords) >= 0
+
+
+def affine_simple_data_by_pairing(rs):
+    """`affine._affine_simple_data` as it was built before it read the affine
+    Cartan matrix off `rs.cartan`, kept as its oracle: every pairing taken by
+    `rs.pairing` between fresh `Root`s of the affine simple roots' finite parts."""
+    p = rs.rank
+    weights = tuple(1 << (A._SHIFT * (p - k)) for k in range(p + 1))
+    roots = [A.simple_affine_root(rs, i) for i in range(p + 1)]
+    finite = [Root(b.finite) for b in roots]
+    simples, columns = [], []
+    for i, f in enumerate(finite):
+        pairs = ((m, rs.pairing(a, f)) for m, a in enumerate(rs.simple_roots()))
+        cartan = ((j, rs.pairing(g, f)) for j, g in enumerate(finite) if j != i)
+        packed = roots[i].level * weights[0] + sum(
+            c * wt for c, wt in zip(f.coords, weights[1:]))
+        simples.append((packed, tuple((m, c) for m, c in pairs if c)))
+        columns.append(tuple((j, a) for j, a in cartan if a))
+    restricted = tuple(tuple((j - 1, a) for j, a in col if j) for col in columns[1:])
+    return weights, tuple(simples), (tuple(columns), restricted)

@@ -13,9 +13,12 @@ from adideals import affine as A
 from adideals import ideals as I
 from adideals import lattice_count as L
 from helpers import (
-    affine_inverse, affine_product, all_words, full_weyl_group, in_weyl_group_by_columns, is_root,
-    matrix_element_from_word, matrix_inverse, matrix_product, matrix_simple_reflection,
-    peel_element_from_inversions, peel_reduced_word, prescribed_inversions, systems_up_to,
+    affine_inverse, affine_product, affine_simple_data_by_pairing, all_words,
+    d_max_contains_by_bilinear, d_min_contains_by_bilinear, full_weyl_group,
+    in_weyl_group_by_columns, is_root, matrix_element_from_word, matrix_inverse,
+    matrix_product, matrix_simple_reflection, peel_element_from_inversions,
+    peel_reduced_word, prescribed_inversions, shi_region_contains_by_bilinear,
+    systems_up_to,
 )
 
 
@@ -323,6 +326,20 @@ def test_barycenter_lands_in_shi_region():
         assert (val > 1) == bool(h.mask >> idx & 1)
 
 
+@pytest.mark.parametrize("label,rank", systems_up_to(5))
+def test_point_tests_match_the_per_root_pairings_at_barycenters(label, rank):
+    # at the barycenter of w_min(I)^{-1} A, inside the Shi region of I, and
+    # for the next ideal in enumeration order, mostly outside it
+    rs = build(label, rank)
+    ideals = list(I.enumerate_ideals(rs))
+    for ideal, other in zip(ideals, ideals[1:] + ideals[:1]):
+        x = A.alcove_image_barycenter(A.w_min(ideal))
+        assert I.shi_region_contains(ideal, x) and shi_region_contains_by_bilinear(ideal, x)
+        assert I.shi_region_contains(other, x) == shi_region_contains_by_bilinear(other, x)
+        assert L.d_min_contains(rs, x) == d_min_contains_by_bilinear(rs, x)
+        assert L.d_max_contains(rs, x) == d_max_contains_by_bilinear(rs, x)
+
+
 def test_element_from_inversions_rejects_non_biconvex_set():
     rs = build("A", 2)
     # delta - alpha_1 alone is not an inversion set: no simple root in it
@@ -395,6 +412,32 @@ def test_d_min_points_are_the_coroot_points_of_d_min(label, rank):
     walked = [tuple(y) for y in A._d_min_points(rs)]
     assert sorted(walked) == swept
     assert all(rs.in_coroot_lattice(L.coweight_point(rs, y)) for y in walked)
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(8, exceptional=False)
+                         + [("G2", 2), ("F4", 4), ("E6", 6), ("E7", 7)])
+def test_d_min_walk_keeps_exactly_the_coroot_points(label, rank):
+    # an oracle that reads no congruence: every kept point lies in Q^vee by
+    # its root coordinates, no point repeats, and there are #AD of them, the
+    # number of points of D_min cap Q^vee.  E8, whose coweight lattice is
+    # Q^vee, is counted by the walk test above
+    rs = build(label, rank)
+    walked = [tuple(y) for y in A._d_min_points(rs)]
+    assert all(rs.in_coroot_lattice(L.coweight_point(rs, y)) for y in walked)
+    assert len(set(walked)) == len(walked) == L.count_AD(rs).value
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(8)
+                         + [("A", 20), ("B", 15), ("C", 15), ("D", 16)])
+def test_affine_simple_data_matches_the_pairing_construction(label, rank):
+    rs = build(label, rank)
+    assert A._affine_simple_data(rs) == affine_simple_data_by_pairing(rs)
+    # the neighbours of alpha_0 that the record route reads, with (alpha_i, theta)
+    neighbours = [(A._SHIFT * (rank - 1 - i), c) for i, a in enumerate(rs.simple_roots())
+                  if (c := rs.pair_root_coroot(a.coords, rs.theta_coords))]
+    shift, got = A._image_record_data(rs)
+    assert shift == A._SHIFT * rank
+    assert [(s, c) for s, _, c in got] == neighbours
 
 
 @pytest.mark.parametrize("label,rank", systems_up_to(4))

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -44,6 +45,16 @@ def test_pair_antichain_validation():
         C.PairAntichain(3, [(1, 5)])
     with pytest.raises(ValueError, match="increasing"):
         C.PairAntichain(4, [(1, 4), (2, 3)])
+
+
+@pytest.mark.parametrize("entry", [(1.0, 3.0), (True, 3), (1, False), "13", ("1", "3"),
+                                   (1,), (1, 2, 3), 1, None],
+                         ids=["float", "bool", "bool-b", "str", "str-pair", "1-tuple",
+                              "3-tuple", "int", "none"])
+def test_pair_antichain_rejects_malformed_pairs(entry):
+    # a float, bool or str pair is no pair of A_n, and no entry is unpacked
+    with pytest.raises(ValueError, match=r"a pair is two ints, not %s$" % re.escape(repr(entry))):
+        C.PairAntichain(3, [(1, 2), entry])
 
 
 def test_non_meeting_examples():
@@ -111,9 +122,9 @@ def test_pair_lookups_keep_their_checks():
         with pytest.raises(ValueError, match="not a positive-root pair"):
             C.sp_pair_to_root(rs_c, pair)
     assert C.sp_pair_to_root(rs_c, (1.0, 2.0)) == rs_c.alpha(0)
-    with pytest.raises(ValueError, match="out of range"):
-        C.from_pairs(C.PairAntichain(3, [(1.5, 2)]))
-    assert C.from_pairs(C.PairAntichain(3, [(1.0, 2.0)])) == I.Antichain(rs_a, [rs_a.alpha(0)])
+    for pair in [(1.5, 2), (1.0, 2.0)]:
+        with pytest.raises(ValueError, match="two ints"):
+            C.from_pairs(C.PairAntichain(3, [pair]))
     with pytest.raises(ValueError, match="type A"):
         C.from_pairs(C.PairAntichain(3, [(1, 2)]), rs_c)
     with pytest.raises(ValueError, match="rank mismatch"):

@@ -224,6 +224,22 @@ def test_formula_builds_no_checked_element(monkeypatch, label, rank):
     assert got == [A.first_layer_ideal(H.heisenberg_element(rs, d)) for d in descriptors]
 
 
+def test_formula_builds_no_affine_root(monkeypatch):
+    # theta - N(w_nu) is read off the shifts of w_nu, not off its inversion set
+    rs = build("E7", 7)
+    descriptors = [H.HeisenbergElementDescriptor(nu, sign) for nu in long_positive(rs)
+                   for sign in (1, -1)
+                   if sign == 1 or rs.index_of(nu) not in rs.simple_indices]
+
+    def fail(*args):
+        raise AssertionError("the formula built an AffineRoot")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(A, "AffineRoot", fail)
+        got = [H.heisenberg_ideal_formula(rs, d) for d in descriptors]
+    assert got == [A.first_layer_ideal(H.heisenberg_element(rs, d)) for d in descriptors]
+
+
 def test_formula_rejects_simple_minus():
     rs = build("A", 2)
     with pytest.raises(ValueError, match="non-simple"):

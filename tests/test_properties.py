@@ -5,8 +5,10 @@ over random affine Weyl elements of every type of rank <= 4 (G2 and F4
 included) for their inversion data; over random roots of every type of
 rank <= 30 for the packed root-system build; over random regular
 vectors of every type of rank <= 8 for the chamber sort; over random
-Laurent products, with congruence forms, for the packed lattice count;
-and over random nested JSON values for the CLI's JSON writer.
+rational points of every type of rank <= 6 for the Shi and polytope
+tests; over random Laurent products, with congruence forms, for the
+packed lattice count; and over random nested JSON values for the CLI's
+JSON writer.
 
 Derandomised, so every run draws the same examples.
 """
@@ -25,8 +27,10 @@ from adideals import lattice_count as L
 from adideals.rootsys import Root, RootSystem, build
 from helpers import (
     affine_inverse, affine_product, brute_bilinear, brute_is_abelian,
+    d_max_contains_by_bilinear, d_min_contains_by_bilinear,
     laurent_coefficient_by_dp, level_scan_inversions, most_negative_first_sort,
     peel_element_from_inversions, peel_reduced_word, prescribed_inversions,
+    shi_region_contains_by_bilinear,
     sp_restriction_by_support, sp_root_to_pair_by_search, symmetrize_by_search,
     systems_up_to, tuple_root_system, two_table_is_minimax,
 )
@@ -240,6 +244,25 @@ def laurent_inputs(draw):
 def test_packed_laurent_matches_dp_oracle(case):
     cs, k, forms = case
     assert L.laurent_coefficient(cs, k, forms) == laurent_coefficient_by_dp(cs, k, forms)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(ideals(), st.data())
+def test_point_tests_match_the_per_root_pairings(ideal, data):
+    # small integers land on the walls (x, gamma) = 0, 1, 2, where a strict
+    # and a weak inequality differ; the barycenter of w_min(I)^{-1} A moved by
+    # a small Fraction lands inside the Shi region of I or just outside it
+    rs = ideal.rs
+    small = st.fractions(-1, 1, max_denominator=4)
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(st.integers(-2, 2) | small, min_size=rs.rank,
+                               max_size=rs.rank))
+    else:
+        base = A.alcove_image_barycenter(A.w_min(ideal))
+        x = [b + data.draw(small) / 4 for b in base]
+    assert I.shi_region_contains(ideal, x) == shi_region_contains_by_bilinear(ideal, x)
+    assert L.d_min_contains(rs, x) == d_min_contains_by_bilinear(rs, x)
+    assert L.d_max_contains(rs, x) == d_max_contains_by_bilinear(rs, x)
 
 
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
