@@ -430,13 +430,15 @@ def shi_inequalities(ideal: Ideal):
 
 def shi_region_contains(ideal: Ideal, x) -> bool:
     """Whether the rational point x, rank many int or Fraction coordinates
-    (ValueError otherwise), satisfies every Shi inequality of I, read off the
-    integers P_j = D (x, alpha_j) as D (x, gamma) = sum_j gamma_j P_j."""
-    rs = ideal.rs
-    scale, pairs = rs._scaled_pairings(x, "a Shi region test")
-    vals = (sum(map(mul, root.coords, pairs)) for root in rs.positive_roots)
-    return min(pairs) > 0 and all(v > scale if ideal.mask >> i & 1 else v < scale
-                                  for i, v in enumerate(vals))
+    (ValueError otherwise), satisfies every one of `shi_inequalities(I)`,
+    read off the integers P_j = D (x, alpha_j) as
+    D (x, gamma) = sum_j gamma_j P_j against D times the bound."""
+    scale, pairs = ideal.rs._scaled_pairings(x, "a Shi region test")
+    for root, relation, bound in shi_inequalities(ideal):
+        val, bound = sum(map(mul, root.coords, pairs)), bound * scale
+        if not (val > bound if relation == ">" else val < bound):
+            return False
+    return True
 
 
 def ideal_to_record(ideal: Ideal) -> dict:
