@@ -136,13 +136,16 @@ def identity_finite(rank: int) -> FiniteWeylElement:
 
 
 def reflection(rs: RootSystem, root: Root) -> FiniteWeylElement:
-    """The reflection x -> x - (x, root^vee) root."""
-    n = rs.rank
-    pair = [rs.pairing(rs.alpha(j), root) for j in range(n)]
-    rows = [
-        [int(r == c) - pair[c] * root.coords[r] for c in range(n)] for r in range(n)
-    ]
-    return FiniteWeylElement(rows)
+    """The reflection x -> x - (x, root^vee) root, read off D (root, alpha_j);
+    ValueError unless every (alpha_j, root^vee) is an integer."""
+    n, coords = rs.rank, root.coords
+    _, pairs = rs._scaled_pairings(coords, "a reflection")
+    norm = sum(map(mul, coords, pairs))
+    if not norm or any(2 * q % norm for q in pairs):
+        raise ValueError("a reflection in %s needs a root, not %r" % (rs, root))
+    pair = [2 * q // norm for q in pairs]
+    return FiniteWeylElement([[int(r == c) - pair[c] * coords[r] for c in range(n)]
+                              for r in range(n)])
 
 
 def finite_inversions(rs: RootSystem, v: FiniteWeylElement):
@@ -240,7 +243,8 @@ def affine_simple_reflection(rs: RootSystem, i: int) -> AffineWeylElement:
 
 
 def act_affine_root(w: AffineWeylElement, beta: AffineRoot) -> AffineRoot:
-    t = w.rs.pair_root_coroot(beta.finite, w.r) if any(w.r) else 0
+    """w(k*delta + mu) = (k - (mu, r))*delta + v(mu); ValueError for a malformed mu."""
+    t = w.rs.pair_root_coroot(beta.finite, w.r)
     return AffineRoot(beta.level - t, w.v.act(beta.finite))
 
 
@@ -264,7 +268,7 @@ def _shifts(w: AffineWeylElement, roots=None):
     and the heights of v(alpha_j) alone.
     """
     rs = w.rs
-    levels = [rs.pair_root_coroot(a.coords, w.r) for a in rs.simple_roots()]
+    levels = y_coordinates(rs, w.r)
     heights = [sum(col) for col in zip(*w.v.matrix)]
     return [sum(map(mul, mu.coords, levels)) + (sum(map(mul, mu.coords, heights)) < 0)
             for mu in (rs.positive_roots if roots is None else roots)]
@@ -290,38 +294,38 @@ def is_dominant(w: AffineWeylElement) -> bool:
 
 
 def y_coordinates(rs: RootSystem, point):
-    """y_i = (alpha_i, x) for i = 1..p, the coweight coordinates of x; at x =
-    `lattice_image(w)` they are the delta-coefficients of w^{-1}(alpha_i)."""
-    return [rs.pair_root_coroot(a.coords, point) for a in rs.simple_roots()]
-
-
-def _inverse_simple_levels(w: AffineWeylElement):
-    """delta-coefficients of w^{-1}(alpha_i) for i = 0..p; that of
-    w^{-1}(alpha_0) = w^{-1}(delta - theta) is 1 - sum theta_i y_i."""
-    y = y_coordinates(w.rs, lattice_image(w))
-    return [1 - sum(map(mul, w.rs.theta_coords, y))] + y
+    """y_i = (alpha_i, x), i = 1..p, for x in the coweight lattice given by
+    rank int or Fraction coordinates (ValueError otherwise), off one Gram
+    product; at x = `lattice_image(w)`, the levels of w^{-1}(alpha_i)."""
+    scale, pairs = rs._scaled_pairings(point, "a coweight expansion")
+    if any(q % scale for q in pairs):
+        raise ValueError("%r is not in the coweight lattice of %s" % (tuple(point), rs))
+    return [q // scale for q in pairs]
 
 
 def is_minimal(w: AffineWeylElement) -> bool:
-    return is_dominant(w) and min(_inverse_simple_levels(w)) >= -1
+    """Whether w is minimal: dominant with lattice image in D_min."""
+    return is_dominant(w) and _L.d_min_contains(w.rs, lattice_image(w))
 
 
 def is_maximal(w: AffineWeylElement) -> bool:
-    return is_dominant(w) and max(_inverse_simple_levels(w)) <= 1
+    """Whether w is maximal: dominant with lattice image in D_max."""
+    return is_dominant(w) and _L.d_max_contains(w.rs, lattice_image(w))
 
 
 def is_minimax_element(w: AffineWeylElement) -> bool:
-    return is_dominant(w) and all(-1 <= k <= 1 for k in _inverse_simple_levels(w))
+    """Whether w is minimax: dominant with lattice image in D_mm."""
+    return is_dominant(w) and _L.d_mm_contains(w.rs, lattice_image(w))
 
 
 def reduced_word(w: AffineWeylElement):
     """A reduced word for w: the indices `_peel` takes off the packed images
-    w(alpha_j), reversed."""
-    rs = w.rs
-    weights, _, (columns, _) = _affine_simple_data(rs)
-    beta = [sum(map(mul, (b.level,) + b.finite, weights))
-            for b in (act_affine_root(w, simple_affine_root(rs, j)) for j in range(rs.rank + 1))]
-    return _peel(columns, beta)[::-1]
+    w(alpha_j) = -y_j*delta + v(alpha_j), y = `y_coordinates` of r, reversed."""
+    weights, _, (columns, _) = _affine_simple_data(w.rs)
+    cols = [sum(map(mul, col, weights[1:])) - y * weights[0]
+            for col, y in zip(zip(*w.v.matrix), y_coordinates(w.rs, w.r))]
+    # w(alpha_0) = delta - w(theta), and packing is linear
+    return _peel(columns, [weights[0] - sum(map(mul, w.rs.theta_coords, cols))] + cols)[::-1]
 
 
 def _peel(columns, beta, bound=None):
@@ -456,7 +460,7 @@ def _d_min_data(rs: RootSystem):
     """What `_d_min_fields` reads the points with: D; per j, the packed
     z_j*delta + alpha_j for z = D b, from which the sort starts; the simple
     root alpha_k at each root index below p; and above it, the parent table
-    (index of gamma - alpha_k, k)."""
+    (b, k) off gamma's first split (a, b) in `rs.decompositions`, a simple."""
     p = rs.rank
     lcm = math.lcm(*rs.theta_coords)
     den = (p + 1) * lcm
@@ -464,14 +468,7 @@ def _d_min_data(rs: RootSystem):
     start = tuple((lcm // c) * weights[0] + weights[1 + j]
                   for j, c in enumerate(rs.theta_coords))
     simple_of = tuple(rs.simple_indices.index(s) for s in range(p))
-
-    def parent(mu):
-        for k in range(p):
-            a = rs._index.get(mu[:k] + (mu[k] - 1,) + mu[k + 1:])
-            if a is not None:
-                return a, k
-
-    parents = tuple(parent(mu.coords) for mu in rs.positive_roots[p:])
+    parents = tuple((b, simple_of[a]) for (a, b), *_ in rs.decompositions[p:])
     return den, start, simple_of, parents
 
 

@@ -137,10 +137,10 @@ def _require_type_c(rs: RootSystem):
 def sp_pair_to_root(rs: RootSystem, pair) -> Root:
     _require_type_c(rs)
     index = _pair_table(rs)[1]
-    i, j = pair
-    if (i, j) not in index:  # exactly the i < j with i >= 1 and i + j <= 2n + 1
-        raise ValueError("%r is not a positive-root pair of C_%d" % ((i, j), rs.rank))
-    return rs.positive_roots[index[(i, j)]]
+    pair = _int_pair(pair)
+    if pair not in index:  # exactly the i < j with i >= 1 and i + j <= 2n + 1
+        raise ValueError("%r is not a positive-root pair of C_%d" % (pair, rs.rank))
+    return rs.positive_roots[index[pair]]
 
 
 def sp_root_to_pair(rs: RootSystem, root: Root):

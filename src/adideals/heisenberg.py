@@ -71,10 +71,10 @@ def _w_nu_word(rs: RootSystem, nu: Root):
     (nu, beta^vee) < 0, so the word s_{i_1} ... s_{i_k}, which takes theta
     to nu, is reduced, and its element is the unique shortest one (the
     minimal coset representative of the stabiliser of theta).  `_peel`
-    ascends on the pairings (nu, alpha_j), integer Gram rows times nu: they
-    have the signs of the (nu, alpha_j^vee) and move by the same step."""
+    ascends on the one Gram product D (nu, alpha_j) of `_scaled_pairings`:
+    they have the signs of the (nu, alpha_j^vee) and move by the same step."""
     _require_long_positive(rs, nu)
-    pairings = [sum(map(mul, row, nu.coords)) for row in rs._gram_num]
+    pairings = rs._scaled_pairings(nu.coords, "a Weyl word")[1]
     return [i + 1 for i in _peel(_affine_simple_data(rs)[2][1], pairings)]
 
 
@@ -91,11 +91,11 @@ def s_nu(rs: RootSystem, nu: Root) -> FiniteWeylElement:
 
 def n_s_nu_zero(rs: RootSystem, nu: Root):
     """N(s_nu) \\ {nu}: the gamma with (gamma, nu^vee) = 1 and gamma < nu,
-    tried over nu's strict down mask, in root-index order.  With nu's integer
-    Gram row g = G nu taken once, (gamma, nu^vee) = 1 iff 2 gamma.g = nu.g."""
+    tried over nu's strict down mask, in root-index order.  With nu's Gram
+    product g_j = D (nu, alpha_j) taken once, (gamma, nu^vee) = 1 iff 2 gamma.g = nu.g."""
     roots = rs.positive_roots
     idx = rs.index_of(nu)
-    g = [sum(map(mul, row, nu.coords)) for row in rs._gram_num]
+    g = rs._scaled_pairings(nu.coords, "a pairing")[1]
     norm = sum(map(mul, nu.coords, g))
     return [roots[s] for s in _iter_bits(rs.strict_down_masks[idx])
             if 2 * sum(map(mul, roots[s].coords, g)) == norm]

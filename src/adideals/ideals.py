@@ -306,11 +306,12 @@ def heisenberg_root_mask(rs: RootSystem) -> int:
 
     theta is dominant, so (gamma, theta) > 0 exactly when gamma lies above
     a simple root alpha_i with (alpha_i, theta) > 0, a neighbour of alpha_0
-    in the extended diagram: the union of their up masks, p pairings.
+    in the extended diagram: the union of their up masks, one Gram product.
     """
+    pairs = rs._scaled_pairings(rs.theta_coords, "a Heisenberg mask")[1]
     mask = 0
-    for i, s in enumerate(rs.simple_indices):
-        if rs.pair_root_coroot(rs.alpha(i).coords, rs.theta_coords) > 0:
+    for s, q in zip(rs.simple_indices, pairs):
+        if q > 0:
             mask |= rs.up_masks[s]
     return mask
 

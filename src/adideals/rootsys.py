@@ -4,7 +4,9 @@ A root is an integer vector over the simple roots alpha_1..alpha_p, and
 Delta^+ carries the usual root order: mu <= gamma iff gamma - mu has
 nonnegative coordinates.  The invariant inner product is normalised so
 that long roots have squared length 2; then nu^vee = nu for long nu and
-every pairing (gamma, nu^vee) between two roots is an integer.
+every pairing (gamma, nu^vee) between two roots is an integer.  Every
+inner product and pairing reads the one Gram product,
+`RootSystem._scaled_pairings`, which checks the vector it is given.
 
 Every type is one row of `TYPES`: its least and greatest rank and its
 Dynkin diagram, the bonds between simple roots and the ratios
@@ -227,8 +229,9 @@ class RootSystem:
     coweights take no inverse: h^vee varpi_k^vee = sum_{beta > 0} beta_k beta,
     h^vee = 1 + sum c_i / r_i (Kac, 6.1 and Table Aff; `_coweights`).
     Inner products and pairings are computed on demand from one integer
-    Gram matrix, read off the type's row of `TYPES`.  Use the module-level
-    `build` (which caches) rather than the constructor.
+    Gram matrix, read off the type's row of `TYPES`, by `_scaled_pairings`
+    alone, which checks its vector.  Use the module-level `build` (which
+    caches) rather than the constructor.
     """
 
     def __init__(self, type_label: str, rank: int):
@@ -344,48 +347,46 @@ class RootSystem:
 
     # -- exact arithmetic --------------------------------------------------
 
-    def _gram_product(self, x, y):
-        """_gram_den * (x, y); an integer for integer vectors x and y."""
-        num = 0
-        gn = self._gram_num
-        for i, xi in enumerate(x):
-            if xi:
-                row = gn[i]
-                num += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
-        return num
-
     def bilinear(self, x, y) -> "Fraction":
         """Invariant inner product of two vectors of rank many int or Fraction
         coordinates; ValueError for any other x or y."""
         from fractions import Fraction
-        x, y = (self._rational_coords(v, "an inner product") for v in (x, y))
-        return Fraction(self._gram_product(x, y), self._gram_den)
+        scale, pairs = self._scaled_pairings(x, "an inner product")
+        y = self._rational_coords(y, "an inner product")
+        return Fraction(sum(map(mul, y, pairs)), scale)
 
     def pairing(self, gamma: Root, nu: Root) -> int:
-        """(gamma, nu^vee); an integer for any two roots."""
-        q, rem = divmod(2 * self._gram_product(gamma.coords, nu.coords),
-                        self._gram_product(nu.coords, nu.coords))
-        if rem:
-            raise ValueError("(%r, %r^vee) is not an integer; are both roots?" % (gamma, nu))
-        return q
+        """(gamma, nu^vee); an integer for any two roots.  ValueError for a
+        zero nu, a non-integer value or coordinates of another kind."""
+        _, pairs = self._scaled_pairings(nu.coords, "a pairing")
+        norm = sum(map(mul, nu.coords, pairs))
+        twice = 2 * sum(map(mul, self._rational_coords(gamma.coords, "a pairing"), pairs))
+        if not norm or twice % norm:
+            raise ValueError("a pairing in %s needs two roots, not %r, %r" % (self, gamma, nu))
+        return twice // norm
 
     def pair_root_coroot(self, mu, r) -> int:
-        """(mu, r) for a root-coordinate vector mu and a coroot-lattice vector r."""
-        q, rem = divmod(self._gram_product(mu, r), self._gram_den)
+        """(mu, r) for a root-coordinate vector mu and a coroot-lattice vector r,
+        both rank many int or Fraction coordinates (ValueError otherwise)."""
+        scale, pairs = self._scaled_pairings(r, "a root-coroot pairing")
+        mu = self._rational_coords(mu, "a root-coroot pairing")
+        q, rem = divmod(sum(map(mul, mu, pairs)), scale)
         if rem:
             raise ValueError("%r is not in the coroot lattice of %s" % (tuple(r), self))
         return q
 
     def _rational_coords(self, x, use):
         """x as a tuple of rank many int or Fraction coordinates; ValueError,
-        naming the use, for any other x."""
+        naming the use, for any other x.  Only a non-int loads `fractions`."""
         try:
             coords = tuple(x)
         except TypeError:
             coords = ()
-        from fractions import Fraction
-        if len(coords) != self.rank or not all(
-                type(c) is int or isinstance(c, Fraction) for c in coords):
+        valid = len(coords) == self.rank
+        if valid and not all(type(c) is int for c in coords):
+            from fractions import Fraction
+            valid = all(type(c) is int or isinstance(c, Fraction) for c in coords)
+        if not valid:
             raise ValueError("%s in %s needs %d int or Fraction coordinates, not %r"
                              % (use, self, self.rank, x))
         return coords

@@ -5,7 +5,7 @@ import math
 from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
-from operator import ge
+from operator import ge, mul
 from types import SimpleNamespace
 
 from adideals import affine as A
@@ -288,6 +288,16 @@ def level_scan_inversions(w):
                 k += 1
     out.sort(key=lambda b: (b.level, b.finite))
     return out
+
+
+def inverse_simple_levels(w):
+    """The delta-coefficients of w^{-1}(alpha_i), i = 0..p: the y_i of the
+    lattice image for i >= 1, and 1 - sum theta_i y_i for w^{-1}(alpha_0) =
+    w^{-1}(delta - theta).  The level rule the element predicates once read:
+    a dominant w is minimal when every level is >= -1, maximal when every
+    level is <= 1, and minimax when both hold."""
+    y = A.y_coordinates(w.rs, A.lattice_image(w))
+    return [1 - sum(map(mul, w.rs.theta_coords, y))] + y
 
 
 def prescribed_inversions(ideal, maximal=False):

@@ -717,7 +717,7 @@ def test_element_from_record_rejects_malformed(record):
 def test_element_from_record_validates_under_optimize():
     # `python -O` strips asserts; the checks must still raise
     code = "\n".join([
-        "from adideals.rootsys import AffineRoot, build",
+        "from adideals.rootsys import AffineRoot, Root, build",
         "from adideals import affine as A",
         "assert False, 'asserts are on'",
         "rec = {'word': [0], 'v_matrix': [[9, 9], [9, 9]], 'r_coords': [5, 5]}",
@@ -726,7 +726,9 @@ def test_element_from_record_validates_under_optimize():
         "         lambda: A.length(A.translation(build('G2', 2), (1, 0))),",
         "         lambda: A.finite_element(build('A', 2), A.FiniteWeylElement([[0, 1], [1, 0]])),",
         "         lambda: A.element_from_inversions(build('A', 2), [AffineRoot(1, (-1, 0))]),",
-        "         lambda: A.finite_element(build('A', 2), alias)]",
+        "         lambda: A.finite_element(build('A', 2), alias),",
+        "         lambda: A.y_coordinates(build('A', 2), (1,)),",
+        "         lambda: build('A', 2).pairing(build('A', 2).theta, Root((0, 0)))]",
         "for n, call in enumerate(calls):",
         "    try:",
         "        call()",

@@ -70,6 +70,26 @@ def test_no_module_imports_fractions_at_import_time():
             assert name.split(".")[0] != "fractions", path.name
 
 
+def _loads_by_scope(node, attr, scope=()):
+    """The dotted class and function names around each load of `.attr`."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (child.name,)
+        elif (isinstance(child, ast.Attribute) and child.attr == attr
+              and isinstance(child.ctx, ast.Load)):
+            yield ".".join(scope)
+        yield from _loads_by_scope(child, attr, inner)
+
+
+def test_only_the_scaled_pairings_read_the_gram_matrix_after_construction():
+    # every inner product and pairing goes through the one checked product;
+    # the constructor only stores the matrix
+    loads = {(path.name, name) for path in _package_files()
+             for name in _loads_by_scope(ast.parse(path.read_text(), str(path)), "_gram_num")}
+    assert loads == {("rootsys.py", "RootSystem._scaled_pairings")}
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # a cold, isolated interpreter: both modules cost milliseconds to import
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import adideals.cli; "

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from adideals.rootsys import build
+from adideals.rootsys import AffineRoot, Root, build
 from adideals import affine as A
 from adideals import ideals as I
 from adideals import lattice_count as L
@@ -54,7 +54,18 @@ def test_coweight_point_rejects_malformed_coordinates(y):
     ("a D_max test", L.d_max_contains),
     ("a D_min test", L.d_mm_contains),
     ("a Shi region test", lambda rs, x: I.shi_region_contains(I.empty_ideal(rs), x)),
-], ids=["act_point", "bilinear-x", "bilinear-y", "d_min", "d_max", "d_mm", "shi"])
+    ("a coweight expansion", A.y_coordinates),
+    ("a root-coroot pairing", lambda rs, x: rs.pair_root_coroot(x, rs.theta_coords)),
+    ("a root-coroot pairing", lambda rs, x: rs.pair_root_coroot(rs.theta_coords, x)),
+    ("a pairing", lambda rs, x: rs.pairing(Root(x), rs.theta)),
+    ("a pairing", lambda rs, x: rs.pairing(rs.theta, Root(x))),
+    ("a root-coroot pairing",
+     lambda rs, x: A.act_affine_root(A.element_from_word(rs, [0]), AffineRoot(0, x))),
+    ("a root-coroot pairing",
+     lambda rs, x: A.act_affine_root(A.identity_element(rs), AffineRoot(0, x))),
+], ids=["act_point", "bilinear-x", "bilinear-y", "d_min", "d_max", "d_mm", "shi",
+        "y_coordinates", "pair_root_coroot-mu", "pair_root_coroot-r", "pairing-gamma",
+        "pairing-nu", "act_affine_root", "act_affine_root-identity"])
 @pytest.mark.parametrize("x", [(1,), (1, 2, 3, 4), (), ("a", "b", "c"), (0, 1.5, 0),
                                (0, True, 0), 3],
                          ids=["short", "long", "empty", "str", "float", "bool", "int"])
@@ -62,6 +73,15 @@ def test_points_of_the_wrong_length_or_type_are_rejected(use, call, x):
     # no point is zero-padded, cut short or read past its end
     with pytest.raises(ValueError, match=r"%s in .* needs 3 int or Fraction" % use):
         call(build("A", 3), x)
+
+
+@pytest.mark.parametrize("use,call", [
+    ("a pairing in .* needs two roots", lambda rs, zero: rs.pairing(rs.alpha(0), zero)),
+    ("a reflection in .* needs a root", A.reflection),
+], ids=["pairing", "reflection"])
+def test_a_zero_root_is_rejected(use, call):
+    with pytest.raises(ValueError, match=use):
+        call(build("A", 3), Root((0, 0, 0)))
 
 
 def test_base_system_examples():

@@ -27,7 +27,7 @@ from adideals import lattice_count as L
 from adideals.rootsys import Root, RootSystem, build
 from helpers import (
     affine_inverse, affine_product, brute_bilinear, brute_is_abelian,
-    d_max_contains_by_bilinear, d_min_contains_by_bilinear,
+    d_max_contains_by_bilinear, d_min_contains_by_bilinear, inverse_simple_levels,
     laurent_coefficient_by_dp, level_scan_inversions, most_negative_first_sort,
     peel_element_from_inversions, peel_reduced_word, prescribed_inversions,
     shi_region_contains_by_bilinear,
@@ -162,9 +162,21 @@ def test_inversion_data_matches_level_scan(w):
                     if b.level == 1 and not Root(b.finite).is_positive())
         assert A.first_layer_ideal(w).mask == first
     winv = affine_inverse(w)
-    assert A._inverse_simple_levels(w) == [A.act_affine_root(winv, a).level for a in simples]
+    assert inverse_simple_levels(w) == [A.act_affine_root(winv, a).level for a in simples]
     assert A.reduced_word(w) == peel_reduced_word(w)
     assert w.inverse() == winv
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(elements())
+def test_element_predicates_match_the_level_rule(w):
+    # the D_min/D_max/D_mm tests of the lattice image against the levels of
+    # w^{-1}(alpha_i), i = 0..p, that the predicates read before
+    levels = inverse_simple_levels(w)
+    dominant = A.is_dominant(w)
+    assert A.is_minimal(w) == (dominant and min(levels) >= -1)
+    assert A.is_maximal(w) == (dominant and max(levels) <= 1)
+    assert A.is_minimax_element(w) == (dominant and all(-1 <= k <= 1 for k in levels))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
