@@ -137,10 +137,13 @@ def identity_finite(rank: int) -> FiniteWeylElement:
 
 def reflection(rs: RootSystem, root: Root) -> FiniteWeylElement:
     """The reflection x -> x - (x, root^vee) root, read off D (root, alpha_j);
-    ValueError unless every (alpha_j, root^vee) is an integer."""
-    n, coords = rs.rank, root.coords
-    _, pairs = rs._scaled_pairings(coords, "a reflection")
-    norm = sum(map(mul, coords, pairs))
+    ValueError unless root is a `Root` and every (alpha_j, root^vee) is an
+    integer."""
+    n, norm = rs.rank, 0
+    if isinstance(root, Root):
+        coords = root.coords
+        _, pairs = rs._scaled_pairings(coords, "a reflection")
+        norm = sum(map(mul, coords, pairs))
     if not norm or any(2 * q % norm for q in pairs):
         raise ValueError("a reflection in %s needs a root, not %r" % (rs, root))
     pair = [2 * q // norm for q in pairs]
@@ -460,7 +463,8 @@ def _d_min_data(rs: RootSystem):
     """What `_d_min_fields` reads the points with: D; per j, the packed
     z_j*delta + alpha_j for z = D b, from which the sort starts; the simple
     root alpha_k at each root index below p; and above it, the parent table
-    (b, k) off gamma's first split (a, b) in `rs.decompositions`, a simple."""
+    (b, k) off gamma's last split (a, b) in `rs.decompositions`, whose a,
+    the least, is a simple root alpha_k."""
     p = rs.rank
     lcm = math.lcm(*rs.theta_coords)
     den = (p + 1) * lcm
@@ -468,7 +472,7 @@ def _d_min_data(rs: RootSystem):
     start = tuple((lcm // c) * weights[0] + weights[1 + j]
                   for j, c in enumerate(rs.theta_coords))
     simple_of = tuple(rs.simple_indices.index(s) for s in range(p))
-    parents = tuple((b, simple_of[a]) for (a, b), *_ in rs.decompositions[p:])
+    parents = tuple((b, simple_of[a]) for *_, (a, b) in rs.decompositions[p:])
     return den, start, simple_of, parents
 
 

@@ -24,8 +24,11 @@ in root-index order.  So does l, and on an ideal whose members below m
 all have l = k - 1, l(m) is read off the k-values of the member-member
 splits of m.  `_first_minimax_failure` therefore scans the members in
 index order with the k-table alone and stops at the first member where
-k - 1 != l.  `is_minimax` is that scan over every member, and
-`enumerate_ideals` runs it inside its walk.  There a child shares its
+k - 1 != l.  Since l <= k - 1 on strictly positive ideals, a member
+passes iff k = 2 or some split's k-values sum to k + 1, so the scan
+reads a member's splits, balanced first, only until the least sum 2 or
+such a witness settles it.  `is_minimax` is that scan over every member,
+and `enumerate_ideals` runs it inside its walk.  There a child shares its
 parent's k-values on every root not above the generator it adds, since
 the splits of such a root are not above it either, and rescans only the
 roots above that generator and the members the parent left unscanned;
@@ -267,23 +270,35 @@ def _first_minimax_failure(decs, k, todo):
     is 1 off the ideal, at least 2 on a strictly positive one), so l needs
     no table of its own:
     l(m) = max(1, k[a] + k[b] - 2 over the member-member splits (a, b)).
+
+    On a strictly positive ideal l <= k - 1 (N(w_min) lies in N(w_max)),
+    so m passes iff l(m) >= k(m) - 1: at once if k(m) = 2, else iff some
+    split (a, b) has k[a] + k[b] = k(m) + 1.  A member-member split gives
+    l(m) >= l(a) + l(b) = k(m) - 1; a split with a off the ideal has
+    k[b] = k(m), and l(m) >= l(b) since each I^j is an ideal.  So each
+    member takes two passes over its splits, balanced first, each stopping
+    as soon as it can: the least sum, cut short at 2 (two non-members);
+    then, if k(m) > 2, the first split that sums to k(m) + 1.
     """
     while todo:
         low = todo & -todo
         todo ^= low
         m = low.bit_length() - 1
-        # k(m) = kmin, the least k[a] + k[b]; l(m) = top - 2, where top is
-        # the largest k[a] + k[b] over member-member splits, or 3 if larger
-        kmin, top = len(k), 3
-        for a, b in decs[m]:
-            ka, kb = k[a], k[b]
-            s = ka + kb
+        splits = decs[m]
+        kmin = len(k)
+        for a, b in splits:
+            s = k[a] + k[b]
             if s < kmin:
                 kmin = s
-            if s > top and ka > 1 and kb > 1:
-                top = s
-        if kmin + 1 != top:
-            return m
+                if s == 2:
+                    break
+        if kmin > 2:
+            want = kmin + 1
+            for a, b in splits:
+                if k[a] + k[b] == want:
+                    break
+            else:
+                return m
         k[m] = kmin
     return -1
 

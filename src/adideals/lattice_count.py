@@ -69,7 +69,12 @@ def d_max_contains(rs: RootSystem, x) -> bool:
 
 
 def d_mm_contains(rs: RootSystem, x) -> bool:
-    return d_min_contains(rs, x) and d_max_contains(rs, x)
+    """D_min cap D_max: |(x, alpha)| <= 1 for simple alpha and
+    0 <= (x, theta) <= 2; x holds rank many int or Fraction coordinates
+    (ValueError otherwise)."""
+    scale, pairs = rs._scaled_pairings(x, "a D_mm test")
+    return (-scale <= min(pairs) and max(pairs) <= scale
+            and 0 <= sum(map(mul, rs.theta_coords, pairs)) <= 2 * scale)
 
 
 def coweight_point(rs: RootSystem, y):

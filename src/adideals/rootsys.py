@@ -188,13 +188,15 @@ def _positive_root_keys(cartan, sq):
 
 
 def _decompositions(keys, heights, strict_down):
-    """Per root k, the pairs (a, b), a <= b, with root a + root b = root k.
+    """Per root k, the pairs (a, b), a <= b, with root a + root b = root k,
+    balanced first: a in descending index order, so the last pair of a
+    non-simple root has the least a, a simple root.
 
     The roots are given by their packed keys from `_positive_root_keys` and
     their heights, sorted by height.  Only the roots a strictly below root k
-    and of at most half its height are tried, in index order.  Each probe is
-    one subtraction of keys and one dict lookup: a root below root k leaves
-    no digit of the difference negative.
+    and of at most half its height are tried.  Each probe is one subtraction
+    of keys and one dict lookup: a root below root k leaves no digit of the
+    difference negative.
     """
     position = dict(zip(keys, range(len(keys))))
     out = []
@@ -202,9 +204,8 @@ def _decompositions(keys, heights, strict_down):
         pairs = []
         below = strict_down[k] & ((1 << bisect_right(heights, heights[k] // 2)) - 1)
         while below:
-            low = below & -below
-            below ^= low
-            a = low.bit_length() - 1
+            a = below.bit_length() - 1
+            below ^= 1 << a
             b = position.get(key - keys[a])
             if b is not None and a <= b:
                 pairs.append((a, b))
@@ -298,7 +299,9 @@ class RootSystem:
 
     @cached_property
     def decompositions(self):
-        """Per root k, the pairs (a, b), a <= b, of root indices summing to it."""
+        """Per root k, the pairs (a, b), a <= b, of root indices summing to it,
+        in descending a: the most balanced split first, and last, on a
+        non-simple root, the one whose a is a simple root."""
         return _decompositions(self._keys, [r.height for r in self.positive_roots],
                                self.strict_down_masks)
 
@@ -357,10 +360,13 @@ class RootSystem:
 
     def pairing(self, gamma: Root, nu: Root) -> int:
         """(gamma, nu^vee); an integer for any two roots.  ValueError for a
-        zero nu, a non-integer value or coordinates of another kind."""
-        _, pairs = self._scaled_pairings(nu.coords, "a pairing")
-        norm = sum(map(mul, nu.coords, pairs))
-        twice = 2 * sum(map(mul, self._rational_coords(gamma.coords, "a pairing"), pairs))
+        zero nu, an argument that is not a `Root`, a non-integer value or
+        coordinates of another kind."""
+        norm = twice = 0
+        if isinstance(gamma, Root) and isinstance(nu, Root):
+            _, pairs = self._scaled_pairings(nu.coords, "a pairing")
+            norm = sum(map(mul, nu.coords, pairs))
+            twice = 2 * sum(map(mul, self._rational_coords(gamma.coords, "a pairing"), pairs))
         if not norm or twice % norm:
             raise ValueError("a pairing in %s needs two roots, not %r, %r" % (self, gamma, nu))
         return twice // norm

@@ -74,6 +74,31 @@ def two_table_is_minimax(ideal):
     return all(kt[m] - 1 == lt[m] for m in I._iter_bits(ideal.mask))
 
 
+def one_pass_minimax_failure(decs, k, todo):
+    """`ideals._first_minimax_failure` as one full pass over every split of
+    every member: the oracle for its two early-exit passes.  The same
+    contract: the lowest member of todo where k - 1 != l, or -1, with k
+    filled in on the members passed; k(m) is the least k[a] + k[b], and
+    l(m) = top - 2, where top is the largest k[a] + k[b] over member-member
+    splits, or 3 if larger."""
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        m = low.bit_length() - 1
+        kmin, top = len(k), 3
+        for a, b in decs[m]:
+            ka, kb = k[a], k[b]
+            s = ka + kb
+            if s < kmin:
+                kmin = s
+            if s > top and ka > 1 and kb > 1:
+                top = s
+        if kmin + 1 != top:
+            return m
+        k[m] = kmin
+    return -1
+
+
 def coroot_points_in_dilated_alcove(rs, t):
     """Count Q^vee points x with (x, alpha) >= 0 for all simple alpha and
     (x, theta) <= t, by direct sweep over coroot coordinates."""
@@ -429,10 +454,10 @@ def decompositions_by_pairs(rs):
 
     The dense N x N addition `RootSystem` replaced by its sparse
     decompositions, kept as their oracle; O(N^2).  decompositions[k] lists
-    the pairs (i, j), i <= j, with gamma_i + gamma_j = gamma_k in
-    lexicographic order.  A root is the integer with coordinate c as its
-    digit of 1000**c (no carry: coordinates are at most 6), so a pair sum
-    is one add.
+    the pairs (i, j), i <= j, with gamma_i + gamma_j = gamma_k in reverse
+    lexicographic order, the most balanced first.  A root is the integer
+    with coordinate c as its digit of 1000**c (no carry: coordinates are
+    at most 6), so a pair sum is one add.
     """
     n = rs.num_positive
     keys = [sum(x * 1000 ** c for c, x in enumerate(r.coords)) for r in rs.positive_roots]
@@ -443,7 +468,7 @@ def decompositions_by_pairs(rs):
             k = index.get(key + keys[j])
             if k is not None:
                 decs[k].append((i, j))
-    return [tuple(d) for d in decs]
+    return [tuple(reversed(d)) for d in decs]
 
 
 def is_positive_root(rs, coords):

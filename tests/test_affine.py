@@ -338,6 +338,8 @@ def test_point_tests_match_the_per_root_pairings_at_barycenters(label, rank):
         assert I.shi_region_contains(other, x) == shi_region_contains_by_bilinear(other, x)
         assert L.d_min_contains(rs, x) == d_min_contains_by_bilinear(rs, x)
         assert L.d_max_contains(rs, x) == d_max_contains_by_bilinear(rs, x)
+        assert L.d_mm_contains(rs, x) == (d_min_contains_by_bilinear(rs, x)
+                                          and d_max_contains_by_bilinear(rs, x))
 
 
 def test_element_from_inversions_rejects_non_biconvex_set():
@@ -728,7 +730,10 @@ def test_element_from_record_validates_under_optimize():
         "         lambda: A.element_from_inversions(build('A', 2), [AffineRoot(1, (-1, 0))]),",
         "         lambda: A.finite_element(build('A', 2), alias),",
         "         lambda: A.y_coordinates(build('A', 2), (1,)),",
-        "         lambda: build('A', 2).pairing(build('A', 2).theta, Root((0, 0)))]",
+        "         lambda: build('A', 2).pairing(build('A', 2).theta, Root((0, 0))),",
+        "         lambda: build('A', 3).pairing((1, 0, 0), build('A', 3).theta),",
+        "         lambda: build('A', 3).pairing(build('A', 3).theta, (1, 0, 0)),",
+        "         lambda: A.reflection(build('A', 3), (1, 0, 0))]",
         "for n, call in enumerate(calls):",
         "    try:",
         "        call()",

@@ -6,8 +6,8 @@ from adideals.rootsys import Root, build
 from adideals import ideals as I
 from adideals.lattice_count import count_AD, count_AD0
 from helpers import (
-    brute_is_abelian, brute_k, brute_l, brute_power_mask, brute_xi, systems_up_to,
-    two_table_is_minimax,
+    brute_is_abelian, brute_k, brute_l, brute_power_mask, brute_xi,
+    one_pass_minimax_failure, systems_up_to, two_table_is_minimax,
 )
 
 
@@ -242,6 +242,20 @@ def test_first_minimax_failure_is_lowest_two_table_mismatch(label, rank):
         lowest = next((m for m in I._iter_bits(ideal.mask) if kt[m] - 1 != lt[m]), -1)
         scan = I._first_minimax_failure(rs.decompositions, [1] * rs.num_positive, ideal.mask)
         assert scan == lowest
+
+
+@pytest.mark.parametrize("label,rank", systems_up_to(6) + [("E7", 7), ("E8", 8)])
+def test_first_minimax_failure_matches_the_one_pass_scan(label, rank):
+    # the two early-exit passes against the full pass they replaced: the
+    # same failure and the same k on the members passed; on E8 every 25th
+    # strictly positive ideal in walk order
+    rs = build(label, rank)
+    ideals = list(I.enumerate_ideals(rs, "strictly_positive"))
+    for ideal in ideals[::25 if label == "E8" else 1]:
+        fast, slow = [1] * rs.num_positive, [1] * rs.num_positive
+        assert (I._first_minimax_failure(rs.decompositions, fast, ideal.mask)
+                == one_pass_minimax_failure(rs.decompositions, slow, ideal.mask))
+        assert fast == slow
 
 
 def test_e8_minimax_enumeration_matches_two_table_filter():

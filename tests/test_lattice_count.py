@@ -52,7 +52,7 @@ def test_coweight_point_rejects_malformed_coordinates(y):
     ("an inner product", lambda rs, x: rs.bilinear(rs.theta_coords, x)),
     ("a D_min test", L.d_min_contains),
     ("a D_max test", L.d_max_contains),
-    ("a D_min test", L.d_mm_contains),
+    ("a D_mm test", L.d_mm_contains),
     ("a Shi region test", lambda rs, x: I.shi_region_contains(I.empty_ideal(rs), x)),
     ("a coweight expansion", A.y_coordinates),
     ("a root-coroot pairing", lambda rs, x: rs.pair_root_coroot(x, rs.theta_coords)),
@@ -78,7 +78,12 @@ def test_points_of_the_wrong_length_or_type_are_rejected(use, call, x):
 @pytest.mark.parametrize("use,call", [
     ("a pairing in .* needs two roots", lambda rs, zero: rs.pairing(rs.alpha(0), zero)),
     ("a reflection in .* needs a root", A.reflection),
-], ids=["pairing", "reflection"])
+    # a coordinate tuple is no root either, even with a root's coordinates
+    ("a pairing in .* needs two roots", lambda rs, _: rs.pairing((1, 0, 0), rs.theta)),
+    ("a pairing in .* needs two roots", lambda rs, _: rs.pairing(rs.theta, (1, 0, 0))),
+    ("a reflection in .* needs a root", lambda rs, _: A.reflection(rs, (1, 0, 0))),
+], ids=["pairing", "reflection", "pairing-tuple-gamma", "pairing-tuple-nu",
+        "reflection-tuple"])
 def test_a_zero_root_is_rejected(use, call):
     with pytest.raises(ValueError, match=use):
         call(build("A", 3), Root((0, 0, 0)))

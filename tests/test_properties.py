@@ -275,6 +275,8 @@ def test_point_tests_match_the_per_root_pairings(ideal, data):
     assert I.shi_region_contains(ideal, x) == shi_region_contains_by_bilinear(ideal, x)
     assert L.d_min_contains(rs, x) == d_min_contains_by_bilinear(rs, x)
     assert L.d_max_contains(rs, x) == d_max_contains_by_bilinear(rs, x)
+    assert L.d_mm_contains(rs, x) == (d_min_contains_by_bilinear(rs, x)
+                                      and d_max_contains_by_bilinear(rs, x))
 
 
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()

@@ -255,6 +255,9 @@ def test_heisenberg_mask_matches_pairing_oracle(label, rank):
 def test_decompositions_match_pair_addition_oracle(label, rank):
     rs = build(label, rank)
     assert rs.decompositions == tuple(decompositions_by_pairs(rs))
+    # `affine._d_min_data` reads a simple root off the last split
+    for splits in rs.decompositions[rs.rank:]:
+        assert rs.simple_mask >> splits[-1][0] & 1
 
 
 @pytest.mark.parametrize("label,rank", systems_up_to(30))
