@@ -82,22 +82,21 @@ of `RootSystem._coweights`, so a record makes no Fraction.
 """
 
 import math
+from collections.abc import Iterable
 from functools import lru_cache
 from operator import mul
 
 from .rootsys import AffineRoot, Root, RootSystem
 from . import ideals as _ideals
 from . import lattice_count as _L
-from .ideals import Antichain, Ideal, is_minimax  # noqa: F401  (re-export)
+from .ideals import Antichain, Ideal
 
 __all__ = [
     "FiniteWeylElement", "AffineWeylElement", "identity_finite", "reflection",
-    "finite_inversions", "finite_length",
-    "identity_element", "finite_element", "translation",
-    "affine_simple_reflection", "simple_affine_root",
+    "finite_inversions", "finite_element", "translation", "simple_affine_root",
     "act_affine_root", "act_point", "inversion_set", "length",
     "is_dominant", "is_minimal", "is_maximal", "is_minimax_element",
-    "is_minimax", "reduced_word", "element_from_word",
+    "reduced_word", "element_from_word",
     "element_from_inversions", "w_min", "w_max", "rootlet",
     "first_layer_ideal", "generators_via_w", "xi_via_w", "lattice_image", "y_coordinates",
     "alcove_barycenter", "alcove_image_barycenter",
@@ -156,10 +155,6 @@ def finite_inversions(rs: RootSystem, v: FiniteWeylElement):
     return [mu for mu, s in zip(rs.positive_roots, _shifts(finite_element(rs, v))) if s]
 
 
-def finite_length(rs: RootSystem, v: FiniteWeylElement) -> int:
-    return len(finite_inversions(rs, v))
-
-
 def _in_weyl_group(rs: RootSystem, v) -> bool:
     """Whether v is in W: `_peel` takes the packed images v(alpha_j) to the
     identity's within |Delta^+| steps, and the peeled word rebuilds v.
@@ -183,7 +178,7 @@ class AffineWeylElement:
     __slots__ = ("rs", "v", "r")
 
     def __init__(self, rs: RootSystem, v: FiniteWeylElement, r):
-        r = tuple(r)
+        r = rs._rational_coords(r, "a coroot-lattice translation")
         if not (all(type(x) is int for x in r) and rs.in_coroot_lattice(r)):
             raise ValueError("%r is not a coroot-lattice vector of %s" % (r, rs))
         if not _in_weyl_group(rs, v):
@@ -219,16 +214,12 @@ class AffineWeylElement:
         return "AffineWeylElement(v=%r, r=%r)" % (self.v.matrix, self.r)
 
 
-def identity_element(rs: RootSystem) -> AffineWeylElement:
-    return AffineWeylElement(rs, identity_finite(rs.rank), (0,) * rs.rank)
-
-
 def finite_element(rs: RootSystem, v: FiniteWeylElement) -> AffineWeylElement:
     return AffineWeylElement(rs, v, (0,) * rs.rank)
 
 
 def translation(rs: RootSystem, r) -> AffineWeylElement:
-    return AffineWeylElement(rs, identity_finite(rs.rank), tuple(r))
+    return AffineWeylElement(rs, identity_finite(rs.rank), r)
 
 
 def simple_affine_root(rs: RootSystem, i: int) -> AffineRoot:
@@ -240,13 +231,11 @@ def simple_affine_root(rs: RootSystem, i: int) -> AffineRoot:
     return AffineRoot(0, rs.alpha(i - 1).coords)
 
 
-def affine_simple_reflection(rs: RootSystem, i: int) -> AffineWeylElement:
-    """s_i for i in 0..p; s_0 = s_theta . t_{-theta^vee}."""
-    return element_from_word(rs, [i])
-
-
 def act_affine_root(w: AffineWeylElement, beta: AffineRoot) -> AffineRoot:
-    """w(k*delta + mu) = (k - (mu, r))*delta + v(mu); ValueError for a malformed mu."""
+    """w(k*delta + mu) = (k - (mu, r))*delta + v(mu); ValueError for a beta
+    that is not an `AffineRoot` or has a malformed mu."""
+    if not isinstance(beta, AffineRoot):
+        raise ValueError("an affine root action needs an AffineRoot, not %r" % (beta,))
     t = w.rs.pair_root_coroot(beta.finite, w.r)
     return AffineRoot(beta.level - t, w.v.act(beta.finite))
 
@@ -582,10 +571,16 @@ def _walk(rs: RootSystem, target):
 
 def element_from_inversions(rs: RootSystem, affine_roots) -> AffineWeylElement:
     """The unique element whose inversion set is the given set; raises
-    ValueError when the set is no inversion set."""
+    ValueError when the set is no inversion set, or not one of `AffineRoot`s."""
     weights = _affine_simple_data(rs)[0]
     top, low = weights[0], weights[1:]
-    target = {sum(map(mul, b.finite, low), b.level * top) for b in affine_roots}
+    roots = list(affine_roots) if isinstance(affine_roots, Iterable) else None
+    if roots is None or not all(isinstance(b, AffineRoot) and type(b.level) is int
+                                for b in roots):
+        raise ValueError("an inversion set in %s is an iterable of AffineRoots, not %r"
+                         % (rs, affine_roots))
+    target = {sum(map(mul, rs._rational_coords(b.finite, "an inversion set"), low),
+                  b.level * top) for b in roots}
     return _grow(rs, _walk(rs, target)[1])
 
 
@@ -718,6 +713,8 @@ def element_to_record(w: AffineWeylElement) -> dict:
 def element_from_record(rs: RootSystem, record: dict) -> AffineWeylElement:
     """The element of the record's word; the lists `element_to_record` writes
     for v_matrix and r_coords, when present, must equal the word's."""
+    if not isinstance(record, dict):
+        raise ValueError("an element record is a dict, not %r" % (record,))
     w = element_from_word(rs, record.get("word"))
     if "v_matrix" in record and record["v_matrix"] != [list(row) for row in w.v.matrix]:
         raise ValueError("record's v_matrix does not match its word")

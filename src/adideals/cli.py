@@ -1,7 +1,8 @@
 """Command line surface: enumerate, classify, count, verify, tables.
 
 Exit codes: 0 on success, 1 on a verification mismatch, 2 on usage
-errors (including refused oversized dumps) and on a closed stdout.
+errors (including refused oversized dumps) and on a closed stdout, 130 on
+an interrupt.
 Output is deterministic: identical invocations produce identical bytes.
 
 The grammar is one table, `_COMMANDS`, from which `make_parser` builds the
@@ -347,7 +348,7 @@ def cmd_count(args, out) -> int:
         writer = csv.writer(out)
         writer.writerow(["type", "rank", "quantity", "value", "method",
                          "congruence_applied"])
-        writer.writerow(report.csv_row())
+        writer.writerow(list(report))
     else:
         out.write(
             "type=%s rank=%d quantity=%s value=%d method=%s congruence_applied=%s\n"
@@ -576,14 +577,19 @@ def _write_out(path: str, text: str) -> None:
             fh.write(text)
         os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, target)
-    except OSError as exc:
+    except BaseException as exc:
+        # an interrupt, too, leaves the target as it was
         os.unlink(tmp)
-        raise ValueError("cannot write %s: %s" % (path, exc.strerror)) from None
+        if isinstance(exc, OSError):
+            raise ValueError("cannot write %s: %s" % (path, exc.strerror)) from None
+        raise
 
 
 def main(argv=None) -> int:
     """Run one command; return its exit code.  If stdout's reader has gone, fd 1
-    stays on devnull for the rest of the process, to silence the exit flush."""
+    stays on devnull for the rest of the process, to silence the exit flush.
+    An interrupt ends the command with one line on stderr and 130, the
+    shell's code for SIGINT."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_args(argv)
     if args is None:
@@ -606,6 +612,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     return code
 
 

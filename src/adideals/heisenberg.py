@@ -63,6 +63,17 @@ def _require_sign(sign) -> None:
         raise ValueError("sign must be 1 or -1, not %r" % (sign,))
 
 
+def _require_descriptor(rs: RootSystem, d) -> int:
+    """The index of d's root nu; ValueError unless d is a descriptor with a
+    long positive root and a sign."""
+    if not isinstance(d, HeisenbergElementDescriptor):
+        raise ValueError("a Heisenberg-type element needs a HeisenbergElementDescriptor, "
+                         "not %r" % (d,))
+    idx = _require_long_positive(rs, d.nu)
+    _require_sign(d.sign)
+    return idx
+
+
 def _w_nu_word(rs: RootSystem, nu: Root):
     """A reduced word (affine indices 1..p) of w_nu, by ascent: while some
     pairing (nu, alpha_i^vee) is negative, take the lowest such i and replace
@@ -103,8 +114,7 @@ def n_s_nu_zero(rs: RootSystem, nu: Root):
 
 def heisenberg_element(rs: RootSystem, d: HeisenbergElementDescriptor) -> AffineWeylElement:
     """w_nu.s_0 for sign +1, s_nu.w_nu.s_0 for sign -1."""
-    _require_long_positive(rs, d.nu)
-    _require_sign(d.sign)
+    _require_descriptor(rs, d)
     if d.sign == 1:
         return element_from_word(rs, _w_nu_word(rs, d.nu) + [0])
     # s_nu w_nu = w_nu s_theta, and s_0 = s_theta t_{-theta^vee} with theta^vee = theta
@@ -118,8 +128,7 @@ def heisenberg_ideal_formula(rs: RootSystem, d: HeisenbergElementDescriptor) -> 
     sign -1: additionally theta - w_nu^{-1}(N(s_nu) \\ {nu}), for nu not
     simple (for simple nu the sign +1 formula already applies).
     """
-    idx = _require_long_positive(rs, d.nu)
-    _require_sign(d.sign)
+    idx = _require_descriptor(rs, d)
     if d.sign == -1 and idx in rs.simple_indices:
         raise ValueError("the sign -1 formula needs a non-simple root")
     word = _w_nu_word(rs, d.nu)

@@ -38,13 +38,14 @@ them, and they are the oracle the scan is checked against.
 """
 
 from collections import namedtuple
+from collections.abc import Iterable
 from functools import lru_cache
 from operator import mul
 
 from .rootsys import Root, RootSystem, build
 
 __all__ = [
-    "Ideal", "Antichain", "empty_ideal", "full_ideal", "ideal_from_roots",
+    "Ideal", "Antichain", "ideal_from_roots",
     "generators", "ideal_of", "xi", "is_strictly_positive", "is_abelian",
     "power", "l_value", "k_value", "is_minimax", "enumerate_ideals",
     "shi_inequalities", "shi_region_contains", "ideal_to_record",
@@ -145,16 +146,12 @@ class Antichain:
         return "Antichain(%s)" % (list(list(r.coords) for r in self.roots),)
 
 
-def empty_ideal(rs: RootSystem) -> Ideal:
-    return Ideal(rs, 0)
-
-
-def full_ideal(rs: RootSystem) -> Ideal:
-    return Ideal(rs, (1 << rs.num_positive) - 1)
-
-
 def ideal_from_roots(rs: RootSystem, roots) -> Ideal:
-    """Build an ideal from an explicit member list (must be upward closed)."""
+    """Build an ideal from an explicit member list (must be upward closed);
+    ValueError for anything but an iterable of positive roots."""
+    if not isinstance(roots, Iterable):
+        raise ValueError("an ideal's members in %s are an iterable of positive roots, "
+                         "not %r" % (rs, roots))
     mask = 0
     for r in roots:
         mask |= 1 << rs.index_of(r)

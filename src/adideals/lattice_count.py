@@ -31,9 +31,8 @@ from .ideals import enumerate_ideals
 
 __all__ = [
     "CountReport", "d_min_contains", "d_max_contains", "d_mm_contains",
-    "coweight_point", "solve_base_system",
-    "solve_extended_system", "laurent_coefficient", "trinomial",
-    "CONGRUENCES", "congruence_filter", "count_minimax",
+    "coweight_point", "solve_extended_system", "laurent_coefficient", "trinomial",
+    "CONGRUENCES", "count_minimax",
     "count_minimax_by_enumeration",
     "count_AD", "count_AD0", "count_heisenberg_nontrivial", "haiman_count",
     "catalan", "motzkin", "directed_animals", "minimax_count_D",
@@ -46,9 +45,6 @@ class CountReport(namedtuple("CountReport", "type_label rank quantity value meth
     enumeration, lattice and closed_form."""
 
     __slots__ = ()
-
-    def csv_row(self):
-        return list(self)
 
 
 # -- polytope membership ----------------------------------------------------
@@ -87,17 +83,6 @@ def coweight_point(rs: RootSystem, y):
 
 
 # -- the {-1,0,1} systems ---------------------------------------------------
-
-
-def solve_base_system(rs: RootSystem):
-    """All y in {-1,0,1}^p with 0 <= sum c_i y_i <= 2; these are D_mm cap P^vee."""
-    c = rs.theta_coords
-    out = []
-    for y in itertools.product((-1, 0, 1), repeat=rs.rank):
-        s = sum(ci * yi for ci, yi in zip(c, y))
-        if 0 <= s <= 2:
-            out.append(y)
-    return out
 
 
 def solve_extended_system(rs: RootSystem):
@@ -203,16 +188,6 @@ CONGRUENCES = {
     "E7": lambda p: [((1, 0, 1, 0, 0, 0, 1), 2)],
     **dict.fromkeys(("E8", "F4", "G2"), lambda p: []),
 }
-
-
-def congruence_filter(rs: RootSystem, y) -> bool:
-    """Whether the coweight point of an extended solution lies in Q^vee.
-
-    y is an extended solution (y_0, y_1, .., y_p); only y_1..y_p enter,
-    since y_0 is the auxiliary variable.
-    """
-    return all(sum(w * v for w, v in zip(weights, y[1:])) % m == 0
-               for weights, m in CONGRUENCES[rs.type_label](rs.rank))
 
 
 # -- counting ----------------------------------------------------------------

@@ -26,10 +26,13 @@ The build works on packed root keys, coordinate i in 16-bit digit p-1-i
 of one integer, as `affine._grow` packs its vectors: adding alpha_i is
 one add, a lookup is one dict probe, and ascending keys within a height
 are ascending coords.  Delta^+ grows one height layer at a time, and each
-root carries its pairings (beta, alpha_j^vee) and its squared length, so
-the root-string test, the norms and the covers beta + alpha_i cost O(1)
-per step and the build O(N p) for N positive roots.  Coordinate tuples
-are unpacked once per root, at the end.
+root carries its pairings (beta, alpha_j^vee), so the root-string test and
+the covers beta + alpha_i cost O(1) per step and the build O(N p) for N
+positive roots.  Coordinate tuples are unpacked once per root, at the end.
+The long roots are read off the coordinates: a root is long iff it lies in
+the coroot lattice Q^vee, that is iff r_j divides beta_j for every j.  A
+long root is its own coroot; a short one has beta^vee = r beta with r = 2
+or 3 primitive in Q^vee, so beta itself is not in Q^vee.
 """
 
 import math
@@ -135,20 +138,18 @@ def _gram_data(type_label, rank):
     return ratios, tuple(map(tuple, num)), den
 
 
-def _positive_root_keys(cartan, sq):
+def _positive_root_keys(cartan):
     """Generate Delta^+ by root-string closure, one height layer at a time.
 
     A root is a packed key, coordinate i in 16-bit digit p-1-i, so that
     +-alpha_i is one add and ascending keys within a height are ascending
-    coords.  Each root carries its pairings (beta, alpha_j^vee) and its norm
-    in the units of sq[i] = _gram_den |alpha_i|^2.  Returns the keys in
-    (height, coords) order, their norms, the indices of their covers
+    coords.  Each root carries its pairings (beta, alpha_j^vee).  Returns the
+    keys in (height, coords) order, the indices of their covers
     beta + alpha_i and the height-layer sizes.
     """
     p = len(cartan)
     units = [1 << _BITS * (p - 1 - i) for i in range(p)]
     pairings = dict(zip(units, cartan))
-    norm = dict(zip(units, sq))
     covers = {}
     layer = sorted(units)
     keys = list(layer)
@@ -176,15 +177,12 @@ def _positive_root_keys(cartan, sq):
                 ups.append(up)
                 if up not in pairings:
                     pairings[up] = tuple(map(add, pair, cartan[i]))
-                    # |beta + alpha_i|^2 = |beta|^2 + ((beta, alpha_i^vee) + 1) |alpha_i|^2
-                    norm[up] = norm[key] + (pair[i] + 1) * sq[i]
                     nxt.append(up)
         nxt.sort()
         keys += nxt
         layer = nxt
     position = dict(zip(keys, range(len(keys))))
-    return (keys, [norm[k] for k in keys],
-            [[position[c] for c in covers[k]] for k in keys], sizes)
+    return keys, [[position[c] for c in covers[k]] for k in keys], sizes
 
 
 def _decompositions(keys, heights, strict_down):
@@ -220,10 +218,11 @@ class RootSystem:
     deterministic order, the highest root, exponents and two order tables:
     `up_masks` (the roots at or above each root) and `strict_down_masks`.
     Every other order set (Xi, incomparable roots, the Heisenberg ideal) is
-    read off them by its user.  The roots, their norms (for `long_mask`)
-    and their covers (for the order tables) come from `_positive_root_keys`
-    on packed keys; the keys are kept in `_keys`, the carried pairings stay
-    local to the constructor, and `_index` maps coordinate tuples.  The
+    read off them by its user.  The roots and their covers (for the order
+    tables) come from `_positive_root_keys` on packed keys; the keys are
+    kept in `_keys`, the carried pairings stay local to the constructor, and
+    `_index` maps coordinate tuples.  `long_mask` holds the roots in the
+    coroot lattice, which are the long ones.  The
     two-root decompositions (probed on the kept keys), the fundamental
     coweights and the simple root lengths are computed on first use, since
     counting reads none of them, and a build makes no Fraction.  The
@@ -247,7 +246,7 @@ class RootSystem:
         # a[i][j] = (alpha_i, alpha_j^vee) = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j)
         self.cartan = cartan = tuple(tuple(2 * x // q for x, q in zip(row, sq)) for row in gram)
 
-        keys, norms, covers, layer_sizes = _positive_root_keys(cartan, sq)
+        keys, covers, layer_sizes = _positive_root_keys(cartan)
         self._keys = tuple(keys)
         digits = struct.Struct(">%dH" % rank)
         self.positive_roots = tuple(Root(digits.unpack(k.to_bytes(2 * rank, "big")))
@@ -278,8 +277,15 @@ class RootSystem:
         # det(Cartan) = 1 + the number of marks of theta equal to 1
         self.index_of_connection = 1 + sum(1 for c in self.theta_coords if c == 1)
 
-        assert max(norms) == norms[self.theta_index] == 2 * den
-        self.long_mask = sum(1 << i for i, q in enumerate(norms) if q == 2 * den)
+        # beta is long iff it is in Q^vee, iff r_j | beta_j for every j; a
+        # coordinate rules roots out only where r_j > 1 (alpha_j short)
+        long_mask = (1 << n) - 1
+        for j, r in enumerate(ratios):
+            if r > 1:
+                long_mask &= ~sum(1 << i for i, b in enumerate(self.positive_roots)
+                                  if b.coords[j] % r)
+        self.long_mask = long_mask
+        assert self.long_mask >> self.theta_index & 1, "highest root is not long"
 
         # order masks from the covers gamma < gamma + alpha_i, whose
         # transitive closure is the root order: the roots above gamma are

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 from adideals import affine as A
 from adideals import classical_types as C
 from adideals import ideals as I
+from adideals.lattice_count import CONGRUENCES
 from adideals.rootsys import AffineRoot, Root, build
 
 
@@ -119,6 +120,28 @@ def coroot_points_in_dilated_alcove(rs, t):
         if sum(c * v for c, v in zip(rs.theta_coords, vals)) <= t:
             count += 1
     return count
+
+
+def solve_base_system(rs):
+    """All y in {-1,0,1}^p with 0 <= sum c_i y_i <= 2; these are D_mm cap P^vee.
+    The sweep `lattice_count.count_minimax` replaced, kept as its oracle."""
+    c = rs.theta_coords
+    out = []
+    for y in itertools.product((-1, 0, 1), repeat=rs.rank):
+        s = sum(ci * yi for ci, yi in zip(c, y))
+        if 0 <= s <= 2:
+            out.append(y)
+    return out
+
+
+def congruence_filter(rs, y):
+    """Whether the coweight point of an extended solution lies in Q^vee.
+
+    y is an extended solution (y_0, y_1, .., y_p); only y_1..y_p enter,
+    since y_0 is the auxiliary variable.
+    """
+    return all(sum(w * v for w, v in zip(weights, y[1:])) % m == 0
+               for weights, m in CONGRUENCES[rs.type_label](rs.rank))
 
 
 def laurent_coefficient_by_dp(cs, k, forms=()):
@@ -238,7 +261,7 @@ def matrix_simple_reflection(rs, i):
 
 def matrix_element_from_word(rs, word):
     """The product of the word's affine simple reflections, left to right."""
-    acc = A.identity_element(rs)
+    acc = A.element_from_word(rs, [])
     for i in word:
         acc = affine_product(acc, matrix_simple_reflection(rs, i))
     return acc
@@ -374,7 +397,7 @@ def peel_element_from_inversions(rs, affine_roots):
             t = rs.pair_root_coroot(mu, s_i.r) if translated else 0
             new.add((k - t, s_i.v.act(mu)))
         remaining = new
-    acc = A.identity_element(rs)
+    acc = A.element_from_word(rs, [])
     for i in peeled:
         acc = affine_product(refl[i], acc)
     return acc
@@ -383,7 +406,7 @@ def peel_element_from_inversions(rs, affine_roots):
 def heisenberg_type_by_product(w):
     """Whether w = v.s_0 for a finite v, by the product route: w.s_0, formed
     through two reduced words, has no translation part and is one shorter."""
-    trimmed = w * A.affine_simple_reflection(w.rs, 0)
+    trimmed = w * A.element_from_word(w.rs, [0])
     return not any(trimmed.r) and A.length(trimmed) == A.length(w) - 1
 
 

@@ -37,7 +37,7 @@ def test_from_pairs_round_trip_a4():
 def test_to_pairs_rejects_other_types():
     rs = build("B", 2)
     with pytest.raises(ValueError, match="type A"):
-        C.to_pairs(I.generators(I.full_ideal(rs)))
+        C.to_pairs(I.generators(I.Ideal(rs, (1 << rs.num_positive) - 1)))
 
 
 def test_pair_antichain_validation():
@@ -141,7 +141,7 @@ def test_fold_pair():
 
 def test_symmetrize_examples():
     rs = build("C", 3)
-    empty = I.empty_ideal(rs)
+    empty = I.Ideal(rs, 0)
     assert C.symmetrize(empty).size == 0
     assert C.is_self_conjugate(C.symmetrize(empty))
 

@@ -2,6 +2,7 @@ import argparse
 import errno
 import json
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -102,7 +103,7 @@ def test_enumerate_classifies_e7_without_force(capsys, monkeypatch):
     # the guard's estimate for all 4160 ideals of E7 is within budget; a stub
     # sweep of two ideals keeps the test short
     rs = build("E7", 7)
-    few = [I.empty_ideal(rs), I.full_ideal(rs)]
+    few = [I.Ideal(rs, 0), I.Ideal(rs, (1 << rs.num_positive) - 1)]
     monkeypatch.setattr(cli.I, "enumerate_ideals", lambda rs, which="all": iter(few))
     code, out, err = run(["enumerate", "--type", "E7", "--rank", "7"], capsys)
     assert code == 0 and err == ""
@@ -112,7 +113,7 @@ def test_enumerate_classifies_e7_without_force(capsys, monkeypatch):
 def test_enumerate_classifies_e8_minimax_without_force(capsys, monkeypatch):
     # the guard bounds the work by the 834 minimax ideals, not all 25080
     rs = build("E8", 8)
-    few = [I.empty_ideal(rs)]
+    few = [I.Ideal(rs, 0)]
     monkeypatch.setattr(cli.I, "enumerate_ideals", lambda rs, which="all": iter(few))
     code, out, err = run(
         ["enumerate", "--type", "E8", "--rank", "8", "--class", "minimax"], capsys)
@@ -544,6 +545,47 @@ def test_out_file_is_written_whole_or_not_at_all(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.os, "replace", no_space)
     code, out, err = run(argv, capsys)
     assert code == 2 and "No space left on device" in err
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_an_interrupted_out_write_leaves_the_target_as_it_was(tmp_path, monkeypatch):
+    target = tmp_path / "report.txt"
+    target.write_text("old\n")
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.os, "chmod", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli._write_out(str(target), "new\n")
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [target]  # no temporary file is left behind
+
+
+_STARTED = ("import sys; from adideals import cli; print('started', flush=True); "
+            "sys.exit(cli.main(sys.argv[1:]))")
+
+
+def test_an_interrupt_exits_130_without_traceback(tmp_path):
+    # one child and one SIGINT, sent while the E8 records (about 3 s) are made
+    target = tmp_path / "e8.json"
+    target.write_text("old\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-c", _STARTED, "enumerate", "--type", "E8", "--rank", "8",
+         "--force", "--format", "json", "--out", str(target)],
+        env=dict(os.environ, PYTHONPATH=path), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    try:
+        assert child.stdout.readline() == "started\n"
+        time.sleep(0.5)
+        child.send_signal(signal.SIGINT)
+        out, err = child.communicate(timeout=120)
+    finally:
+        child.kill()
+    assert (child.returncode, out, err) == (130, "", "interrupted\n")
     assert target.read_text() == "old\n"
     assert list(tmp_path.iterdir()) == [target]
 

@@ -70,7 +70,7 @@ def test_w_nu_length_and_inversions(label, rank):
         v = H.w_nu(rs, nu)
         assert v.act(rs.theta_coords) == nu.coords
         expected_len = rho_pairing(rs, rs.theta) - rho_pairing(rs, nu)
-        assert A.finite_length(rs, v) == expected_len
+        assert len(A.finite_inversions(rs, v)) == expected_len
         inv = {r.coords for r in A.finite_inversions(rs, matrix_inverse(v))}
         charac = {r.coords for r in rs.positive_roots if rs.pairing(r, nu) == -1}
         assert inv == charac
@@ -97,7 +97,7 @@ def test_w_nu_word_matches_ascent_oracle(label, rank):
 
 def test_a2_w_nu_length_one():
     rs = build("A", 2)
-    assert A.finite_length(rs, H.w_nu(rs, rs.alpha(0))) == 1
+    assert len(A.finite_inversions(rs, H.w_nu(rs, rs.alpha(0)))) == 1
 
 
 @pytest.mark.parametrize("label,rank", systems_up_to(4))
@@ -105,13 +105,13 @@ def test_s_nu_length_formula(label, rank):
     rs = build(label, rank)
     for nu in long_positive(rs):
         s = H.s_nu(rs, nu)
-        assert A.finite_length(rs, s) == 2 * rho_pairing(rs, nu) - 1
+        assert len(A.finite_inversions(rs, s)) == 2 * rho_pairing(rs, nu) - 1
         inv = {r.coords for r in A.finite_inversions(rs, s)}
         zero_part = {r.coords for r in H.n_s_nu_zero(rs, nu)}
         assert inv == zero_part | {nu.coords}
         # s_nu w_nu is a reduced product
         both = matrix_product(s, H.w_nu(rs, nu))
-        assert A.finite_length(rs, both) == (
+        assert len(A.finite_inversions(rs, both)) == (
             rho_pairing(rs, rs.theta) + rho_pairing(rs, nu) - 1
         )
 
@@ -119,7 +119,7 @@ def test_s_nu_length_formula(label, rank):
 def test_s_nu_simple():
     rs = build("A", 3)
     for a in rs.simple_roots():
-        assert A.finite_length(rs, H.s_nu(rs, a)) == 1
+        assert len(A.finite_inversions(rs, H.s_nu(rs, a))) == 1
         assert H.n_s_nu_zero(rs, a) == []
 
 
@@ -128,7 +128,7 @@ def test_s_theta_length():
     # the simply laced types, where this becomes 2h - 3
     for label, rank in systems_up_to(4):
         rs = build(label, rank)
-        got = A.finite_length(rs, H.s_nu(rs, rs.theta))
+        got = len(A.finite_inversions(rs, H.s_nu(rs, rs.theta)))
         assert got == 2 * rho_pairing(rs, rs.theta) - 1
         if label in ("A", "D", "E6", "E7", "E8"):
             assert got == 2 * rs.coxeter_number - 3
@@ -154,14 +154,14 @@ def test_n_s_nu_zero_matches_pairing_oracle(label, rank):
 def test_heisenberg_element_theta_plus_is_s0():
     rs = build("A", 2)
     d = H.HeisenbergElementDescriptor(rs.theta, 1)
-    assert H.heisenberg_element(rs, d) == A.affine_simple_reflection(rs, 0)
+    assert H.heisenberg_element(rs, d) == A.element_from_word(rs, [0])
     assert A.first_layer_ideal(H.heisenberg_element(rs, d)).members() == [rs.theta]
 
 
 @pytest.mark.parametrize("label,rank", systems_up_to(4))
 def test_heisenberg_element_classification(label, rank):
     rs = build(label, rank)
-    s0 = A.affine_simple_reflection(rs, 0)
+    s0 = A.element_from_word(rs, [0])
     for nu in long_positive(rs):
         nu_simple = rs.index_of(nu) in rs.simple_indices
         plus = H.heisenberg_element(rs, H.HeisenbergElementDescriptor(nu, 1))
@@ -274,8 +274,8 @@ def test_count_and_rootlet_injectivity(label, rank):
 
 def test_is_heisenberg_type_examples():
     rs = build("A", 2)
-    assert H.is_heisenberg_type(A.affine_simple_reflection(rs, 0))
-    assert not H.is_heisenberg_type(A.identity_element(rs))
+    assert H.is_heisenberg_type(A.element_from_word(rs, [0]))
+    assert not H.is_heisenberg_type(A.element_from_word(rs, []))
 
 
 @pytest.mark.parametrize("label,rank,max_len", [
@@ -303,7 +303,7 @@ def test_dominance_criterion_full_weyl_sweep(label, rank):
     # v s_0 is dominant iff v(alpha) > 0 for every simple alpha with
     # (alpha, theta) = 0
     rs = build(label, rank)
-    s0 = A.affine_simple_reflection(rs, 0)
+    s0 = A.element_from_word(rs, [0])
     ortho = [
         a for a in rs.simple_roots() if rs.bilinear(a.coords, rs.theta_coords) == 0
     ]
@@ -318,7 +318,7 @@ def test_dominance_criterion_full_weyl_sweep(label, rank):
 @pytest.mark.parametrize("label,rank", systems_up_to(3))
 def test_every_dominant_vs0_comes_from_a_long_root(label, rank):
     rs = build(label, rank)
-    s0 = A.affine_simple_reflection(rs, 0)
+    s0 = A.element_from_word(rs, [0])
     for v in full_weyl_group(rs):
         w = A.finite_element(rs, v) * s0
         if not A.is_dominant(w):
@@ -350,7 +350,7 @@ def test_w_max_can_leave_heisenberg_type(label, rank):
     ideal = A.first_layer_ideal(minus)
     plus = H.heisenberg_element(rs, H.HeisenbergElementDescriptor(nu, 1))
     assert A.w_min(ideal) == plus
-    s0 = A.affine_simple_reflection(rs, 0)
+    s0 = A.element_from_word(rs, [0])
     assert A.w_max(ideal) == s0 * minus
     assert not H.is_heisenberg_type(A.w_max(ideal))
 

@@ -17,8 +17,8 @@ def heis(rs):
 
 def test_generators_examples():
     rs = build("A", 2)
-    assert set(I.generators(I.full_ideal(rs))) == set(rs.simple_roots())
-    assert I.generators(I.empty_ideal(rs)).roots == ()
+    assert set(I.generators(I.Ideal(rs, (1 << rs.num_positive) - 1))) == set(rs.simple_roots())
+    assert I.generators(I.Ideal(rs, 0)).roots == ()
     assert set(I.generators(heis(rs))) == {rs.alpha(0), rs.alpha(1)}
 
 
@@ -26,7 +26,8 @@ def test_ideal_of_examples():
     rs = build("A", 2)
     just_theta = I.ideal_of(I.Antichain(rs, [rs.theta]))
     assert just_theta.members() == [rs.theta]
-    assert I.ideal_of(I.Antichain(rs, rs.simple_roots())) == I.full_ideal(rs)
+    full = I.Ideal(rs, (1 << rs.num_positive) - 1)
+    assert I.ideal_of(I.Antichain(rs, rs.simple_roots())) == full
 
     rs4 = build("A", 4)
     gamma = I.Antichain(rs4, [Root((1, 1, 0, 0)), Root((0, 0, 1, 1))])
@@ -64,12 +65,13 @@ def test_roots_without_hashable_coords_rejected(root):
     with pytest.raises(ValueError, match="is not a positive root of"):
         I.ideal_from_roots(rs, [root])
     with pytest.raises(ValueError, match="is not a positive root of"):
-        I.l_value(root, I.full_ideal(rs))
+        I.l_value(root, I.Ideal(rs, (1 << rs.num_positive) - 1))
 
 
 @pytest.mark.parametrize("root", [(1, 0), None, Root([0, 1]), Root((9, 9))])
 def test_membership_of_non_roots_is_false(root):
-    assert root not in I.full_ideal(build("A", 2))
+    rs = build("A", 2)
+    assert root not in I.Ideal(rs, (1 << rs.num_positive) - 1)
 
 
 @pytest.mark.parametrize("label,rank", systems_up_to(4))
@@ -85,9 +87,9 @@ def test_generator_round_trip(label, rank):
 
 def test_strictly_positive_and_abelian():
     rs = build("A", 2)
-    empty = I.empty_ideal(rs)
+    empty = I.Ideal(rs, 0)
     assert I.is_strictly_positive(empty) and I.is_abelian(empty)
-    full = I.full_ideal(rs)
+    full = I.Ideal(rs, (1 << rs.num_positive) - 1)
     assert not I.is_strictly_positive(full) and not I.is_abelian(full)
     just_theta = I.ideal_of(I.Antichain(rs, [rs.theta]))
     assert I.is_strictly_positive(just_theta) and I.is_abelian(just_theta)
@@ -107,7 +109,7 @@ def test_heisenberg_powers(label, rank):
 def test_power_of_full_ideal_dies_at_coxeter_number():
     for label, rank in systems_up_to(4):
         rs = build(label, rank)
-        full = I.full_ideal(rs)
+        full = I.Ideal(rs, (1 << rs.num_positive) - 1)
         h = rs.coxeter_number
         assert I.power(full, h - 1).members() == [rs.theta]
         assert I.power(full, h).size == 0
@@ -156,8 +158,9 @@ def test_abelian_iff_square_is_empty(label, rank):
 
 @pytest.mark.parametrize("k", [0, 2.5, "2"])
 def test_power_rejects_k_that_is_no_positive_int(k):
+    rs = build("A", 3)
     with pytest.raises(ValueError, match="k >= 1"):
-        I.power(I.full_ideal(build("A", 3)), k)
+        I.power(I.Ideal(rs, (1 << rs.num_positive) - 1), k)
 
 
 @pytest.mark.parametrize("label,rank", systems_up_to(5) + [("E6", 6)])  # G2, F4 included
@@ -169,8 +172,8 @@ def test_xi_matches_coordinate_maxima(label, rank):
 
 def test_xi_examples():
     rs = build("A", 2)
-    assert I.xi(I.empty_ideal(rs)).roots == (rs.theta,)
-    assert I.xi(I.full_ideal(rs)).roots == ()
+    assert I.xi(I.Ideal(rs, 0)).roots == (rs.theta,)
+    assert I.xi(I.Ideal(rs, (1 << rs.num_positive) - 1)).roots == ()
     mask = (1 << rs.num_positive) - 1 & ~rs.simple_mask
     assert set(I.xi(I.Ideal(rs, mask))) == set(rs.simple_roots())
 
@@ -188,7 +191,8 @@ def test_l_value_examples():
     assert I.l_value(rs.theta, heis(rs)) == 2
     for label, rank in systems_up_to(3):
         system = build(label, rank)
-        assert I.l_value(system.theta, I.full_ideal(system)) == system.coxeter_number - 1
+        full = I.Ideal(system, (1 << system.num_positive) - 1)
+        assert I.l_value(system.theta, full) == system.coxeter_number - 1
     with pytest.raises(ValueError, match="requires gamma"):
         I.l_value(rs.alpha(0), just_theta)
 
@@ -199,7 +203,7 @@ def test_k_value_examples():
     assert I.k_value(rs.theta, just_theta) == 2
     assert I.k_value(rs.alpha(0), just_theta) == 1
     with pytest.raises(ValueError, match="strictly positive"):
-        I.k_value(rs.theta, I.full_ideal(rs))
+        I.k_value(rs.theta, I.Ideal(rs, (1 << rs.num_positive) - 1))
 
 
 @pytest.mark.parametrize("label,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3),
@@ -349,7 +353,7 @@ def test_generator_xi_bound(label, rank):
 
 def test_shi_inequalities():
     rs = build("A", 2)
-    empty = I.empty_ideal(rs)
+    empty = I.Ideal(rs, 0)
     cons = I.shi_inequalities(empty)
     assert len(cons) == rs.rank + rs.num_positive
     from fractions import Fraction

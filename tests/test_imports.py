@@ -5,6 +5,7 @@ import ast
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -53,6 +54,53 @@ def test_benchmark_traced_names_resolve_in_the_package():
         fn = getattr(importlib.import_module("adideals." + module), name, None)
         assert callable(fn), "adideals.%s has no function %s" % (module, name)
         assert kind in ("call", "gen")
+
+
+def _all_names(tree):
+    """The strings of a module's `__all__`, or () if it has none."""
+    return next((ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)), ())
+
+
+def _reads(node, own=None):
+    """The names read below node: the Name ids and Attribute attrs that are
+    loaded, not assigned, and the names imported from a module, skipping
+    `__all__` and, inside a definition, the defined name itself."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _reads(child, child.name)
+            continue
+        if isinstance(child, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in child.targets):
+            continue
+        loaded = isinstance(getattr(child, "ctx", None), ast.Load)
+        if isinstance(child, ast.Name) and loaded and child.id != own:
+            yield child.id
+        elif isinstance(child, ast.Attribute) and loaded and child.attr != own:
+            yield child.attr
+        elif isinstance(child, ast.ImportFrom):
+            yield from (alias.name for alias in child.names)
+        yield from _reads(child, own)
+
+
+def test_every_public_name_has_a_reader():
+    # a name in a module's __all__ is read in the package, exported by the
+    # package, documented in the README or traced by the benchmark; anything
+    # else is a test oracle, which belongs in tests/helpers.py
+    root = pathlib.Path(__file__).resolve().parent.parent
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in _package_files()}
+    read = {name for tree in trees.values() for name in _reads(tree)}
+    readme = set(re.findall(r"\w+", (root / "README.md").read_text()))
+    tracing = ast.parse((root / "perfbench" / "tracing.py").read_text())
+    traced = {(module, name) for node in tracing.body if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "TRACED" for t in node.targets)
+              for module, name, _ in ast.literal_eval(node.value)}
+    unread = ["%s.%s" % (module, name) for module, tree in trees.items()
+              if module != "__init__" for name in _all_names(tree)
+              if name not in read | readme | set(adideals.__all__)
+              and (module, name) not in traced]
+    assert unread == []
 
 
 def test_package_imports_only_the_standard_library():

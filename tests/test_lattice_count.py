@@ -8,9 +8,13 @@ import pytest
 
 from adideals.rootsys import AffineRoot, Root, build
 from adideals import affine as A
+from adideals import heisenberg as H
 from adideals import ideals as I
 from adideals import lattice_count as L
-from helpers import coroot_points_in_dilated_alcove, laurent_coefficient_by_dp, systems_up_to
+from helpers import (
+    congruence_filter, coroot_points_in_dilated_alcove, laurent_coefficient_by_dp,
+    solve_base_system, systems_up_to,
+)
 
 
 def test_membership_examples():
@@ -47,13 +51,13 @@ def test_coweight_point_rejects_malformed_coordinates(y):
 
 
 @pytest.mark.parametrize("use,call", [
-    ("an affine action", lambda rs, x: A.act_point(A.identity_element(rs), x)),
+    ("an affine action", lambda rs, x: A.act_point(A.element_from_word(rs, []), x)),
     ("an inner product", lambda rs, x: rs.bilinear(x, rs.theta_coords)),
     ("an inner product", lambda rs, x: rs.bilinear(rs.theta_coords, x)),
     ("a D_min test", L.d_min_contains),
     ("a D_max test", L.d_max_contains),
     ("a D_mm test", L.d_mm_contains),
-    ("a Shi region test", lambda rs, x: I.shi_region_contains(I.empty_ideal(rs), x)),
+    ("a Shi region test", lambda rs, x: I.shi_region_contains(I.Ideal(rs, 0), x)),
     ("a coweight expansion", A.y_coordinates),
     ("a root-coroot pairing", lambda rs, x: rs.pair_root_coroot(x, rs.theta_coords)),
     ("a root-coroot pairing", lambda rs, x: rs.pair_root_coroot(rs.theta_coords, x)),
@@ -62,7 +66,7 @@ def test_coweight_point_rejects_malformed_coordinates(y):
     ("a root-coroot pairing",
      lambda rs, x: A.act_affine_root(A.element_from_word(rs, [0]), AffineRoot(0, x))),
     ("a root-coroot pairing",
-     lambda rs, x: A.act_affine_root(A.identity_element(rs), AffineRoot(0, x))),
+     lambda rs, x: A.act_affine_root(A.element_from_word(rs, []), AffineRoot(0, x))),
 ], ids=["act_point", "bilinear-x", "bilinear-y", "d_min", "d_max", "d_mm", "shi",
         "y_coordinates", "pair_root_coroot-mu", "pair_root_coroot-r", "pairing-gamma",
         "pairing-nu", "act_affine_root", "act_affine_root-identity"])
@@ -82,17 +86,32 @@ def test_points_of_the_wrong_length_or_type_are_rejected(use, call, x):
     ("a pairing in .* needs two roots", lambda rs, _: rs.pairing((1, 0, 0), rs.theta)),
     ("a pairing in .* needs two roots", lambda rs, _: rs.pairing(rs.theta, (1, 0, 0))),
     ("a reflection in .* needs a root", lambda rs, _: A.reflection(rs, (1, 0, 0))),
+    # nor is it an affine root, nor None a list of roots or coordinates
+    ("an affine root action needs an AffineRoot",
+     lambda rs, _: A.act_affine_root(A.element_from_word(rs, []), (0, (1, 0, 0)))),
+    ("an inversion set in .* is an iterable of AffineRoots",
+     lambda rs, _: A.element_from_inversions(rs, [(1, 0, 0)])),
+    ("a coroot-lattice translation in .* needs 3", lambda rs, _: A.translation(rs, None)),
+    ("an ideal's members in .* are an iterable", lambda rs, _: I.ideal_from_roots(rs, None)),
+    # a tuple is no record and no descriptor
+    ("an element record is a dict", lambda rs, _: A.element_from_record(rs, (1, 0, 0))),
+    ("needs a HeisenbergElementDescriptor",
+     lambda rs, _: H.heisenberg_element(rs, (1, 0, 0))),
+    ("needs a HeisenbergElementDescriptor",
+     lambda rs, _: H.heisenberg_ideal_formula(rs, (1, 0, 0))),
 ], ids=["pairing", "reflection", "pairing-tuple-gamma", "pairing-tuple-nu",
-        "reflection-tuple"])
+        "reflection-tuple", "act_affine_root-tuple", "element_from_inversions-tuple",
+        "translation-none", "ideal_from_roots-none", "element_from_record-tuple",
+        "heisenberg_element-tuple", "heisenberg_ideal_formula-tuple"])
 def test_a_zero_root_is_rejected(use, call):
     with pytest.raises(ValueError, match=use):
         call(build("A", 3), Root((0, 0, 0)))
 
 
 def test_base_system_examples():
-    assert len(L.solve_base_system(build("G2", 2))) == 3
-    assert len(L.solve_base_system(build("F4", 4))) == 17
-    assert L.solve_base_system(build("A", 1)) == [(0,), (1,)]
+    assert len(solve_base_system(build("G2", 2))) == 3
+    assert len(solve_base_system(build("F4", 4))) == 17
+    assert solve_base_system(build("A", 1)) == [(0,), (1,)]
 
 
 def test_extended_system_examples():
@@ -104,7 +123,7 @@ def test_extended_system_examples():
 @pytest.mark.parametrize("label,rank", systems_up_to(6))
 def test_extended_solutions_biject_with_base(label, rank):
     rs = build(label, rank)
-    base = L.solve_base_system(rs)
+    base = solve_base_system(rs)
     ext = L.solve_extended_system(rs)
     assert len(base) == len(ext)
     derived = sorted(y[1:] for y in ext)
@@ -192,7 +211,7 @@ def test_type_a_cyclic_orbits(n):
             cur = cur[1:] + cur[:1]
         assert orbit <= solutions
         assert len(orbit) == n + 1
-        assert sum(1 for z in orbit if L.congruence_filter(rs, z)) == 1
+        assert sum(1 for z in orbit if congruence_filter(rs, z)) == 1
         seen |= orbit
     assert seen == solutions
 
@@ -204,14 +223,14 @@ def test_congruence_matches_coroot_lattice_membership(label, rank):
     rs = build(label, rank)
     for y in L.solve_extended_system(rs):
         point = L.coweight_point(rs, y[1:])
-        assert L.congruence_filter(rs, y) == rs.in_coroot_lattice(point)
+        assert congruence_filter(rs, y) == rs.in_coroot_lattice(point)
 
 
 @pytest.mark.parametrize("label,rank", systems_up_to(8))
 def test_count_minimax_never_sweeps(label, rank, monkeypatch):
     # the value the sweep oracle gives, then the count with the sweep barred
     rs = build(label, rank)
-    oracle = sum(1 for y in L.solve_extended_system(rs) if L.congruence_filter(rs, y))
+    oracle = sum(1 for y in L.solve_extended_system(rs) if congruence_filter(rs, y))
 
     def no_sweep(*args, **kwargs):
         raise AssertionError("count_minimax swept the lattice")
@@ -256,7 +275,7 @@ def test_count_AD_examples():
     assert L.count_AD(build("E8", 8)).value == 25080
     report = L.count_AD(build("B", 3))
     assert report.method == "closed_form" and not report.congruence_applied
-    assert report.csv_row() == ["B", 3, "AD", 20, "closed_form", False]
+    assert list(report) == ["B", 3, "AD", 20, "closed_form", False]
 
 
 def test_integer_product_raises_on_a_remainder():
